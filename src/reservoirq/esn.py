@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError, GenerationError
-from .numerics import spectral_radius
+from .numerics import drive_buffers, spectral_radius
 from .textio import matrix_lines, parse_matrix
 
 RESAMPLE_ATTEMPTS = 10
@@ -40,6 +40,8 @@ class EsnModel:
             self.state = np.asarray(self.state, dtype=float).copy()
             if self.state.shape != (self.n_res,):
                 raise DimensionError(f"state must have shape ({self.n_res},)")
+            if not np.all(np.isfinite(self.state)):
+                raise DomainError("state must be finite")
 
     @property
     def n_res(self):
@@ -91,16 +93,28 @@ class EsnModel:
             w_in[:, 0] = 1.0
         return cls(w_in=w_in, w_res=w_res)
 
+    def run(self, inputs, out=None):
+        """Advance x <- tanh(w_in [1; a] + w_res x) once per input row.
+
+        Takes a (K, n_in) input matrix, checked once per call (2-d,
+        finite), and returns the (n_res, K) matrix of states after each
+        row, written into ``out`` when it is given. The model is left
+        holding the last column. The input terms of all K steps come from
+        one product; the loop does only the recurrent one.
+        """
+        a, out = drive_buffers(inputs, self.n_in, self.n_res, out)
+        drive = np.matmul(self.w_in[:, 1:], a.T, out=out)
+        drive += self.w_in[:, :1]
+        state = self.state
+        for t in range(a.shape[0]):
+            state = np.tanh(drive[:, t] + self.w_res @ state)
+            out[:, t] = state
+        self.state = state
+        return out
+
     def update(self, inputs):
-        """Advance the state: x <- tanh(w_in [1; a] + w_res x)."""
-        a = np.atleast_1d(np.asarray(inputs, dtype=float))
-        if a.shape != (self.n_in,):
-            raise DimensionError(f"expected input of shape ({self.n_in},), got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise DomainError("inputs must be finite")
-        drive = self.w_in @ np.concatenate(([1.0], a)) + self.w_res @ self.state
-        self.state = np.tanh(drive)
-        return self.state.copy()
+        """One step of ``run``: the state after a single input vector."""
+        return self.run(np.atleast_1d(inputs)[None])[:, 0]
 
     def reset(self):
         """Zero the state; weights are untouched."""

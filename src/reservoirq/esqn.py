@@ -11,8 +11,15 @@ stationary load map once, reading only the previous state:
 Inputs a are nonnegative spike arrival rates (data is rescaled to [0, 1]
 upstream) and a_v / r_v is the load of input neuron v viewed as an M/M/1
 queue. All weights are nonnegative because they are routing rates. The
-map is applied literally, without clamping loads at one; updates where
+map is applied literally, without clamping loads at one; steps where
 some load exceeds one are tallied in ``overload_steps`` as a diagnostic.
+
+``run`` drives a whole (K, n_in) input matrix. The input terms depend on
+no state, so they are formed for all K steps at once: one product gives
+the K numerator columns and another the K denominator columns. Inside
+the step loop only the recurrent terms remain, and both come from one
+(2N, N) product of the stacked blocks [w+_res; w-_res] with the previous
+load vector.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError
+from .numerics import drive_buffers
 from .textio import matrix_lines, parse_matrix
 
 _BLOCKS = ("w_plus_in", "w_minus_in", "w_plus_res", "w_minus_res")
@@ -36,7 +44,7 @@ class EsqnModel:
     rates_in: np.ndarray     # (n_in,) input-neuron firing rates
     rates_res: np.ndarray    # (n_res,) reservoir firing rates
     state: np.ndarray = field(default=None)
-    overload_steps: int = 0  # updates in which some load exceeded 1
+    overload_steps: int = 0  # steps in which some load exceeded 1
 
     def __post_init__(self):
         for name in (*_BLOCKS, "rates_in", "rates_res"):
@@ -62,8 +70,8 @@ class EsqnModel:
             self.state = np.asarray(self.state, dtype=float).copy()
             if self.state.shape != (n_res,):
                 raise DimensionError(f"state must have shape ({n_res},)")
-            if np.any(self.state < 0):
-                raise DomainError("loads must be nonnegative")
+            if not np.all(np.isfinite(self.state)) or np.any(self.state < 0):
+                raise DomainError("loads must be finite and nonnegative")
 
     @property
     def n_res(self):
@@ -113,26 +121,37 @@ class EsqnModel:
                    rates_res=np.full(n_res, float(rate)),
                    state=state)
 
-    def update(self, inputs):
-        """Apply the load map once, simultaneously across units.
+    def run(self, inputs, out=None):
+        """Apply the load map once per row of a (K, n_in) input matrix.
 
-        The right-hand side reads only the previous state vector; no unit
-        sees another unit's already-updated load within the same step.
+        Returns the (n_res, K) matrix whose column t holds the loads after
+        input row t, written into ``out`` when it is given, and leaves the
+        model holding the last column. Each step is simultaneous across
+        units: the right-hand side reads only the previous load vector.
+        The inputs are checked once per call (2-d, finite, nonnegative);
+        each column with some load above 1 adds one to ``overload_steps``.
         """
-        a = np.atleast_1d(np.asarray(inputs, dtype=float))
-        if a.shape != (self.n_in,):
-            raise DimensionError(f"expected input of shape ({self.n_in},), got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise DomainError("inputs must be finite")
+        a, out = drive_buffers(inputs, self.n_in, self.n_res, out)
         if np.any(a < 0):
             raise DomainError("inputs are spike rates and must be nonnegative")
-        x = a / self.rates_in
-        numer = self.w_plus_in @ x + self.w_plus_res @ self.state
-        denom = self.rates_res + self.w_minus_in @ x + self.w_minus_res @ self.state
-        self.state = numer / denom
-        if np.any(self.state > 1.0):
-            self.overload_steps += 1
-        return self.state.copy()
+        n = self.n_res
+        x = (a / self.rates_in).T
+        numer = np.matmul(self.w_plus_in, x, out=out)
+        denom = self.w_minus_in @ x
+        denom += self.rates_res[:, None]
+        w_res = np.vstack((self.w_plus_res, self.w_minus_res))
+        state = self.state
+        for t in range(a.shape[0]):
+            recurrent = w_res @ state
+            state = (numer[:, t] + recurrent[:n]) / (denom[:, t] + recurrent[n:])
+            out[:, t] = state
+        self.state = state
+        self.overload_steps += int(np.count_nonzero((out > 1.0).any(axis=0)))
+        return out
+
+    def update(self, inputs):
+        """One step of ``run``: the loads after a single input vector."""
+        return self.run(np.atleast_1d(inputs)[None])[:, 0]
 
     def reset(self, rng=None, state=None):
         """Replace the load vector; weights are untouched.

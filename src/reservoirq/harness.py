@@ -251,8 +251,9 @@ def run_trial(config, prepared, washout, trial_index):
     """One independently seeded train-and-score pass.
 
     Returns (TrialResult, trace) where trace stacks the validation row
-    index, target and prediction columns. Raises FloatingPointError if a
-    non-finite state or prediction shows up, so the caller can exclude
+    index, target and prediction columns. Raises FloatingPointError,
+    naming the trial and the reason, if a non-finite training state,
+    validation state or prediction shows up, so the caller can exclude
     the trial.
     """
     trial_seed = substream_seed(config.seed, TRIAL_STREAM, trial_index)
@@ -261,6 +262,8 @@ def run_trial(config, prepared, washout, trial_index):
 
     regressors = collect_states(model, prepared.train.inputs, washout,
                                 include_inputs=config.readout_inputs)
+    if not np.all(np.isfinite(regressors)):
+        raise FloatingPointError(f"trial {trial_index}: non-finite training state")
     targets = prepared.train.targets[washout:].T
     lam, _ = select_penalty(regressors, targets, grid=config.lambda_grid)
     readout = fit_readout(regressors, targets, lam,

@@ -1,4 +1,4 @@
-"""Seeded randomness, spectral radius and the ridge solver.
+"""Seeded randomness, spectral radius, the ridge solver and the input check.
 
 All experiment randomness flows through numpy's PCG64 generator (a
 permuted-congruential generator with published constants and
@@ -12,7 +12,8 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
-from .errors import ConvergenceError, DimensionError, SingularSystemError
+from .errors import (ConvergenceError, DimensionError, DomainError,
+                     SingularSystemError)
 
 # Above this order, a dense eigensolve stops being the cheap option and
 # the Arnoldi path takes over.
@@ -49,6 +50,25 @@ def uniform(rng, lo, hi, n):
     if lo > hi:
         raise ValueError(f"empty interval: lo={lo} > hi={hi}")
     return rng.uniform(lo, hi, int(n))
+
+
+def drive_buffers(inputs, n_in, n_res, out=None):
+    """Check a (K, n_in) input matrix once and pair it with a state buffer.
+
+    Returns the inputs as a float array and ``out`` (allocated as an
+    (n_res, K) array when None). Raises DimensionError on a shape
+    mismatch and DomainError on a non-finite input.
+    """
+    a = np.asarray(inputs, dtype=float)
+    if a.ndim != 2 or a.shape[1] != n_in:
+        raise DimensionError(f"expected a K x {n_in} input matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError("inputs must be finite")
+    if out is None:
+        out = np.empty((n_res, a.shape[0]))
+    elif out.shape != (n_res, a.shape[0]):
+        raise DimensionError(f"out must have shape ({n_res}, {a.shape[0]}), got {out.shape}")
+    return a, out
 
 
 def spectral_radius(m, tol=1e-10, max_iter=10_000):

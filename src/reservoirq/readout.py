@@ -39,15 +39,6 @@ class Readout:
     def n_out(self):
         return self.w_out.shape[0]
 
-    def predict(self, inputs, state):
-        """Evaluate the affine readout for one time step."""
-        z = make_regressor(inputs, state, self.include_inputs)
-        if z.shape[0] != self.w_out.shape[1]:
-            raise DimensionError(
-                f"regressor length {z.shape[0]} does not match w_out columns "
-                f"{self.w_out.shape[1]}")
-        return self.w_out @ z
-
     def predict_matrix(self, regressors):
         """Predictions for a whole regressor matrix (D x K) at once."""
         regressors = np.asarray(regressors, dtype=float)
@@ -56,21 +47,14 @@ class Readout:
         return self.w_out @ regressors
 
 
-def make_regressor(inputs, state, include_inputs=True):
-    a = np.atleast_1d(np.asarray(inputs, dtype=float))
-    x = np.atleast_1d(np.asarray(state, dtype=float))
-    if include_inputs:
-        return np.concatenate(([1.0], a, x))
-    return np.concatenate(([1.0], x))
-
-
 def collect_states(model, inputs, washout, include_inputs=True):
     """Drive a reservoir through K inputs and stack regressors columnwise.
 
-    The model is updated in place through all K rows in order; regressors
+    The model runs in place through all K rows in order; regressors
     [1; a(t); x(t)] are recorded for steps after the washout, so the
     result has K - washout columns and the model ends holding the state
-    after the full sequence.
+    after the full sequence. The model writes the states of the recorded
+    steps straight into the regressor matrix.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2:
@@ -78,13 +62,14 @@ def collect_states(model, inputs, washout, include_inputs=True):
     k = inputs.shape[0]
     if not 0 <= washout < k:
         raise ValueError(f"washout must lie in [0, K), got {washout} with K={k}")
-    n_in = inputs.shape[1]
-    width = (1 + n_in if include_inputs else 1) + model.n_res
-    out = np.empty((width, k - washout))
-    for t in range(k):
-        state = model.update(inputs[t])
-        if t >= washout:
-            out[:, t - washout] = make_regressor(inputs[t], state, include_inputs)
+    recorded = inputs[washout:]
+    lead = 1 + inputs.shape[1] if include_inputs else 1
+    out = np.empty((lead + model.n_res, k - washout))
+    out[0] = 1.0
+    if include_inputs:
+        out[1:lead] = recorded.T
+    model.run(inputs[:washout])
+    model.run(recorded, out=out[lead:])
     return out
 
 

@@ -81,6 +81,43 @@ class TestInit:
         assert rng.choice_calls == 10
 
 
+    def test_non_finite_state_rejected(self):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(DomainError):
+                EsnModel(w_in=np.zeros((1, 2)), w_res=np.zeros((1, 1)), state=[bad])
+
+
+class TestRun:
+    def test_split_run_equals_whole_run(self):
+        rng = seeded_rng(70)
+        first, second = rng.uniform(0.0, 1.0, (12, 2)), rng.uniform(0.0, 1.0, (30, 2))
+        split, whole = small_model(seed=71, n_in=2), small_model(seed=71, n_in=2)
+        pieces = np.hstack([split.run(first), split.run(second)])
+        joined = whole.run(np.vstack([first, second]))
+        np.testing.assert_allclose(pieces, joined, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(split.state, whole.state)
+
+    def test_writes_into_given_buffer(self):
+        inputs = seeded_rng(72).uniform(0.0, 1.0, (7, 1))
+        expected = small_model(seed=73).run(inputs)
+        model = small_model(seed=73)
+        out = np.full((40, 7), np.nan)
+        assert model.run(inputs, out=out) is out
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(model.state, out[:, -1])
+
+    def test_bad_inputs_rejected(self):
+        model = small_model()
+        with pytest.raises(DimensionError):
+            model.run(np.zeros(4))
+        with pytest.raises(DimensionError):
+            model.run(np.zeros((4, 2)))
+        with pytest.raises(DomainError):
+            model.run(np.full((4, 1), np.inf))
+        with pytest.raises(DimensionError):
+            model.run(np.zeros((4, 1)), out=np.empty((40, 3)))
+
+
 class TestUpdate:
     def test_zero_weights_give_zero_state(self):
         model = EsnModel(w_in=np.zeros((5, 2)), w_res=np.zeros((5, 5)))

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from reservoirq.errors import DimensionError, DomainError
 from reservoirq.esqn import EsqnModel
@@ -56,6 +59,91 @@ class TestInit:
         assert np.count_nonzero(model.w_minus_res) == expected
         # input blocks stay dense
         assert np.count_nonzero(model.w_plus_in) == model.n_res * model.n_in
+
+
+    def test_non_finite_state_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError):
+                scalar_model(state=bad)
+
+
+class TestRun:
+    def test_split_run_equals_whole_run(self):
+        # collect_states runs the washout rows, then the recorded rows
+        rng = seeded_rng(40)
+        first, second = rng.uniform(0.0, 1.0, (12, 3)), rng.uniform(0.0, 1.0, (30, 3))
+        split, whole = random_model(seed=41), random_model(seed=41)
+        pieces = np.hstack([split.run(first), split.run(second)])
+        joined = whole.run(np.vstack([first, second]))
+        np.testing.assert_allclose(pieces, joined, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(split.state, whole.state)
+        assert split.overload_steps == whole.overload_steps
+
+    def test_writes_into_given_buffer(self):
+        inputs = seeded_rng(42).uniform(0.0, 1.0, (7, 3))
+        expected = random_model(seed=43).run(inputs)
+        out = np.full((25, 7), np.nan)
+        assert random_model(seed=43).run(inputs, out=out) is out
+        np.testing.assert_array_equal(out, expected)
+
+    def test_model_holds_last_column(self):
+        model = random_model(seed=44)
+        states = model.run(seeded_rng(45).uniform(0.0, 1.0, (5, 3)))
+        np.testing.assert_array_equal(model.state, states[:, -1])
+        states[:] = -1.0  # the returned matrix does not alias the state
+        assert np.all(model.state >= 0.0)
+
+    def test_empty_input_leaves_state(self):
+        model = random_model(seed=46)
+        before = model.state.copy()
+        assert model.run(np.empty((0, 3))).shape == (25, 0)
+        np.testing.assert_array_equal(model.state, before)
+        assert model.overload_steps == 0
+
+    def test_overloads_counted_per_column(self):
+        # two identical units overload together: one count per step
+        model = EsqnModel(w_plus_in=[[5.0], [5.0]], w_minus_in=np.zeros((2, 1)),
+                          w_plus_res=np.zeros((2, 2)), w_minus_res=np.zeros((2, 2)),
+                          rates_in=[1.0], rates_res=[1.0, 1.0], state=[0.0, 0.0])
+        model.run([[1.0], [0.0], [0.5], [0.1]])  # loads 5, 0, 2.5, 0.5
+        assert model.overload_steps == 2
+
+    def test_bad_inputs_rejected(self):
+        model = random_model()
+        with pytest.raises(DimensionError):
+            model.run(np.zeros(3))
+        with pytest.raises(DimensionError):
+            model.run(np.zeros((4, 2)))
+        with pytest.raises(DomainError):
+            model.run(np.full((4, 3), np.nan))
+        with pytest.raises(DomainError):
+            model.run(np.full((4, 3), -0.1))
+        with pytest.raises(DimensionError):
+            model.run(np.zeros((4, 3)), out=np.empty((25, 5)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_loads_nonnegative_and_finite(self, data):
+        # with rates >= 0.5 and weights <= 1 a step can grow the largest
+        # load at most 16-fold (plus 16), so 30 steps stay far from overflow
+        n_in = data.draw(st.integers(1, 4), label="n_in")
+        n_res = data.draw(st.integers(1, 8), label="n_res")
+        steps = data.draw(st.integers(1, 30), label="steps")
+
+        def array(shape, lo, hi):
+            return data.draw(hnp.arrays(float, shape, elements=st.floats(lo, hi)))
+
+        model = EsqnModel(w_plus_in=array((n_res, n_in), 0.0, 1.0),
+                          w_minus_in=array((n_res, n_in), 0.0, 1.0),
+                          w_plus_res=array((n_res, n_res), 0.0, 1.0),
+                          w_minus_res=array((n_res, n_res), 0.0, 1.0),
+                          rates_in=array(n_in, 0.5, 2.0),
+                          rates_res=array(n_res, 0.5, 2.0),
+                          state=array(n_res, 0.0, 1.0))
+        loads = model.run(array((steps, n_in), 0.0, 1.0))
+        assert loads.shape == (n_res, steps)
+        assert np.all(np.isfinite(loads))
+        assert np.all(loads >= 0.0)
 
 
 class TestUpdate:

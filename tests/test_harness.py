@@ -161,6 +161,40 @@ class TestRunExperiment:
         assert outcome.summary.n_trials == 2
         assert [r.trial for r in outcome.results] == [0, 2]
 
+    def test_non_finite_training_states_fail_only_their_trial(self, monkeypatch):
+        config = tiny_narma(trials=3)
+        clean = run_experiment(config)
+        real_build_model = harness.build_model
+        built = []
+
+        def poisoned(config, n_in, rng):
+            model = real_build_model(config, n_in, rng)
+            if len(built) == 1:
+                model.state = np.full(model.n_res, np.nan)
+            built.append(model)
+            return model
+
+        monkeypatch.setattr(harness, "build_model", poisoned)
+        outcome = run_experiment(config)
+        assert outcome.summary.failures == 1
+        assert outcome.results == (clean.results[0], clean.results[2])
+
+    def test_non_finite_training_state_names_trial_and_reason(self, monkeypatch):
+        config = tiny_narma()
+        real_build_model = harness.build_model
+
+        def poisoned(config, n_in, rng):
+            model = real_build_model(config, n_in, rng)
+            model.state = np.full(model.n_res, np.nan)
+            return model
+
+        monkeypatch.setattr(harness, "build_model", poisoned)
+        prepared = prepare_data(config)
+        washout = resolve_washout(config, prepared.train.n_rows)
+        with pytest.raises(FloatingPointError,
+                           match="trial 1: non-finite training state"):
+            harness.run_trial(config, prepared, washout, 1)
+
     def test_all_trials_failing_raises(self, monkeypatch):
         def doomed(config, prepared, washout, trial_index):
             raise FloatingPointError("forced failure")
