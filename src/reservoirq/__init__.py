@@ -9,8 +9,7 @@ from .esqn import EsqnModel
 from .harness import (ExperimentConfig, ExperimentOutcome, prepare_data,
                       reservoir_size_sweep, run_experiment)
 from .metrics import Summary, TrialResult, nmse, summarize
-from .numerics import (ridge_solve, seeded_rng, spectral_radius, substream_rng,
-                       uniform)
+from .numerics import ridge_solve, seeded_rng, spectral_radius, substream_rng
 from .randnn import RandnnSpec, SteadyState, residual, solve_steady_state
 from .readout import (LAMBDA_GRID, Readout, collect_states, fit_readout,
                       select_penalty)
@@ -26,5 +25,4 @@ __all__ = [
     "prepare_data", "reservoir_size_sweep", "residual", "ridge_solve",
     "run_experiment", "seeded_rng", "select_penalty", "solve_steady_state",
     "spectral_radius", "split_dataset", "substream_rng", "summarize",
-    "uniform",
 ]

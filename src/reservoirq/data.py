@@ -283,20 +283,3 @@ def split_dataset(dataset, train_size=None, train_fraction=None, validation_size
         targets=dataset.targets[train_size:train_size + validation_size],
         split="validation")
     return train, val
-
-
-def dataset_csv(dataset, offsets=None):
-    """Snapshot a dataset as CSV, input columns named by lag offset."""
-    n_in = dataset.inputs.shape[1]
-    n_out = dataset.targets.shape[1]
-    if offsets is not None and len(offsets) == n_in:
-        in_names = [f"lag{o}" for o in offsets]
-    else:
-        in_names = [f"in{i}" for i in range(n_in)]
-    out_names = [f"target{j}" for j in range(n_out)] if n_out > 1 else ["target"]
-    lines = [",".join(in_names + out_names)]
-    for i in range(dataset.n_rows):
-        cells = [repr(float(v)) for v in dataset.inputs[i]]
-        cells += [repr(float(v)) for v in dataset.targets[i]]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"

@@ -266,8 +266,7 @@ def run_trial(config, prepared, washout, trial_index):
         raise FloatingPointError(f"trial {trial_index}: non-finite training state")
     targets = prepared.train.targets[washout:].T
     lam, _ = select_penalty(regressors, targets, grid=config.lambda_grid)
-    readout = fit_readout(regressors, targets, lam,
-                          include_inputs=config.readout_inputs)
+    readout = fit_readout(regressors, targets, lam)
 
     if config.reset_state_before_validation:
         if isinstance(model, EsnModel):

@@ -132,14 +132,3 @@ def summary_csv(summaries):
         lines.append(f"{s.series},{s.model},{s.n_trials},{s.mean_nmse!r},"
                      f"{hw},{s.ridge_lambda!r},{s.failures}")
     return "\n".join(lines) + "\n"
-
-
-def comparison_table(summaries):
-    """Aligned text table: series, model, NMSE, CI half-width."""
-    rows = [("Series", "Model", "NMSE", "CI")]
-    for s in summaries:
-        ci = "" if s.ci_halfwidth is None else f"±{s.ci_halfwidth:.4f}"
-        rows.append((s.series, s.model, f"{s.mean_nmse:.4f}", ci))
-    widths = [max(len(row[i]) for row in rows) for i in range(4)]
-    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-                     for row in rows) + "\n"

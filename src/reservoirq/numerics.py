@@ -41,17 +41,6 @@ def substream_seed(master_seed, *path):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def uniform(rng, lo, hi, n):
-    """Draw ``n`` values from the half-open interval [lo, hi).
-
-    A degenerate interval (lo == hi) yields the constant lo. lo > hi is
-    rejected.
-    """
-    if lo > hi:
-        raise ValueError(f"empty interval: lo={lo} > hi={hi}")
-    return rng.uniform(lo, hi, int(n))
-
-
 def drive_buffers(inputs, n_in, n_res, out=None):
     """Check a (K, n_in) input matrix once and pair it with a state buffer.
 
@@ -107,8 +96,19 @@ def ridge_solve(regressors, targets, lam):
 
     ``regressors`` is D x K (one column per sample), ``targets`` is
     N_b x K; the result W is N_b x D, i.e. W = T Z' (Z Z' + lam I)^-1.
-    The symmetric positive-definite system is solved directly by Cholesky
-    on the smaller of the D x D and K x K Gram matrices.
+    This is ``ridge_solve_grid`` with a one-penalty grid.
+    """
+    return ridge_solve_grid(regressors, targets, (lam,))[0]
+
+
+def ridge_solve_grid(regressors, targets, lams):
+    """Ridge weights W = T Z' (Z Z' + lam I)^-1 for each penalty in ``lams``.
+
+    Returns one N_b x D matrix per penalty, in the order given. The
+    inputs are checked and the smaller of the D x D and K x K Gram
+    matrices is formed once; each penalty then only shifts its diagonal
+    and solves the symmetric positive-definite system by Cholesky, so a
+    grid costs one Gram product plus one factorization per penalty.
     """
     Z = np.asarray(regressors, dtype=float)
     T = np.asarray(targets, dtype=float)
@@ -121,39 +121,47 @@ def ridge_solve(regressors, targets, lam):
         raise DimensionError("need at least one sample column")
     if not (np.all(np.isfinite(Z)) and np.all(np.isfinite(T))):
         raise ValueError("regressors and targets must be finite")
-    lam = float(lam)
-    if lam < 0:
+    lams = [float(lam) for lam in lams]
+    if any(lam < 0 for lam in lams):
         raise ValueError("lambda must be nonnegative")
 
     d, k = Z.shape
-    if lam == 0.0 and d > k:
+    if 0.0 in lams and d > k:
         # fewer samples than regressors leaves the Gram rank-deficient
         raise SingularSystemError(
             "underdetermined system (K < D) with no penalty; pass a positive lambda")
-    try:
-        if d <= k:
-            gram = Z @ Z.T
-            gram[np.diag_indices_from(gram)] += lam
-            factor = scipy.linalg.cho_factor(gram)
-            w = scipy.linalg.cho_solve(factor, (T @ Z.T).T).T
-        else:
-            gram = Z.T @ Z
-            gram[np.diag_indices_from(gram)] += lam
-            factor = scipy.linalg.cho_factor(gram)
+    primal = d <= k
+    if primal:
+        gram = Z @ Z.T
+        rhs = (T @ Z.T).T
+    else:
+        gram = Z.T @ Z
+        rhs = T.T
+    diag = gram.diagonal().copy()
+    weights = []
+    for lam in lams:
+        # cho_factor factors a copy, so gram only ever has its diagonal
+        # rewritten; the factor is not kept past its solve, so no two
+        # factors are alive at once
+        np.fill_diagonal(gram, diag + lam)
+        try:
+            w = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs).T
+        except np.linalg.LinAlgError as exc:
+            if lam == 0.0:
+                raise SingularSystemError(
+                    "regressor Gram matrix is singular; pass a positive lambda") from exc
+            raise
+        if not primal:
             # W = T (Z'Z + lam I)^-1 Z'
-            w = scipy.linalg.cho_solve(factor, T.T).T @ Z.T
-    except np.linalg.LinAlgError as exc:
+            w = w @ Z.T
         if lam == 0.0:
-            raise SingularSystemError(
-                "regressor Gram matrix is singular; pass a positive lambda") from exc
-        raise
-    if lam == 0.0:
-        # Cholesky can slip through an exactly singular Gram on a
-        # rounding-level pivot (and a consistent singular system even has
-        # zero backward error), so gate the unregularized path on the
-        # Gram's conditioning instead.
-        if not np.all(np.isfinite(w)) or np.linalg.cond(gram) > 1e12:
-            raise SingularSystemError(
-                "regressor Gram matrix is numerically singular; "
-                "pass a positive lambda")
-    return w
+            # Cholesky can slip through an exactly singular Gram on a
+            # rounding-level pivot (and a consistent singular system even has
+            # zero backward error), so gate the unregularized path on the
+            # Gram's conditioning instead.
+            if not np.all(np.isfinite(w)) or np.linalg.cond(gram) > 1e12:
+                raise SingularSystemError(
+                    "regressor Gram matrix is numerically singular; "
+                    "pass a positive lambda")
+        weights.append(w)
+    return weights

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .metrics import nmse
-from .numerics import ridge_solve
+from .numerics import ridge_solve, ridge_solve_grid
 
 # Default penalty grid searched when fitting; chosen per dataset on a
 # held-out tail of the training split.
@@ -26,7 +26,6 @@ class Readout:
     """Affine map y = w_out [1; a; x] (or [1; x] without input terms)."""
 
     w_out: np.ndarray
-    include_inputs: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "w_out", np.asarray(self.w_out, dtype=float))
@@ -73,10 +72,9 @@ def collect_states(model, inputs, washout, include_inputs=True):
     return out
 
 
-def fit_readout(regressors, targets, lam, include_inputs=True):
+def fit_readout(regressors, targets, lam):
     """Ridge-fit w_out on collected regressors (D x K) and targets (N_b x K)."""
-    return Readout(w_out=ridge_solve(regressors, targets, lam),
-                   include_inputs=include_inputs)
+    return Readout(w_out=ridge_solve(regressors, targets, lam))
 
 
 def select_penalty(regressors, targets, grid=LAMBDA_GRID,
@@ -84,7 +82,8 @@ def select_penalty(regressors, targets, grid=LAMBDA_GRID,
     """Pick the ridge penalty by NMSE on a held-out tail of the training data.
 
     Fits on the leading 1 - holdout_fraction of the columns for each
-    penalty in the grid, scores NMSE on the remaining tail, and returns
+    penalty in the grid (one shared Gram matrix for the whole grid),
+    scores NMSE on the remaining tail, and returns
     (best penalty, {penalty: score}). Ties go to the smaller penalty.
     """
     regressors = np.asarray(regressors, dtype=float)
@@ -97,10 +96,11 @@ def select_penalty(regressors, targets, grid=LAMBDA_GRID,
     n_fit = k - n_hold
     if n_fit < 1:
         raise ValueError("not enough samples to hold out a validation tail")
+    lams = sorted(grid)
+    fits = ridge_solve_grid(regressors[:, :n_fit], targets[:, :n_fit], lams)
     scores = {}
     best = None
-    for lam in sorted(grid):
-        w = ridge_solve(regressors[:, :n_fit], targets[:, :n_fit], lam)
+    for lam, w in zip(lams, fits):
         scores[lam] = nmse(targets[:, n_fit:].T, (w @ regressors[:, n_fit:]).T)
         if best is None or scores[lam] < scores[best]:
             best = lam

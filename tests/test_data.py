@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from reservoirq.data import (Rescaler, SupervisedDataset, generate_narma10,
                              lag_paired_series, load_csv, make_lagged_dataset,
-                             narma10_response, save_series_csv, split_dataset,
-                             dataset_csv)
+                             narma10_response, save_series_csv, split_dataset)
 from reservoirq.errors import (CsvLoadError, DegenerateScaleError,
                                GenerationError)
 from reservoirq.numerics import seeded_rng
@@ -137,6 +136,39 @@ class TestSplit:
         train, val = split_dataset(ds, train_fraction=0.6)
         assert train.targets.max() < val.targets.min()
 
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_splits_are_disjoint_chronological_and_contiguous(self, data):
+        # each row carries its own index, so the splits can be read back
+        # as index ranges
+        k = data.draw(st.integers(min_value=2, max_value=300), label="rows")
+        if data.draw(st.booleans(), label="by fraction"):
+            fraction = data.draw(st.floats(min_value=1 / k, max_value=1 - 1 / k),
+                                 label="train_fraction")
+            train_size, val_size = round(fraction * k), None
+            kwargs = {"train_fraction": fraction}
+        else:
+            train_size = data.draw(st.integers(min_value=1, max_value=k - 1),
+                                   label="train_size")
+            val_size = data.draw(st.none() | st.integers(min_value=1,
+                                                         max_value=k - train_size),
+                                 label="validation_size")
+            kwargs = {"train_size": train_size, "validation_size": val_size}
+        if val_size is None:
+            val_size = k - train_size
+        rows = np.arange(k, dtype=float)
+        ds = SupervisedDataset(inputs=np.column_stack([rows, -rows]),
+                               targets=rows[:, None] + 0.5)
+        train, val = split_dataset(ds, **kwargs)
+        np.testing.assert_array_equal(train.inputs[:, 0], np.arange(train_size))
+        np.testing.assert_array_equal(
+            val.inputs[:, 0], np.arange(train_size, train_size + val_size))
+        # inputs and targets stay paired row by row
+        for split in (train, val):
+            np.testing.assert_array_equal(split.inputs[:, 1], -split.inputs[:, 0])
+            np.testing.assert_array_equal(split.targets[:, 0], split.inputs[:, 0] + 0.5)
+        assert not set(train.inputs[:, 0]) & set(val.inputs[:, 0])
+
     def test_oversized_request_rejected(self):
         ds = make_lagged_dataset(np.arange(10.0), offsets=[0])
         with pytest.raises(ValueError):
@@ -198,10 +230,3 @@ class TestCsv:
         path = tmp_path / "series.csv"
         save_series_csv(path, values)
         np.testing.assert_array_equal(load_csv(path, column="value").values, values)
-
-    def test_dataset_snapshot_headers(self):
-        ds = make_lagged_dataset(np.arange(10.0), offsets=[0, 2])
-        text = dataset_csv(ds, offsets=[0, 2])
-        lines = text.splitlines()
-        assert lines[0] == "lag0,lag2,target"
-        assert len(lines) == 1 + ds.n_rows

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reservoirq.errors import DegenerateVarianceError, DimensionError
-from reservoirq.metrics import (Summary, TrialResult, comparison_table, nmse,
-                                results_csv, summarize, summary_csv,
-                                t_quantile_975)
+from reservoirq.metrics import (Summary, TrialResult, nmse, results_csv,
+                                summarize, summary_csv, t_quantile_975)
 from reservoirq.numerics import seeded_rng
 
 
@@ -145,11 +144,3 @@ class TestEmission:
         summary = Summary(series="x", model="esn", n_trials=1, mean_nmse=0.5,
                           ci_halfwidth=None, ridge_lambda=0.1)
         assert summary_csv([summary]).splitlines()[1] == "x,esn,1,0.5,,0.1,0"
-
-    def test_comparison_table_mirrors_mean_pm_interval(self):
-        summary = Summary(series="narma", model="esqn", n_trials=20,
-                          mean_nmse=0.1004, ci_halfwidth=0.0025,
-                          ridge_lambda=1e-8)
-        table = comparison_table([summary])
-        assert "0.1004" in table and "±0.0025" in table
-        assert table.splitlines()[0].split() == ["Series", "Model", "NMSE", "CI"]

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reservoirq.errors import DimensionError, SingularSystemError
-from reservoirq.numerics import (ridge_solve, seeded_rng, spectral_radius,
-                                 substream_rng, substream_seed, uniform)
+from reservoirq.numerics import (ridge_solve, ridge_solve_grid, seeded_rng,
+                                 spectral_radius, substream_rng, substream_seed)
 
 # Spectral radius of the seed-20260809 5x5 uniform matrix, computed
 # independently before the build: characteristic polynomial by
@@ -155,30 +157,59 @@ class TestRidgeSolve:
             ridge_solve(np.eye(2), np.ones((1, 3)), 0.1)
 
 
+class TestRidgeSolveGrid:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_each_penalty_matches_normal_equations(self, data):
+        # primal (D <= K) and dual (D > K) shapes alike must give
+        # W = T Z' (Z Z' + lam I)^-1
+        d = data.draw(st.integers(min_value=1, max_value=12), label="D")
+        k = data.draw(st.integers(min_value=1, max_value=12), label="K")
+        n_out = data.draw(st.integers(min_value=1, max_value=3), label="N_b")
+        lams = data.draw(st.lists(st.floats(min_value=1e-3, max_value=10.0),
+                                  min_size=1, max_size=5), label="grid")
+        rng = seeded_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        z = rng.normal(size=(d, k))
+        t = rng.normal(size=(n_out, k))
+        weights = ridge_solve_grid(z, t, lams)
+        assert len(weights) == len(lams)
+        for lam, w in zip(lams, weights):
+            oracle = np.linalg.solve(z @ z.T + lam * np.eye(d), z @ t.T).T
+            np.testing.assert_allclose(w, oracle, rtol=1e-8, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(4, 30), (30, 4)])
+    def test_grid_position_does_not_change_a_fit(self, shape):
+        # a diagonal shift that accumulated across penalties, instead of
+        # being restored, would make the second fit differ
+        rng = seeded_rng(21)
+        z = rng.normal(size=shape)
+        t = rng.normal(size=(2, shape[1]))
+        np.testing.assert_array_equal(ridge_solve_grid(z, t, [0.5, 1e-3])[1],
+                                      ridge_solve_grid(z, t, [1e-3])[0])
+        np.testing.assert_array_equal(ridge_solve_grid(z, t, [1e-3, 0.5])[1],
+                                      ridge_solve_grid(z, t, [0.5])[0])
+
+    @pytest.mark.parametrize("shape", [(4, 30), (30, 4)])
+    def test_inputs_not_mutated(self, shape):
+        rng = seeded_rng(22)
+        z = rng.normal(size=shape)
+        t = rng.normal(size=(1, shape[1]))
+        z_before, t_before = z.copy(), t.copy()
+        ridge_solve_grid(z, t, [1e-8, 1e-2, 1.0])
+        np.testing.assert_array_equal(z, z_before)
+        np.testing.assert_array_equal(t, t_before)
+
+    def test_zero_penalty_in_grid_on_wide_problem_raises(self):
+        z = seeded_rng(23).normal(size=(6, 3))  # K < D: Gram is rank deficient
+        with pytest.raises(SingularSystemError, match="positive lambda"):
+            ridge_solve_grid(z, np.ones((1, 3)), [0.1, 0.0, 1.0])
+
+    def test_negative_penalty_anywhere_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ridge_solve_grid(np.eye(2), np.ones((1, 2)), [0.1, -1.0])
+
+
 class TestRng:
-    def test_degenerate_interval(self):
-        np.testing.assert_array_equal(uniform(seeded_rng(0), 0.5, 0.5, 3),
-                                      [0.5, 0.5, 0.5])
-
-    def test_same_seed_same_draws(self):
-        a = uniform(seeded_rng(42), 0.0, 1.0, 10)
-        b = uniform(seeded_rng(42), 0.0, 1.0, 10)
-        np.testing.assert_array_equal(a, b)
-
-    def test_inverted_interval_rejected(self):
-        with pytest.raises(ValueError):
-            uniform(seeded_rng(0), 1.0, 0.0, 3)
-
-    def test_mean_of_interval(self):
-        # std of the mean of 1e5 draws from U[0, 0.2] is about 1.8e-4,
-        # so 0.002 is a > 10 sigma band
-        draws = uniform(seeded_rng(123), 0.0, 0.2, 100_000)
-        assert abs(draws.mean() - 0.1) < 0.002
-
-    def test_draws_stay_in_interval(self):
-        draws = uniform(seeded_rng(9), -2.0, 3.0, 1000)
-        assert draws.min() >= -2.0 and draws.max() < 3.0
-
     def test_substreams_are_reproducible_and_distinct(self):
         a = substream_rng(5, 0, 1).uniform(size=4)
         b = substream_rng(5, 0, 1).uniform(size=4)

@@ -164,6 +164,43 @@ class TestSelectPenalty:
         assert best == min(LAMBDA_GRID)
         assert set(scores) == set(LAMBDA_GRID)
 
+    @pytest.mark.parametrize("shape, grid", [
+        ((6, 60), LAMBDA_GRID),                 # primal side: D <= K_fit
+        ((30, 20), (10.0, 1e-3, 1.0, 1e-1)),    # dual side: D > K_fit, unsorted
+    ])
+    def test_scores_match_literal_per_penalty_fits(self, shape, grid):
+        rng = seeded_rng(18)
+        regressors = rng.normal(size=shape)
+        targets = rng.normal(size=(2, 4)) @ regressors[:4] \
+            + 0.3 * rng.normal(size=(2, shape[1]))
+        best, scores = select_penalty(regressors, targets, grid=grid)
+        k = shape[1]
+        n_fit = k - max(2, round(0.2 * k))
+        z_fit, t_fit = regressors[:, :n_fit], targets[:, :n_fit]
+        t_hold = targets[:, n_fit:]
+        literal = {}
+        for lam in grid:
+            w = np.linalg.solve(z_fit @ z_fit.T + lam * np.eye(shape[0]),
+                                z_fit @ t_fit.T).T
+            err = t_hold - w @ regressors[:, n_fit:]
+            spread = t_hold - t_hold.mean(axis=1, keepdims=True)
+            literal[lam] = np.sum(err ** 2) / np.sum(spread ** 2)
+        assert set(scores) == set(grid)
+        for lam in grid:
+            assert scores[lam] == pytest.approx(literal[lam], rel=1e-10)
+        assert best == min(literal, key=literal.get)
+        assert best == min(lam for lam in grid if scores[lam] == min(scores.values()))
+
+    def test_ties_go_to_the_smaller_penalty(self):
+        # all-zero fit columns give W = 0 for every penalty, so every score
+        # ties and the smallest penalty must win, whatever the grid order
+        regressors = np.zeros((3, 20))
+        regressors[:, 16:] = seeded_rng(19).normal(size=(3, 4))
+        targets = seeded_rng(20).normal(size=(1, 20))
+        best, scores = select_penalty(regressors, targets, grid=(1e-1, 1e-4, 1e-2))
+        assert len(set(scores.values())) == 1
+        assert best == 1e-4
+
     def test_deterministic(self):
         rng = seeded_rng(16)
         regressors = rng.normal(size=(4, 50))
