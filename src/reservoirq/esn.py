@@ -142,12 +142,3 @@ class EsnModel:
         w_res = parse_matrix(lines[1 + n_res:1 + 2 * n_res], n_res, n_res, 2 + n_res)
         state = parse_matrix(lines[1 + 2 * n_res:2 + 2 * n_res], 1, n_res, 2 + 2 * n_res)[0]
         return cls(w_in=w_in, w_res=w_res, state=state)
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_text(fh.read())

@@ -205,12 +205,3 @@ class EsqnModel:
         rates_res = parse_matrix(lines[pos + 1:pos + 2], 1, n_res, pos + 2)[0]
         state = parse_matrix(lines[pos + 2:pos + 3], 1, n_res, pos + 3)[0]
         return cls(rates_in=rates_in, rates_res=rates_res, state=state, **blocks)
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_text(fh.read())

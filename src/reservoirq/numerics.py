@@ -9,15 +9,8 @@ keeps trial results independent of how many other trials run.
 """
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
-from .errors import (ConvergenceError, DimensionError, DomainError,
-                     SingularSystemError)
-
-# Above this order, a dense eigensolve stops being the cheap option and
-# the Arnoldi path takes over.
-DENSE_EIG_LIMIT = 512
+from .errors import DimensionError, DomainError, SingularSystemError
 
 
 def seeded_rng(seed):
@@ -60,35 +53,20 @@ def drive_buffers(inputs, n_in, n_res, out=None):
     return a, out
 
 
-def spectral_radius(m, tol=1e-10, max_iter=10_000):
-    """Largest eigenvalue magnitude of a square matrix.
+def spectral_radius(m):
+    """Largest eigenvalue magnitude of a square matrix, by dense eigensolve.
 
-    Small matrices (n <= DENSE_EIG_LIMIT) use a dense eigensolve, which
-    handles complex dominant pairs exactly. Larger matrices fall back to
-    a deterministic Arnoldi iteration; if it fails to converge within
-    ``max_iter`` a ConvergenceError carrying the best estimate is raised.
+    Accurate to rounding at every size, complex dominant pairs included,
+    so a reservoir rescaled by it lands on its target radius.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise DimensionError(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if not m.any():
         return 0.0
-    n = m.shape[0]
-    if n <= DENSE_EIG_LIMIT:
-        return float(np.max(np.abs(np.linalg.eigvals(m))))
-    try:
-        vals = eigs(m, k=1, which="LM", v0=np.ones(n), tol=tol,
-                    maxiter=int(max_iter), return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
-        best = float(np.max(np.abs(exc.eigenvalues))) if np.size(exc.eigenvalues) else None
-        raise ConvergenceError(
-            f"spectral radius did not converge within {max_iter} iterations",
-            best=best) from exc
-    return float(np.abs(vals[0]))
+    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
 def ridge_solve(regressors, targets, lam):
@@ -107,8 +85,8 @@ def ridge_solve_grid(regressors, targets, lams):
     Returns one N_b x D matrix per penalty, in the order given. The
     inputs are checked and the smaller of the D x D and K x K Gram
     matrices is formed once; each penalty then only shifts its diagonal
-    and solves the symmetric positive-definite system by Cholesky, so a
-    grid costs one Gram product plus one factorization per penalty.
+    and solves the system with numpy's LU solver, so a grid costs one
+    Gram product plus one factorization per penalty.
     """
     Z = np.asarray(regressors, dtype=float)
     T = np.asarray(targets, dtype=float)
@@ -140,12 +118,11 @@ def ridge_solve_grid(regressors, targets, lams):
     diag = gram.diagonal().copy()
     weights = []
     for lam in lams:
-        # cho_factor factors a copy, so gram only ever has its diagonal
-        # rewritten; the factor is not kept past its solve, so no two
-        # factors are alive at once
+        # np.linalg.solve factors a copy, so gram only ever has its
+        # diagonal rewritten, and no two factors are alive at once
         np.fill_diagonal(gram, diag + lam)
         try:
-            w = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs).T
+            w = np.linalg.solve(gram, rhs).T
         except np.linalg.LinAlgError as exc:
             if lam == 0.0:
                 raise SingularSystemError(
@@ -155,7 +132,7 @@ def ridge_solve_grid(regressors, targets, lams):
             # W = T (Z'Z + lam I)^-1 Z'
             w = w @ Z.T
         if lam == 0.0:
-            # Cholesky can slip through an exactly singular Gram on a
+            # LU can slip through an exactly singular Gram on a
             # rounding-level pivot (and a consistent singular system even has
             # zero backward error), so gate the unregularized path on the
             # Gram's conditioning instead.

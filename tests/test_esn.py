@@ -30,6 +30,14 @@ class TestInit:
         model = small_model(seed=3, n_res=100)
         assert spectral_radius(model.w_res) == pytest.approx(0.95, abs=1e-6)
 
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_wide_reservoir_hits_target(self, seed):
+        # an iterative estimate of the radius misses the target on these
+        # draws by 1e-3; the oracle is numpy's dense eigensolve
+        model = EsnModel.random(10, 600, 0.15, 0.95, np.random.default_rng(seed))
+        rho = float(np.max(np.abs(np.linalg.eigvals(model.w_res))))
+        assert rho == pytest.approx(0.95, rel=1e-9)
+
     def test_exact_nonzero_count(self):
         # the support is sampled without replacement, so the count is
         # exactly round(0.15 * 100^2) = 1500, inside the binomial band
@@ -212,13 +220,6 @@ class TestSerialization:
         np.testing.assert_array_equal(clone.w_in, model.w_in)
         np.testing.assert_array_equal(clone.w_res, model.w_res)
         np.testing.assert_array_equal(clone.state, model.state)
-
-    def test_file_round_trip(self, tmp_path):
-        model = small_model(seed=61, n_res=5)
-        path = tmp_path / "model.txt"
-        model.save(path)
-        clone = EsnModel.load(path)
-        np.testing.assert_array_equal(clone.w_res, model.w_res)
 
     def test_round_trip_continues_identically(self):
         model = small_model(seed=62, n_res=6)

@@ -1,5 +1,8 @@
 import dataclasses
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -243,3 +246,30 @@ class TestOutputs:
             assert os.path.exists(paths[name])
         with open(paths["trace.csv"]) as fh:
             assert fh.readline().strip() == "t,target,prediction"
+
+
+# Runs in a fresh interpreter: a full experiment, a wide spectral radius
+# and an unpenalized ridge solve, then reports any scipy module loaded.
+NUMPY_ONLY_CHILD = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from reservoirq import ExperimentConfig, ridge_solve, run_experiment, spectral_radius
+
+    run_experiment(ExperimentConfig.from_file(sys.argv[1]))
+    spectral_radius(np.random.default_rng(0).normal(size=(600, 600)))
+    z = np.random.default_rng(1).normal(size=(4, 40))
+    ridge_solve(z, np.ones((1, 4)) @ z, 0.0)
+    print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+""")
+
+
+class TestRuntimeImports:
+    def test_no_scipy_module_loaded_at_run_time(self, config_dir, subprocess_env):
+        # numpy and scipy each bundle their own BLAS; loading both puts two
+        # thread pools on the same cores
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_ONLY_CHILD,
+             os.path.join(config_dir, "narma_tiny.cfg")],
+            capture_output=True, text=True, env=subprocess_env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

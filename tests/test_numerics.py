@@ -64,21 +64,14 @@ class TestSpectralRadius:
         tol = 1e-10
         for seed in range(10):
             m = seeded_rng(seed).normal(size=(8, 8))
-            base = spectral_radius(m, tol=tol)
+            base = spectral_radius(m)
             for c in (-3.0, 0.25, 7.5):
-                assert spectral_radius(c * m, tol=tol) == pytest.approx(
+                assert spectral_radius(c * m) == pytest.approx(
                     abs(c) * base, abs=2 * tol + 1e-12 * abs(c) * base)
 
     def test_deterministic(self):
         m = seeded_rng(3).normal(size=(12, 12))
         assert spectral_radius(m) == spectral_radius(m.copy())
-
-    def test_large_matrix_iterative_path(self):
-        # above the dense-eigensolve cutoff the Arnoldi branch takes over;
-        # a dense eigensolve of the same matrix is the oracle
-        m = seeded_rng(13).normal(size=(600, 600)) / np.sqrt(600)
-        dense = float(np.max(np.abs(np.linalg.eigvals(m))))
-        assert spectral_radius(m, tol=1e-10) == pytest.approx(dense, rel=1e-8)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
@@ -87,10 +80,6 @@ class TestSpectralRadius:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             spectral_radius(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    def test_bad_tol_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_radius(np.eye(2), tol=0.0)
 
 
 class TestRidgeSolve:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reservoirq.data import generate_narma10
 from reservoirq.esn import EsnModel
@@ -190,6 +192,27 @@ class TestSelectPenalty:
             assert scores[lam] == pytest.approx(literal[lam], rel=1e-10)
         assert best == min(literal, key=literal.get)
         assert best == min(lam for lam in grid if scores[lam] == min(scores.values()))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_target_scale_invariance(self, data):
+        # ridge weights are linear in the targets and NMSE is scale-free,
+        # so scaling the targets by c > 0 changes no score beyond rounding
+        d = data.draw(st.integers(min_value=1, max_value=12), label="D")
+        k = data.draw(st.integers(min_value=5, max_value=60), label="K")
+        n_out = data.draw(st.integers(min_value=1, max_value=3), label="N_b")
+        c = data.draw(st.floats(min_value=1e-3, max_value=1e3), label="c")
+        rng = seeded_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        regressors = rng.normal(size=(d, k))
+        targets = rng.normal(size=(n_out, d)) @ regressors + rng.normal(size=(n_out, k))
+        best, scores = select_penalty(regressors, targets)
+        best_c, scores_c = select_penalty(regressors, c * targets)
+        assert set(scores_c) == set(scores)
+        for lam in scores:
+            assert scores_c[lam] == pytest.approx(scores[lam], rel=1e-9)
+        first, second = sorted(scores.values())[:2]
+        if second != pytest.approx(first, rel=1e-9):
+            assert best_c == best
 
     def test_ties_go_to_the_smaller_penalty(self):
         # all-zero fit columns give W = 0 for every penalty, so every score
