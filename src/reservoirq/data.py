@@ -22,10 +22,9 @@ DEFAULT_WARMUP = 200
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Ordered real-valued samples, optionally tagged with a sampling period."""
+    """Ordered, finite, real-valued samples."""
 
     values: np.ndarray
-    period: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -44,7 +43,6 @@ class SupervisedDataset:
 
     inputs: np.ndarray
     targets: np.ndarray
-    split: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", np.atleast_2d(np.asarray(self.inputs, dtype=float)))
@@ -203,8 +201,22 @@ def save_series_csv(path, values, value_header="value"):
         fh.write("\n".join(lines) + "\n")
 
 
-def _series_values(series):
-    return series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=float)
+def _lag_window(x, offsets, horizon):
+    """Rows [x(t - o) for o in offsets] for t = max(offsets), ..., len(x) - 1 - horizon.
+
+    Returns the (rows, len(offsets)) input matrix and max(offsets); the
+    last ``horizon`` samples are left for targets that run ahead of t.
+    """
+    offsets = [int(o) for o in offsets]
+    if not offsets or any(o < 0 for o in offsets):
+        raise ValueError("offsets must be a non-empty list of nonnegative integers")
+    max_off = max(offsets)
+    n_rows = x.shape[0] - max_off - horizon
+    if n_rows < 1:
+        raise ValueError(
+            f"series of length {x.shape[0]} is too short for offsets up to "
+            f"{max_off} and horizon {horizon}")
+    return np.column_stack([x[max_off - o:max_off - o + n_rows] for o in offsets]), max_off
 
 
 def make_lagged_dataset(series, offsets, horizon=1):
@@ -214,21 +226,11 @@ def make_lagged_dataset(series, offsets, horizon=1):
     offsets] and target x(t + horizon); there are len - max(offsets) -
     horizon rows.
     """
-    x = _series_values(series)
-    offsets = [int(o) for o in offsets]
-    if not offsets or any(o < 0 for o in offsets):
-        raise ValueError("offsets must be a non-empty list of nonnegative integers")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    max_off = max(offsets)
-    n_rows = x.shape[0] - max_off - horizon
-    if n_rows < 1:
-        raise ValueError(
-            f"series of length {x.shape[0]} is too short for offsets up to "
-            f"{max_off} and horizon {horizon}")
-    inputs = np.column_stack([x[max_off - o:max_off - o + n_rows] for o in offsets])
-    targets = x[max_off + horizon:max_off + horizon + n_rows][:, None]
-    return SupervisedDataset(inputs=inputs, targets=targets)
+    x = np.asarray(series, dtype=float)
+    inputs, max_off = _lag_window(x, offsets, horizon)
+    return SupervisedDataset(inputs=inputs, targets=x[max_off + horizon:][:, None])
 
 
 def lag_paired_series(inputs_series, targets_series, offsets):
@@ -238,20 +240,12 @@ def lag_paired_series(inputs_series, targets_series, offsets):
     and target y(t), keeping the original pair alignment; the first
     max(offsets) pairs are consumed by the lag window.
     """
-    s = _series_values(inputs_series)
-    y = _series_values(targets_series)
+    s = np.asarray(inputs_series, dtype=float)
+    y = np.asarray(targets_series, dtype=float)
     if s.shape[0] != y.shape[0]:
         raise DimensionError("input and target series must have equal length")
-    offsets = [int(o) for o in offsets]
-    if not offsets or any(o < 0 for o in offsets):
-        raise ValueError("offsets must be a non-empty list of nonnegative integers")
-    max_off = max(offsets)
-    n_rows = s.shape[0] - max_off
-    if n_rows < 1:
-        raise ValueError("series too short for the requested offsets")
-    inputs = np.column_stack([s[max_off - o:max_off - o + n_rows] for o in offsets])
-    targets = y[max_off:][:, None]
-    return SupervisedDataset(inputs=inputs, targets=targets)
+    inputs, max_off = _lag_window(s, offsets, 0)
+    return SupervisedDataset(inputs=inputs, targets=y[max_off:][:, None])
 
 
 def split_dataset(dataset, train_size=None, train_fraction=None, validation_size=None):
@@ -277,9 +271,8 @@ def split_dataset(dataset, train_size=None, train_fraction=None, validation_size
         raise ValueError(
             f"requested {train_size}+{validation_size} rows from a dataset of {k}")
     train = SupervisedDataset(inputs=dataset.inputs[:train_size],
-                              targets=dataset.targets[:train_size], split="train")
+                              targets=dataset.targets[:train_size])
     val = SupervisedDataset(
         inputs=dataset.inputs[train_size:train_size + validation_size],
-        targets=dataset.targets[train_size:train_size + validation_size],
-        split="validation")
+        targets=dataset.targets[train_size:train_size + validation_size])
     return train, val

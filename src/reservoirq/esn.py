@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, GenerationError
 from .numerics import drive_buffers, spectral_radius
-from .textio import matrix_lines, parse_matrix
 
 RESAMPLE_ATTEMPTS = 10
 
@@ -116,29 +115,10 @@ class EsnModel:
         """One step of ``run``: the state after a single input vector."""
         return self.run(np.atleast_1d(inputs)[None])[:, 0]
 
-    def reset(self):
-        """Zero the state; weights are untouched."""
+    def reset(self, rng):
+        """Return to the rest state, zero; weights are untouched.
+
+        ``rng`` is unused: it keeps one ``reset(rng)`` signature across
+        both reservoir kinds, and an ESN's rest state is not random.
+        """
         self.state = np.zeros(self.n_res)
-
-    def copy(self):
-        return EsnModel(w_in=self.w_in.copy(), w_res=self.w_res.copy(),
-                        state=self.state.copy())
-
-    def to_text(self):
-        lines = [f"esn {self.n_in} {self.n_res}"]
-        lines += matrix_lines(self.w_in)
-        lines += matrix_lines(self.w_res)
-        lines += matrix_lines(self.state)
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-        head = lines[0].split()
-        if len(head) != 3 or head[0] != "esn":
-            raise ValueError("expected header 'esn <n_in> <n_res>'")
-        n_in, n_res = int(head[1]), int(head[2])
-        w_in = parse_matrix(lines[1:1 + n_res], n_res, 1 + n_in, 2)
-        w_res = parse_matrix(lines[1 + n_res:1 + 2 * n_res], n_res, n_res, 2 + n_res)
-        state = parse_matrix(lines[1 + 2 * n_res:2 + 2 * n_res], 1, n_res, 2 + 2 * n_res)[0]
-        return cls(w_in=w_in, w_res=w_res, state=state)

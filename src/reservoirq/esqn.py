@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .numerics import drive_buffers
-from .textio import matrix_lines, parse_matrix
 
 _BLOCKS = ("w_plus_in", "w_minus_in", "w_plus_res", "w_minus_res")
 
@@ -153,55 +152,6 @@ class EsqnModel:
         """One step of ``run``: the loads after a single input vector."""
         return self.run(np.atleast_1d(inputs)[None])[:, 0]
 
-    def reset(self, rng=None, state=None):
-        """Replace the load vector; weights are untouched.
-
-        Pass ``rng`` to redraw uniform [0, 1] loads, or ``state`` to set
-        them explicitly (scalar or vector, nonnegative).
-        """
-        if (rng is None) == (state is None):
-            raise ValueError("pass exactly one of rng or state")
-        if rng is not None:
-            self.state = rng.uniform(0.0, 1.0, self.n_res)
-            return
-        new = np.asarray(state, dtype=float)
-        if new.ndim == 0:
-            new = np.full(self.n_res, float(new))
-        if new.shape != (self.n_res,):
-            raise DimensionError(f"state must have shape ({self.n_res},)")
-        if not np.all(np.isfinite(new)) or np.any(new < 0):
-            raise DomainError("loads must be finite and nonnegative")
-        self.state = new.copy()
-
-    def copy(self):
-        return EsqnModel(w_plus_in=self.w_plus_in.copy(), w_minus_in=self.w_minus_in.copy(),
-                         w_plus_res=self.w_plus_res.copy(), w_minus_res=self.w_minus_res.copy(),
-                         rates_in=self.rates_in.copy(), rates_res=self.rates_res.copy(),
-                         state=self.state.copy(), overload_steps=self.overload_steps)
-
-    def to_text(self):
-        lines = [f"esqn {self.n_in} {self.n_res}"]
-        for name in _BLOCKS:
-            lines += matrix_lines(getattr(self, name))
-        lines += matrix_lines(self.rates_in)
-        lines += matrix_lines(self.rates_res)
-        lines += matrix_lines(self.state)
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-        head = lines[0].split()
-        if len(head) != 3 or head[0] != "esqn":
-            raise ValueError("expected header 'esqn <n_in> <n_res>'")
-        n_in, n_res = int(head[1]), int(head[2])
-        pos = 1
-        blocks = {}
-        for name, cols in (("w_plus_in", n_in), ("w_minus_in", n_in),
-                           ("w_plus_res", n_res), ("w_minus_res", n_res)):
-            blocks[name] = parse_matrix(lines[pos:pos + n_res], n_res, cols, pos + 1)
-            pos += n_res
-        rates_in = parse_matrix(lines[pos:pos + 1], 1, n_in, pos + 1)[0]
-        rates_res = parse_matrix(lines[pos + 1:pos + 2], 1, n_res, pos + 2)[0]
-        state = parse_matrix(lines[pos + 2:pos + 3], 1, n_res, pos + 3)[0]
-        return cls(rates_in=rates_in, rates_res=rates_res, state=state, **blocks)
+    def reset(self, rng):
+        """Redraw the load vector uniformly on [0, 1]; weights are untouched."""
+        self.state = rng.uniform(0.0, 1.0, self.n_res)

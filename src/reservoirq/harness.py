@@ -11,6 +11,7 @@ end-of-training state since validation follows training in time.
 
 import dataclasses
 import os
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,7 @@ class ExperimentConfig:
     name: str = ""                    # series label; defaults per dataset
     csv_path: str | None = None
     csv_column: int | str = 0
-    lag_offsets: tuple = NARMA_DEFAULT_OFFSETS
+    lag_offsets: tuple[int, ...] = NARMA_DEFAULT_OFFSETS
     horizon: int = 1
     train_size: int | None = None
     validation_size: int | None = None
@@ -67,7 +68,7 @@ class ExperimentConfig:
     esqn_density: float = 1.0
     firing_rate: float = 1.0
     # Readout / evaluation
-    lambda_grid: tuple = LAMBDA_GRID
+    lambda_grid: tuple[float, ...] = LAMBDA_GRID
     readout_inputs: bool = True
     reset_state_before_validation: bool = False
     rescale_on_full_series: bool = False
@@ -103,7 +104,7 @@ class ExperimentConfig:
         for key, raw in mapping.items():
             if key not in fields:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = _parse_value(key, raw)
+            kwargs[key] = _parse_value(fields[key], raw)
         return cls(**kwargs)
 
     @classmethod
@@ -132,40 +133,32 @@ class ExperimentConfig:
         return cls.from_mapping(mapping)
 
 
-_BOOL_KEYS = {"bias_weights_fixed_to_one", "readout_inputs",
-              "reset_state_before_validation", "rescale_on_full_series",
-              "nmse_on_original_units"}
-_INT_KEYS = {"horizon", "train_size", "validation_size", "reservoir_size",
-             "trials", "seed", "washout"}
-_FLOAT_KEYS = {"train_fraction", "density", "spectral_radius", "esn_weight_lo",
-               "esn_weight_hi", "weight_lo", "weight_hi", "esqn_density",
-               "firing_rate"}
-_LIST_KEYS = {"lag_offsets": int, "lambda_grid": float}
+def _parse_value(field, raw):
+    """Cast a config-file string to the field's annotated type.
 
-
-def _parse_value(key, raw):
+    Booleans take true/1/yes or false/0/no; ``tuple[T, ...]`` fields take
+    comma-separated T values; a union tries its types in order, so
+    ``int | str`` keeps a non-numeric string and ``int | None`` reads an int.
+    """
     if not isinstance(raw, str):
         return raw
     raw = raw.strip()
-    if key in _BOOL_KEYS:
+    if field.type is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ValueError(f"config key {key!r}: expected a boolean, got {raw!r}")
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _LIST_KEYS:
-        cast = _LIST_KEYS[key]
+        raise ValueError(f"config key {field.name!r}: expected a boolean, got {raw!r}")
+    if typing.get_origin(field.type) is tuple:
+        cast = typing.get_args(field.type)[0]
         return tuple(cast(part.strip()) for part in raw.split(",") if part.strip())
-    if key == "csv_column":
+    casts = [t for t in typing.get_args(field.type) or (field.type,) if t is not type(None)]
+    for cast in casts[:-1]:
         try:
-            return int(raw)
+            return cast(raw)
         except ValueError:
-            return raw
-    return raw
+            pass
+    return casts[-1](raw)
 
 
 @dataclass(frozen=True)
@@ -269,10 +262,7 @@ def run_trial(config, prepared, washout, trial_index):
     readout = fit_readout(regressors, targets, lam)
 
     if config.reset_state_before_validation:
-        if isinstance(model, EsnModel):
-            model.reset()
-        else:
-            model.reset(rng=rng)
+        model.reset(rng)
 
     val_regressors = collect_states(model, prepared.validation.inputs, 0,
                                     include_inputs=config.readout_inputs)

@@ -74,9 +74,10 @@ class TrialResult:
 class Summary:
     """Mean NMSE over trials with a 95% confidence half-width.
 
-    The half-width is t_{0.975, n-1} * std / sqrt(n) using the population
-    standard deviation of the trial scores; it is None for a single
-    trial, where no interval can be formed. ``ridge_lambda`` is the most
+    The half-width is t_{0.975, n-1} * s / sqrt(n), where s is the sample
+    standard deviation (ddof=1) of the trial scores, as the Student-t
+    interval requires; it is None for a single trial, where no interval
+    can be formed. ``ridge_lambda`` is the most
     frequently selected penalty (smallest on ties) and ``failures``
     counts trials excluded for non-finite states or predictions.
     """
@@ -102,7 +103,7 @@ def summarize(results, failures=0):
     n = len(scores)
     mean = float(scores.mean())
     if n >= 2:
-        halfwidth = float(t_quantile_975(n - 1) * scores.std() / np.sqrt(n))
+        halfwidth = float(t_quantile_975(n - 1) * scores.std(ddof=1) / np.sqrt(n))
     else:
         halfwidth = None
     counts = Counter(r.ridge_lambda for r in results)

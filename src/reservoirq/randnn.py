@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError
-from .textio import matrix_lines, parse_matrix, parse_row
 
 ALPHA_FLOOR = 2.0 ** -20
 OVERLOAD_PATIENCE = 100
@@ -42,9 +41,7 @@ class RandnnSpec:
     rates: np.ndarray
 
     def __post_init__(self):
-        for name in ("lambda_plus", "lambda_minus", "rates"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        for name in ("w_plus", "w_minus"):
+        for name in ("lambda_plus", "lambda_minus", "rates", "w_plus", "w_minus"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         n = self.lambda_plus.shape[0]
         if self.lambda_plus.ndim != 1 or n == 0:
@@ -69,18 +66,6 @@ class RandnnSpec:
     @property
     def n(self):
         return self.lambda_plus.shape[0]
-
-    def routing_slack(self):
-        """Per-neuron slack rates[v] - sum_u (w+ + w-)[u, v].
-
-        For weights derived from routing probabilities the slack equals
-        rates[v] times the departure probability, so it is nonnegative.
-        """
-        return self.rates - (self.w_plus.sum(axis=0) + self.w_minus.sum(axis=0))
-
-    def routing_consistent(self, tol=1e-9):
-        """Whether every column respects the routing budget (within tol)."""
-        return bool(np.all(self.routing_slack() >= -tol * np.maximum(self.rates, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -143,14 +128,24 @@ def solve_steady_state(spec, tol=1e-12, max_iter=10_000):
 
 def save_spec(spec, path):
     """Write a spec as plain text: N, lambda+, lambda-, r, then w+ and w- rows."""
-    lines = [str(spec.n)]
-    lines += matrix_lines(spec.lambda_plus)
-    lines += matrix_lines(spec.lambda_minus)
-    lines += matrix_lines(spec.rates)
-    lines += matrix_lines(spec.w_plus)
-    lines += matrix_lines(spec.w_minus)
+    rows = [spec.lambda_plus, spec.lambda_minus, spec.rates, *spec.w_plus, *spec.w_minus]
+    lines = [str(spec.n)] + [" ".join(repr(float(v)) for v in row) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _parse_rows(lines, n, first_lineno):
+    """An array of whitespace-separated rows of n numbers each."""
+    rows = []
+    for lineno, line in enumerate(lines, start=first_lineno):
+        parts = line.split()
+        if len(parts) != n:
+            raise ValueError(f"line {lineno}: expected {n} values, got {len(parts)}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: unparseable number ({exc})") from None
+    return np.array(rows)
 
 
 def load_spec(path):
@@ -167,10 +162,8 @@ def load_spec(path):
         raise ValueError(f"{path}: neuron count must be >= 1")
     if len(lines) != 1 + 3 + 2 * n:
         raise ValueError(f"{path}: expected {1 + 3 + 2 * n} lines for N={n}, got {len(lines)}")
-    lam_plus = parse_row(lines[1], n, 2)
-    lam_minus = parse_row(lines[2], n, 3)
-    rates = parse_row(lines[3], n, 4)
-    w_plus = parse_matrix(lines[4:4 + n], n, n, 5)
-    w_minus = parse_matrix(lines[4 + n:4 + 2 * n], n, n, 5 + n)
+    lam_plus, lam_minus, rates = _parse_rows(lines[1:4], n, 2)
+    w_plus = _parse_rows(lines[4:4 + n], n, 5)
+    w_minus = _parse_rows(lines[4 + n:], n, 5 + n)
     return RandnnSpec(lambda_plus=lam_plus, lambda_minus=lam_minus,
                       w_plus=w_plus, w_minus=w_minus, rates=rates)

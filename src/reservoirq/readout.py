@@ -34,10 +34,6 @@ class Readout:
         if not np.all(np.isfinite(self.w_out)):
             raise ValueError("w_out must be finite")
 
-    @property
-    def n_out(self):
-        return self.w_out.shape[0]
-
     def predict_matrix(self, regressors):
         """Predictions for a whole regressor matrix (D x K) at once."""
         regressors = np.asarray(regressors, dtype=float)

@@ -11,7 +11,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 
-from . import cli
+from reservoirq import cli
 
 
 @dataclass(frozen=True)

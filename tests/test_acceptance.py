@@ -256,7 +256,7 @@ def test_09_rerun_byte_identical(config_dir, tmp_path, monkeypatch):
 def test_10_esn_fading_memory():
     model_a = EsnModel.random(1, 40, density=0.15, target_rho=0.95,
                               rng=seeded_rng(314))
-    model_b = model_a.copy()
+    model_b = EsnModel(w_in=model_a.w_in, w_res=model_a.w_res)
     init = seeded_rng(315)
     model_a.state = init.uniform(-1.0, 1.0, 40)
     model_b.state = init.uniform(-1.0, 1.0, 40)

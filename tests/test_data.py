@@ -129,7 +129,6 @@ class TestSplit:
         train, val = split_dataset(ds, train_size=7)
         assert train.n_rows == 7 and val.n_rows == 3
         np.testing.assert_array_equal(val.inputs[:, 0], [7.0, 8.0, 9.0])
-        assert train.split == "train" and val.split == "validation"
 
     def test_no_leakage(self):
         ds = make_lagged_dataset(np.arange(50.0), offsets=[0, 1])

@@ -66,6 +66,10 @@ class TestInit:
             with pytest.raises(DomainError):
                 scalar_model(state=bad)
 
+    def test_negative_state_rejected(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            scalar_model(state=-0.5)
+
 
 class TestRun:
     def test_split_run_equals_whole_run(self):
@@ -261,45 +265,18 @@ class TestUpdate:
 
 class TestReset:
     def test_zero_state_leaves_input_terms_only(self):
-        model = scalar_model(state=0.9)
-        model.reset(state=0.0)
+        model = scalar_model(state=0.0)
         out = model.update([1.0])
         assert out[0] == pytest.approx(0.2 / 1.1, abs=1e-15)
 
     def test_same_seed_same_reset(self):
         a, b = random_model(seed=21), random_model(seed=21)
-        a.reset(rng=seeded_rng(5))
-        b.reset(rng=seeded_rng(5))
+        a.reset(seeded_rng(5))
+        b.reset(seeded_rng(5))
         np.testing.assert_array_equal(a.state, b.state)
 
     def test_reset_keeps_weights(self):
         model = random_model(seed=22)
         weights_before = model.w_plus_res.copy()
-        model.reset(rng=seeded_rng(1))
+        model.reset(seeded_rng(1))
         np.testing.assert_array_equal(model.w_plus_res, weights_before)
-
-    def test_negative_state_rejected(self):
-        with pytest.raises(DomainError):
-            random_model().reset(state=np.full(25, -0.5))
-
-    def test_exactly_one_argument(self):
-        with pytest.raises(ValueError):
-            random_model().reset()
-        with pytest.raises(ValueError):
-            random_model().reset(rng=seeded_rng(0), state=0.0)
-
-
-class TestSerialization:
-    def test_text_round_trip(self):
-        model = random_model(seed=30, n_in=2, n_res=4)
-        model.update([0.3, 0.6])
-        clone = EsqnModel.from_text(model.to_text())
-        for name in ("w_plus_in", "w_minus_in", "w_plus_res", "w_minus_res",
-                     "rates_in", "rates_res", "state"):
-            np.testing.assert_array_equal(getattr(clone, name), getattr(model, name))
-
-    def test_round_trip_continues_identically(self):
-        model = random_model(seed=31, n_in=2, n_res=4)
-        clone = EsqnModel.from_text(model.to_text())
-        a = [0.2, 0.9]
-        np.testing.assert_array_equal(model.update(a), clone.update(a))

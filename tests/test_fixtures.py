@@ -1,4 +1,4 @@
-from reservoirq.fixtures import default_fixtures, verify_fixtures
+from fixture_runner import default_fixtures, verify_fixtures
 
 
 def test_fixture_suite_is_green(fixture_root):
@@ -10,7 +10,7 @@ def test_fixture_suite_is_green(fixture_root):
 
 
 def test_missing_golden_is_reported(fixture_root, tmp_path):
-    from reservoirq.fixtures import Fixture
+    from fixture_runner import Fixture
 
     broken = Fixture(name="broken", argv=("generate-narma", "--n", "5",
                                           "--seed", "1", "--out", "x"),

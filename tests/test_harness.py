@@ -22,6 +22,43 @@ def tiny_narma(**overrides):
     return ExperimentConfig(**base)
 
 
+# One config-file line (plus any line the key needs to be valid) per
+# ExperimentConfig field, and the value it must parse to.
+FIELD_CASES = [
+    ("dataset = csv\ncsv_path = /data/traffic.csv", "dataset", "csv"),
+    ("name = isp", "name", "isp"),
+    ("csv_path = /data/traffic.csv\ndataset = csv", "csv_path", "/data/traffic.csv"),
+    ("csv_column = 3", "csv_column", 3),
+    ("csv_column = bytes", "csv_column", "bytes"),
+    ("lag_offsets = 0, 6,7", "lag_offsets", (0, 6, 7)),
+    ("horizon = 2", "horizon", 2),
+    ("train_size = 47", "train_size", 47),
+    ("validation_size = 15", "validation_size", 15),
+    ("train_fraction = 0.75", "train_fraction", 0.75),
+    ("model = esn", "model", "esn"),
+    ("reservoir_size = 40", "reservoir_size", 40),
+    ("trials = 3", "trials", 3),
+    ("seed = 7", "seed", 7),
+    ("washout = 0", "washout", 0),
+    ("washout = 25", "washout", 25),
+    ("density = 0.2", "density", 0.2),
+    ("spectral_radius = 0.9", "spectral_radius", 0.9),
+    ("esn_weight_lo = -1", "esn_weight_lo", -1.0),
+    ("esn_weight_hi = 1.5", "esn_weight_hi", 1.5),
+    ("bias_weights_fixed_to_one = yes", "bias_weights_fixed_to_one", True),
+    ("weight_lo = 0.05", "weight_lo", 0.05),
+    ("weight_hi = 0.4", "weight_hi", 0.4),
+    ("esqn_density = 0.5", "esqn_density", 0.5),
+    ("firing_rate = 2", "firing_rate", 2.0),
+    ("lambda_grid = 1e-6, 0.001,1", "lambda_grid", (1e-6, 1e-3, 1.0)),
+    ("readout_inputs = false", "readout_inputs", False),
+    ("reset_state_before_validation = True", "reset_state_before_validation", True),
+    ("rescale_on_full_series = 1", "rescale_on_full_series", True),
+    ("nmse_on_original_units = no", "nmse_on_original_units", False),
+    ("nmse_on_original_units = 0", "nmse_on_original_units", False),
+]
+
+
 class TestConfig:
     def test_defaults_follow_reference_protocol(self):
         config = ExperimentConfig()
@@ -61,6 +98,35 @@ class TestConfig:
         assert config.weight_hi == 0.4
         assert config.lag_offsets == (0, 2, 5)
         assert config.reset_state_before_validation is True
+
+    @pytest.mark.parametrize("text, key, expected", FIELD_CASES,
+                             ids=[text.splitlines()[0].replace(" ", "")
+                                  for text, _, _ in FIELD_CASES])
+    def test_every_field_parsed_from_text(self, tmp_path, text, key, expected):
+        path = tmp_path / "field.cfg"
+        path.write_text(text + "\n")
+        value = getattr(ExperimentConfig.from_file(path), key)
+        assert value == expected
+        assert type(value) is type(expected)
+        if isinstance(value, tuple):
+            assert all(type(v) is type(e) for v, e in zip(value, expected))
+
+    def test_field_cases_cover_every_field(self):
+        assert {key for _, key, _ in FIELD_CASES} == \
+            {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    @pytest.mark.parametrize("line, match", [
+        ("readout_inputs = maybe", "readout_inputs.*expected a boolean"),
+        ("trials = 2.5", "int"),
+        ("washout = none", "int"),
+        ("density = dense", "float"),
+        ("lag_offsets = 0, 1.5", "int"),
+    ])
+    def test_malformed_value_rejected(self, tmp_path, line, match):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig.from_file(path)
 
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):

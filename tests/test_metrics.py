@@ -80,25 +80,26 @@ class TestSummarize:
         assert summary.n_trials == 5
 
     def test_two_point_hand_value(self):
-        # mean 1; spread of {0, 2} is 1, so the half-width is
-        # 12.7062 / sqrt(2), about 8.985
+        # mean 1; the sample standard deviation of {0, 2} is sqrt(2), so
+        # the half-width is 12.7062 * sqrt(2) / sqrt(2) = 12.7062
         summary = summarize([trial(0.0, index=0), trial(2.0, index=1)])
         assert summary.mean_nmse == pytest.approx(1.0)
-        assert summary.ci_halfwidth == pytest.approx(12.7062 / np.sqrt(2.0), abs=1e-12)
-        assert summary.ci_halfwidth == pytest.approx(8.985, abs=1e-3)
+        assert summary.ci_halfwidth == pytest.approx(12.7062, abs=1e-12)
 
     def test_halfwidth_shrinks_like_root_n(self):
-        # the repeated {0, 2} pattern has spread exactly 1, so the
-        # half-width must equal t_{0.975, n-1} / sqrt(n) exactly and the
-        # successive ratios track 1/sqrt(n) up to the t-quantile drift
+        # n copies of the {0, 2} pattern have sample standard deviation
+        # s = sqrt(n / (n - 1)), so the half-width must equal
+        # t_{0.975, n-1} * s / sqrt(n) and the successive ratios track
+        # 1/sqrt(n) up to the t-quantile and s drift
         widths = {}
         for copies in (1, 4, 16):
             scores = [trial(v, index=i)
                       for i, v in enumerate([0.0, 2.0] * copies)]
             n = 2 * copies
             widths[copies] = summarize(scores).ci_halfwidth
+            s = np.sqrt(n / (n - 1))
             assert widths[copies] == pytest.approx(
-                t_quantile_975(n - 1) / np.sqrt(n), abs=1e-12)
+                t_quantile_975(n - 1) * s / np.sqrt(n), abs=1e-12)
         assert widths[4] < widths[1] / 1.9
         assert widths[16] < widths[4] / 1.9
 

@@ -163,17 +163,6 @@ class TestSpecValidation:
             RandnnSpec(lambda_plus=[1.0, 0.5], lambda_minus=[0.0, 0.0],
                        w_plus=[[0.0]], w_minus=[[0.0]], rates=[1.0, 1.0])
 
-    def test_routing_consistency(self):
-        for spec, _ in random_stable_specs(seed=5, count=5):
-            assert spec.routing_consistent()
-            assert np.all(spec.routing_slack() >= -1e-12)
-        # column outflow above the firing rate breaks the routing budget
-        greedy = RandnnSpec(lambda_plus=[0.5, 0.5], lambda_minus=[0.0, 0.0],
-                            w_plus=[[0.0, 2.0], [2.0, 0.0]],
-                            w_minus=[[0.0, 0.0], [0.0, 0.0]],
-                            rates=[1.0, 1.0])
-        assert not greedy.routing_consistent()
-
 
 class TestSpecFiles:
     def test_round_trip(self, tmp_path):

@@ -51,7 +51,7 @@ def esn_reference(model, inputs):
 class TestCollectStates:
     def test_single_column(self):
         model = esqn(seed=1)
-        twin = model.copy()
+        twin = esqn(seed=1)
         out = collect_states(model, np.array([[0.4]]), washout=0)
         assert out.shape == (1 + 1 + 5, 1)
         expected_state = twin.update([0.4])
