@@ -2,7 +2,7 @@
 plus the forecasting benchmark harness that compares them."""
 
 from .data import (Rescaler, generate_narma10, lag_paired_series, load_csv,
-                   make_lagged_dataset, split_dataset)
+                   split_dataset)
 from .esn import EsnModel
 from .esqn import EsqnModel
 from .harness import ExperimentConfig, reservoir_size_sweep, run_experiment
@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EsnModel", "EsqnModel", "ExperimentConfig", "RandnnSpec", "Rescaler",
     "collect_states", "fit_readout", "generate_narma10", "lag_paired_series",
-    "load_csv", "make_lagged_dataset", "nmse", "reservoir_size_sweep",
-    "ridge_solve", "run_experiment", "seeded_rng", "select_penalty",
-    "solve_steady_state", "spectral_radius", "split_dataset", "summarize",
+    "load_csv", "nmse", "reservoir_size_sweep", "ridge_solve",
+    "run_experiment", "seeded_rng", "select_penalty", "solve_steady_state",
+    "spectral_radius", "split_dataset", "summarize",
 ]

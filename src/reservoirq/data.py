@@ -21,23 +21,6 @@ DEFAULT_WARMUP = 200
 
 
 @dataclass(frozen=True)
-class TimeSeries:
-    """Ordered, finite, real-valued samples."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.values.ndim != 1 or self.values.shape[0] == 0:
-            raise DimensionError("a time series is a non-empty 1-d array")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("time series values must be finite")
-
-    def __len__(self):
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class SupervisedDataset:
     """Paired input matrix (K x N_a) and target matrix (K x N_b)."""
 
@@ -137,12 +120,12 @@ def generate_narma10(n, rng, warmup_discard=DEFAULT_WARMUP):
 
 
 def load_csv(path, column=0):
-    """Read one column of a CSV file as a TimeSeries.
+    """Read one column of a CSV file as a finite 1-d float array.
 
     ``column`` is a zero-based index or, when the file starts with a
-    header row, a column name. Rows keep file order. Problems raise
-    CsvLoadError carrying the offending row and column numbers (1-based
-    file line numbers).
+    header row, a column name. Rows keep file order. Problems, a
+    non-finite value among them, raise CsvLoadError carrying the
+    offending row and column numbers (1-based file line numbers).
     """
     try:
         with open(path, newline="") as fh:
@@ -182,14 +165,19 @@ def load_csv(path, column=0):
                                row=lineno, col=idx)
         cell = row[idx].strip()
         try:
-            values.append(float(cell))
+            value = float(cell)
         except ValueError:
             raise CsvLoadError(
                 f"{path}: unparseable value {cell!r} at row {lineno}, column {idx}",
                 row=lineno, col=idx) from None
+        if not np.isfinite(value):
+            raise CsvLoadError(
+                f"{path}: non-finite value {cell!r} at row {lineno}, column {idx}",
+                row=lineno, col=idx)
+        values.append(value)
     if not values:
         raise CsvLoadError(f"{path}: selected column is empty", col=idx)
-    return TimeSeries(values=np.array(values))
+    return np.array(values)
 
 
 def save_series_csv(path, values, value_header="value"):
@@ -201,66 +189,38 @@ def save_series_csv(path, values, value_header="value"):
         fh.write("\n".join(lines) + "\n")
 
 
-def _lag_window(x, offsets, horizon):
-    """Rows [x(t - o) for o in offsets] for t = max(offsets), ..., len(x) - 1 - horizon.
-
-    Returns the (rows, len(offsets)) input matrix and max(offsets); the
-    last ``horizon`` samples are left for targets that run ahead of t.
-    """
-    offsets = [int(o) for o in offsets]
-    if not offsets or any(o < 0 for o in offsets):
-        raise ValueError("offsets must be a non-empty list of nonnegative integers")
-    max_off = max(offsets)
-    n_rows = x.shape[0] - max_off - horizon
-    if n_rows < 1:
-        raise ValueError(
-            f"series of length {x.shape[0]} is too short for offsets up to "
-            f"{max_off} and horizon {horizon}")
-    return np.column_stack([x[max_off - o:max_off - o + n_rows] for o in offsets]), max_off
-
-
-def make_lagged_dataset(series, offsets, horizon=1):
-    """Window a series into (lagged inputs, future target) rows.
-
-    Row k (at time t = max(offsets) + k) has inputs [x(t - o) for o in
-    offsets] and target x(t + horizon); there are len - max(offsets) -
-    horizon rows.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    x = np.asarray(series, dtype=float)
-    inputs, max_off = _lag_window(x, offsets, horizon)
-    return SupervisedDataset(inputs=inputs, targets=x[max_off + horizon:][:, None])
-
-
 def lag_paired_series(inputs_series, targets_series, offsets):
     """Window pre-aligned (input(t), target(t)) pairs with input lags.
 
     Row k (at t = max(offsets) + k) has inputs [s(t - o) for o in offsets]
     and target y(t), keeping the original pair alignment; the first
-    max(offsets) pairs are consumed by the lag window.
+    max(offsets) pairs are consumed by the lag window. A forecast of x
+    h steps ahead pairs s = x[:-h] with y = x[h:].
     """
     s = np.asarray(inputs_series, dtype=float)
     y = np.asarray(targets_series, dtype=float)
     if s.shape[0] != y.shape[0]:
         raise DimensionError("input and target series must have equal length")
-    inputs, max_off = _lag_window(s, offsets, 0)
+    offsets = list(offsets)
+    lags = [int(o) for o in offsets]
+    if not lags or lags != offsets or min(lags) < 0:
+        raise ValueError(f"offsets must be non-empty nonnegative integers, got {offsets}")
+    max_off = max(lags)
+    n_rows = s.shape[0] - max_off
+    if n_rows < 1:
+        raise ValueError(
+            f"series of length {s.shape[0]} is too short for offsets up to {max_off}")
+    inputs = np.column_stack([s[max_off - o:max_off - o + n_rows] for o in lags])
     return SupervisedDataset(inputs=inputs, targets=y[max_off:][:, None])
 
 
-def split_dataset(dataset, train_size=None, train_fraction=None, validation_size=None):
+def split_dataset(dataset, train_size, validation_size=None):
     """Chronological split into (train, validation), order preserved.
 
-    Give either an explicit train_size (optionally with validation_size,
-    defaulting to the remainder) or a train_fraction.
+    The first ``train_size`` rows train; the next ``validation_size`` rows
+    (default: all the rest) validate.
     """
     k = dataset.n_rows
-    if (train_size is None) == (train_fraction is None):
-        raise ValueError("pass exactly one of train_size or train_fraction")
-    if train_fraction is not None:
-        if not 0.0 < train_fraction < 1.0:
-            raise ValueError("train_fraction must lie in (0, 1)")
-        train_size = round(train_fraction * k)
     train_size = int(train_size)
     if validation_size is None:
         validation_size = k - train_size

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, GenerationError
-from .numerics import drive_buffers, spectral_radius
+from .errors import DimensionError, GenerationError
+from .numerics import drive_buffers, initial_state, spectral_radius
 
 RESAMPLE_ATTEMPTS = 10
 
@@ -33,14 +33,7 @@ class EsnModel:
             raise DimensionError("w_in must have one row per reservoir unit")
         if self.w_in.shape[1] < 1:
             raise DimensionError("w_in needs at least the bias column")
-        if self.state is None:
-            self.state = np.zeros(self.n_res)
-        else:
-            self.state = np.asarray(self.state, dtype=float).copy()
-            if self.state.shape != (self.n_res,):
-                raise DimensionError(f"state must have shape ({self.n_res},)")
-            if not np.all(np.isfinite(self.state)):
-                raise DomainError("state must be finite")
+        self.state = initial_state(self.state, self.n_res)
 
     @property
     def n_res(self):
@@ -110,10 +103,6 @@ class EsnModel:
             out[:, t] = state
         self.state = state
         return out
-
-    def update(self, inputs):
-        """One step of ``run``: the state after a single input vector."""
-        return self.run(np.atleast_1d(inputs)[None])[:, 0]
 
     def reset(self, rng):
         """Return to the rest state, zero; weights are untouched.

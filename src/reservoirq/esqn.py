@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .numerics import drive_buffers
+from .numerics import drive_buffers, initial_state
 
 _BLOCKS = ("w_plus_in", "w_minus_in", "w_plus_res", "w_minus_res")
 
@@ -63,14 +63,9 @@ class EsqnModel:
                 raise ValueError(f"{name} must be nonnegative (weights are rates)")
         if np.any(self.rates_in <= 0) or np.any(self.rates_res <= 0):
             raise ValueError("firing rates must be strictly positive")
-        if self.state is None:
-            self.state = np.zeros(n_res)
-        else:
-            self.state = np.asarray(self.state, dtype=float).copy()
-            if self.state.shape != (n_res,):
-                raise DimensionError(f"state must have shape ({n_res},)")
-            if not np.all(np.isfinite(self.state)) or np.any(self.state < 0):
-                raise DomainError("loads must be finite and nonnegative")
+        self.state = initial_state(self.state, n_res)
+        if np.any(self.state < 0):
+            raise DomainError("loads must be nonnegative")
 
     @property
     def n_res(self):
@@ -147,10 +142,6 @@ class EsqnModel:
         self.state = state
         self.overload_steps += int(np.count_nonzero((out > 1.0).any(axis=0)))
         return out
-
-    def update(self, inputs):
-        """One step of ``run``: the loads after a single input vector."""
-        return self.run(np.atleast_1d(inputs)[None])[:, 0]
 
     def reset(self, rng):
         """Redraw the load vector uniformly on [0, 1]; weights are untouched."""

@@ -85,10 +85,14 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.reservoir_size < 1:
             raise ValueError("reservoir_size must be >= 1")
-        if not self.lag_offsets:
-            raise ValueError("lag_offsets must be non-empty")
-        object.__setattr__(self, "lag_offsets",
-                           tuple(int(o) for o in self.lag_offsets))
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        offsets = tuple(int(o) for o in self.lag_offsets)
+        if not offsets or offsets != tuple(self.lag_offsets) or min(offsets) < 0:
+            raise ValueError(
+                "lag_offsets must be a non-empty tuple of nonnegative integers, "
+                f"got {self.lag_offsets}")
+        object.__setattr__(self, "lag_offsets", offsets)
         object.__setattr__(self, "lambda_grid",
                            tuple(float(l) for l in self.lambda_grid))
         if not self.name:
@@ -180,40 +184,37 @@ def prepare_data(config):
     """Build the rescaled, windowed, chronologically split dataset."""
     max_off = max(config.lag_offsets)
     if config.dataset == "narma":
-        train_size = config.train_size if config.train_size is not None \
-            else NARMA_TRAIN_SIZE
-        val_size = config.validation_size if config.validation_size is not None \
-            else NARMA_VALIDATION_SIZE
+        train_size = NARMA_TRAIN_SIZE if config.train_size is None else config.train_size
+        val_size = NARMA_VALIDATION_SIZE if config.validation_size is None \
+            else config.validation_size
         total = train_size + val_size + max_off
         s, b_next = datamod.generate_narma10(
             total, substream_rng(config.seed, DATA_STREAM))
         # training rows touch s and b indices below max_off + train_size
         fit_end = len(s) if config.rescale_on_full_series else max_off + train_size
         in_scaler = datamod.Rescaler.fit(s[:fit_end])
-        target_scaler = datamod.Rescaler.fit(b_next[:fit_end])
-        dataset = datamod.lag_paired_series(
-            in_scaler.apply(s), target_scaler.apply(b_next), config.lag_offsets)
-        train, val = datamod.split_dataset(dataset, train_size=train_size,
-                                           validation_size=val_size)
-        return PreparedData(train=train, validation=val, target_rescaler=target_scaler)
-
-    series = datamod.load_csv(config.csv_path, config.csv_column).values
-    n_rows = len(series) - max_off - config.horizon
-    if n_rows < 2:
-        raise ValueError("series too short for the requested lags and horizon")
-    if config.train_size is not None:
-        train_size = config.train_size
+        scaler = datamod.Rescaler.fit(b_next[:fit_end])
+        inputs, targets = in_scaler.apply(s), scaler.apply(b_next)
     else:
-        fraction = config.train_fraction if config.train_fraction is not None else 2 / 3
-        train_size = round(fraction * n_rows)
-    # training rows use series indices up to max_off + train_size - 1 + horizon
-    fit_end = len(series) if config.rescale_on_full_series \
-        else max_off + train_size + config.horizon
-    scaler = datamod.Rescaler.fit(series[:fit_end])
-    dataset = datamod.make_lagged_dataset(scaler.apply(series), config.lag_offsets,
-                                          horizon=config.horizon)
-    train, val = datamod.split_dataset(dataset, train_size=train_size,
-                                       validation_size=config.validation_size)
+        series = datamod.load_csv(config.csv_path, config.csv_column)
+        h = config.horizon
+        n_rows = len(series) - max_off - h
+        if n_rows < 2:
+            raise ValueError("series too short for the requested lags and horizon")
+        if config.train_size is not None:
+            train_size = config.train_size
+        else:
+            fraction = config.train_fraction if config.train_fraction is not None else 2 / 3
+            train_size = round(fraction * n_rows)
+        val_size = config.validation_size
+        # training rows use series indices up to max_off + train_size - 1 + h
+        fit_end = len(series) if config.rescale_on_full_series \
+            else max_off + train_size + h
+        scaler = datamod.Rescaler.fit(series[:fit_end])
+        scaled = scaler.apply(series)
+        inputs, targets = scaled[:-h], scaled[h:]
+    dataset = datamod.lag_paired_series(inputs, targets, config.lag_offsets)
+    train, val = datamod.split_dataset(dataset, train_size, val_size)
     return PreparedData(train=train, validation=val, target_rescaler=scaler)
 
 
@@ -259,14 +260,14 @@ def run_trial(config, prepared, washout, trial_index):
         raise FloatingPointError(f"trial {trial_index}: non-finite training state")
     targets = prepared.train.targets[washout:].T
     lam, _ = select_penalty(regressors, targets, grid=config.lambda_grid)
-    readout = fit_readout(regressors, targets, lam)
+    w_out = fit_readout(regressors, targets, lam)
 
     if config.reset_state_before_validation:
         model.reset(rng)
 
     val_regressors = collect_states(model, prepared.validation.inputs, 0,
                                     include_inputs=config.readout_inputs)
-    predictions = readout.predict_matrix(val_regressors).T
+    predictions = (w_out @ val_regressors).T
     if not (np.all(np.isfinite(val_regressors)) and np.all(np.isfinite(predictions))):
         raise FloatingPointError(f"trial {trial_index}: non-finite state or prediction")
 

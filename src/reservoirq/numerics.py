@@ -1,4 +1,4 @@
-"""Seeded randomness, spectral radius, the ridge solver and the input check.
+"""Seeded randomness, spectral radius, the ridge solver, input and state checks.
 
 All experiment randomness flows through numpy's PCG64 generator (a
 permuted-congruential generator with published constants and
@@ -51,6 +51,19 @@ def drive_buffers(inputs, n_in, n_res, out=None):
     elif out.shape != (n_res, a.shape[0]):
         raise DimensionError(f"out must have shape ({n_res}, {a.shape[0]}), got {out.shape}")
     return a, out
+
+
+def initial_state(state, n_res):
+    """A reservoir's start state: zeros for None, else a copy checked to
+    have shape (n_res,) (DimensionError) and finite entries (DomainError)."""
+    if state is None:
+        return np.zeros(n_res)
+    state = np.array(state, dtype=float)
+    if state.shape != (n_res,):
+        raise DimensionError(f"state must have shape ({n_res},)")
+    if not np.all(np.isfinite(state)):
+        raise DomainError("state must be finite")
+    return state
 
 
 def spectral_radius(m):

@@ -1,13 +1,11 @@
-"""The trained output layer: regressor collection, ridge fit, prediction.
+"""The trained output layer: regressor collection and ridge fit.
 
-The readout is the only trained object. It maps the concatenated
-regressor [1; a(t); x(t)] (bias, current input, reservoir state) to the
-outputs through a single weight matrix fitted offline by ridge
-regression. Direct input-to-readout terms can be dropped, in which case
-the regressor is just [1; x(t)].
+The readout is the only trained object: a single weight matrix w_out
+that maps the concatenated regressor [1; a(t); x(t)] (bias, current
+input, reservoir state) to the outputs, y = w_out z, fitted offline by
+ridge regression. Direct input-to-readout terms can be dropped, in which
+case the regressor is just [1; x(t)].
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,27 +17,6 @@ from .numerics import ridge_solve, ridge_solve_grid
 # held-out tail of the training split.
 LAMBDA_GRID = tuple(10.0 ** k for k in range(-8, 0))
 HOLDOUT_FRACTION = 0.2
-
-
-@dataclass(frozen=True)
-class Readout:
-    """Affine map y = w_out [1; a; x] (or [1; x] without input terms)."""
-
-    w_out: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "w_out", np.asarray(self.w_out, dtype=float))
-        if self.w_out.ndim != 2:
-            raise DimensionError("w_out must be 2-d")
-        if not np.all(np.isfinite(self.w_out)):
-            raise ValueError("w_out must be finite")
-
-    def predict_matrix(self, regressors):
-        """Predictions for a whole regressor matrix (D x K) at once."""
-        regressors = np.asarray(regressors, dtype=float)
-        if regressors.ndim != 2 or regressors.shape[0] != self.w_out.shape[1]:
-            raise DimensionError("regressor matrix does not match w_out columns")
-        return self.w_out @ regressors
 
 
 def collect_states(model, inputs, washout, include_inputs=True):
@@ -69,8 +46,9 @@ def collect_states(model, inputs, washout, include_inputs=True):
 
 
 def fit_readout(regressors, targets, lam):
-    """Ridge-fit w_out on collected regressors (D x K) and targets (N_b x K)."""
-    return Readout(w_out=ridge_solve(regressors, targets, lam))
+    """Ridge-fit the N_b x D weight matrix w_out on collected regressors
+    (D x K) and targets (N_b x K); predictions are w_out @ regressors."""
+    return ridge_solve(regressors, targets, lam)
 
 
 def select_penalty(regressors, targets, grid=LAMBDA_GRID,

@@ -168,7 +168,7 @@ def test_05_esqn_matches_network_steady_state():
         a = seeded_rng(1000 + seed).uniform(0.1, 1.0, 3)
         for _ in range(30_000):
             previous = model.state.copy()
-            model.update(a)
+            model.run(a[None])
             if np.max(np.abs(model.state - previous)) < 1e-15:
                 break
         x = a / model.rates_in
@@ -197,7 +197,7 @@ def test_06_ridge_oracle_equivalence():
         z = rng.normal(size=(d, k))
         t = rng.normal(size=(n_out, k))
         lam = float(rng.choice([1e-6, 1e-3, 1e-1, 1.0]))
-        fitted = fit_readout(z, t, lam).w_out
+        fitted = fit_readout(z, t, lam)
         oracle = np.linalg.solve(z @ z.T + lam * np.eye(d), (t @ z.T).T).T
         gap = np.linalg.norm(fitted - oracle) / max(np.linalg.norm(oracle), 1e-300)
         worst = max(worst, float(gap))
@@ -261,10 +261,9 @@ def test_10_esn_fading_memory():
     model_a.state = init.uniform(-1.0, 1.0, 40)
     model_b.state = init.uniform(-1.0, 1.0, 40)
     start_gap = float(np.linalg.norm(model_a.state - model_b.state))
-    drive = seeded_rng(316).uniform(0.0, 1.0, 500)
-    for value in drive:
-        model_a.update([value])
-        model_b.update([value])
+    drive = seeded_rng(316).uniform(0.0, 1.0, (500, 1))
+    model_a.run(drive)
+    model_b.run(drive)
     gap = float(np.linalg.norm(model_a.state - model_b.state))
     assert gap < 1e-6
     _report(10, "fading memory",

@@ -39,7 +39,7 @@ class TestGenerateNarma:
         inputs = load_csv("series_inputs.csv", column="value")
         targets = load_csv("series_targets.csv", column="value")
         assert len(inputs) == 120 and len(targets) == 120
-        assert inputs.values.max() <= 0.5
+        assert inputs.max() <= 0.5
 
     def test_rerun_is_byte_identical(self, workdir):
         cli.main(["generate-narma", "--n", "60", "--seed", "3", "--out", "a"])
@@ -95,7 +95,7 @@ class TestExperiment:
         trace_targets = load_csv("trace.csv", column="target")
         trace_preds = load_csv("trace.csv", column="prediction")
         assert len(trace_targets) == len(trace_preds) == 50
-        assert np.all(np.isfinite(trace_preds.values))
+        assert np.all(np.isfinite(trace_preds))
 
 
 class TestSweep:

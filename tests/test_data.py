@@ -1,14 +1,24 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reservoirq.data import (Rescaler, SupervisedDataset, generate_narma10,
-                             lag_paired_series, load_csv, make_lagged_dataset,
-                             narma10_response, save_series_csv, split_dataset)
+                             lag_paired_series, load_csv, narma10_response,
+                             save_series_csv, split_dataset)
 from reservoirq.errors import (CsvLoadError, DegenerateScaleError,
                                GenerationError)
+from reservoirq.harness import ExperimentConfig, prepare_data
 from reservoirq.numerics import seeded_rng
+
+
+def forecast_rows(series, offsets, horizon=1):
+    """Lagged inputs of x paired with x ``horizon`` steps ahead."""
+    x = np.asarray(series, dtype=float)
+    return lag_paired_series(x[:-horizon], x[horizon:], offsets)
 
 
 class TestNarma:
@@ -90,12 +100,12 @@ class TestRescaler:
 
 class TestLaggedDataset:
     def test_single_offset(self):
-        ds = make_lagged_dataset([1.0, 2.0, 3.0, 4.0, 5.0], offsets=[0])
+        ds = forecast_rows([1.0, 2.0, 3.0, 4.0, 5.0], offsets=[0])
         np.testing.assert_array_equal(ds.inputs[:, 0], [1.0, 2.0, 3.0, 4.0])
         np.testing.assert_array_equal(ds.targets[:, 0], [2.0, 3.0, 4.0, 5.0])
 
     def test_row_count_formula(self):
-        ds = make_lagged_dataset(np.arange(10.0), offsets=[0, 6, 7])
+        ds = forecast_rows(np.arange(10.0), offsets=[0, 6, 7])
         assert ds.n_rows == 2  # 10 - 7 - 1
 
     @given(st.integers(min_value=0, max_value=400))
@@ -103,7 +113,7 @@ class TestLaggedDataset:
     def test_index_bookkeeping_on_arange(self, start):
         series = np.arange(start, start + 30, dtype=float)
         offsets = [0, 3, 5]
-        ds = make_lagged_dataset(series, offsets, horizon=2)
+        ds = forecast_rows(series, offsets, horizon=2)
         for k in range(ds.n_rows):
             t = 5 + k
             np.testing.assert_array_equal(ds.inputs[k],
@@ -112,7 +122,7 @@ class TestLaggedDataset:
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            make_lagged_dataset([1.0, 2.0], offsets=[0, 6, 7])
+            forecast_rows([1.0, 2.0], offsets=[0, 6, 7])
 
     def test_paired_windowing(self):
         s = np.arange(10.0)
@@ -122,17 +132,55 @@ class TestLaggedDataset:
         np.testing.assert_array_equal(ds.inputs[0], [2.0, 0.0])
         np.testing.assert_array_equal(ds.targets[:, 0], y[2:])
 
+    @pytest.mark.parametrize("offsets", [[0, -1], [0, 1.5], []])
+    def test_bad_offsets_rejected(self, offsets):
+        with pytest.raises(ValueError, match="nonnegative"):
+            forecast_rows(np.arange(10.0), offsets)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_pair_lags_with_future_target(self, data):
+        # row k, at t = max(offsets) + k, has inputs x(t - o) and target
+        # x(t + h); prepare_data's csv dataset holds exactly these rows,
+        # rescaled, split in time order
+        offsets = data.draw(st.lists(st.integers(0, 8), min_size=1, max_size=4),
+                            label="offsets")
+        horizon = data.draw(st.integers(1, 5), label="horizon")
+        max_off = max(offsets)
+        n = data.draw(st.integers(max_off + horizon + 2, max_off + horizon + 40),
+                      label="length")
+        x = np.array(data.draw(st.permutations(range(n)), label="series"), dtype=float)
+        ds = forecast_rows(x, offsets, horizon)
+        assert ds.n_rows == n - max_off - horizon
+        for k in range(ds.n_rows):
+            t = max_off + k
+            assert list(ds.inputs[k]) == [x[t - o] for o in offsets]
+            assert ds.targets[k, 0] == x[t + horizon]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "series.csv")
+            save_series_csv(path, x)
+            prepared = prepare_data(ExperimentConfig(
+                dataset="csv", csv_path=path, csv_column="value",
+                lag_offsets=tuple(offsets), horizon=horizon))
+        scaler = prepared.target_rescaler
+        expected = Rescaler(lo=scaler.lo, hi=scaler.hi)
+        for name in ("inputs", "targets"):
+            rows = np.vstack([getattr(prepared.train, name),
+                              getattr(prepared.validation, name)])
+            np.testing.assert_array_equal(rows, expected.apply(getattr(ds, name)))
+
 
 class TestSplit:
     def test_counts_and_order(self):
-        ds = make_lagged_dataset(np.arange(11.0), offsets=[0])  # 10 rows
+        ds = forecast_rows(np.arange(11.0), offsets=[0])  # 10 rows
         train, val = split_dataset(ds, train_size=7)
         assert train.n_rows == 7 and val.n_rows == 3
         np.testing.assert_array_equal(val.inputs[:, 0], [7.0, 8.0, 9.0])
 
     def test_no_leakage(self):
-        ds = make_lagged_dataset(np.arange(50.0), offsets=[0, 1])
-        train, val = split_dataset(ds, train_fraction=0.6)
+        ds = forecast_rows(np.arange(50.0), offsets=[0, 1])  # 48 rows
+        train, val = split_dataset(ds, train_size=round(0.6 * 48))
         assert train.targets.max() < val.targets.min()
 
     @given(data=st.data())
@@ -141,18 +189,12 @@ class TestSplit:
         # each row carries its own index, so the splits can be read back
         # as index ranges
         k = data.draw(st.integers(min_value=2, max_value=300), label="rows")
-        if data.draw(st.booleans(), label="by fraction"):
-            fraction = data.draw(st.floats(min_value=1 / k, max_value=1 - 1 / k),
-                                 label="train_fraction")
-            train_size, val_size = round(fraction * k), None
-            kwargs = {"train_fraction": fraction}
-        else:
-            train_size = data.draw(st.integers(min_value=1, max_value=k - 1),
-                                   label="train_size")
-            val_size = data.draw(st.none() | st.integers(min_value=1,
-                                                         max_value=k - train_size),
-                                 label="validation_size")
-            kwargs = {"train_size": train_size, "validation_size": val_size}
+        train_size = data.draw(st.integers(min_value=1, max_value=k - 1),
+                               label="train_size")
+        val_size = data.draw(st.none() | st.integers(min_value=1,
+                                                     max_value=k - train_size),
+                             label="validation_size")
+        kwargs = {"train_size": train_size, "validation_size": val_size}
         if val_size is None:
             val_size = k - train_size
         rows = np.arange(k, dtype=float)
@@ -169,16 +211,15 @@ class TestSplit:
         assert not set(train.inputs[:, 0]) & set(val.inputs[:, 0])
 
     def test_oversized_request_rejected(self):
-        ds = make_lagged_dataset(np.arange(10.0), offsets=[0])
+        ds = forecast_rows(np.arange(10.0), offsets=[0])
         with pytest.raises(ValueError):
             split_dataset(ds, train_size=9, validation_size=5)
 
-    def test_exactly_one_mode(self):
-        ds = make_lagged_dataset(np.arange(10.0), offsets=[0])
-        with pytest.raises(ValueError):
-            split_dataset(ds)
-        with pytest.raises(ValueError):
-            split_dataset(ds, train_size=4, train_fraction=0.5)
+    def test_empty_split_rejected(self):
+        ds = forecast_rows(np.arange(10.0), offsets=[0])  # 9 rows
+        for train_size in (0, 9):
+            with pytest.raises(ValueError, match="at least one row"):
+                split_dataset(ds, train_size=train_size)
 
 
 class TestCsv:
@@ -186,14 +227,14 @@ class TestCsv:
         path = tmp_path / "series.csv"
         path.write_text("1.0\n2.5\n3.5\n4.0\n5.5\n")
         series = load_csv(path)
-        np.testing.assert_array_equal(series.values, [1.0, 2.5, 3.5, 4.0, 5.5])
+        assert isinstance(series, np.ndarray) and series.dtype == float
+        np.testing.assert_array_equal(series, [1.0, 2.5, 3.5, 4.0, 5.5])
 
     def test_header_and_named_column(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("t,value\n0,10.0\n1,11.5\n")
-        np.testing.assert_array_equal(load_csv(path, column="value").values,
-                                      [10.0, 11.5])
-        np.testing.assert_array_equal(load_csv(path, column=1).values, [10.0, 11.5])
+        np.testing.assert_array_equal(load_csv(path, column="value"), [10.0, 11.5])
+        np.testing.assert_array_equal(load_csv(path, column=1), [10.0, 11.5])
 
     def test_malformed_row_is_located(self, tmp_path):
         path = tmp_path / "series.csv"
@@ -201,6 +242,14 @@ class TestCsv:
         with pytest.raises(CsvLoadError, match="row 3") as info:
             load_csv(path, column="value")
         assert info.value.row == 3
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_is_located(self, tmp_path, cell):
+        path = tmp_path / "series.csv"
+        path.write_text(f"t,value\n0,1.0\n1,2.0\n2,{cell}\n3,4.0\n")
+        with pytest.raises(CsvLoadError, match="row 4") as info:
+            load_csv(path, column="value")
+        assert (info.value.row, info.value.col) == (4, 1)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CsvLoadError, match="cannot read"):
@@ -228,4 +277,4 @@ class TestCsv:
         values = seeded_rng(13).uniform(-2.0, 2.0, 25)
         path = tmp_path / "series.csv"
         save_series_csv(path, values)
-        np.testing.assert_array_equal(load_csv(path, column="value").values, values)
+        np.testing.assert_array_equal(load_csv(path, column="value"), values)

@@ -129,12 +129,12 @@ class TestRun:
 class TestUpdate:
     def test_zero_weights_give_zero_state(self):
         model = EsnModel(w_in=np.zeros((5, 2)), w_res=np.zeros((5, 5)))
-        np.testing.assert_array_equal(model.update([3.7]), np.zeros(5))
+        np.testing.assert_array_equal(model.run([[3.7]])[:, 0], np.zeros(5))
 
     def test_scalar_tanh_value(self):
         # independently tabulated tanh(0.5)
         model = EsnModel(w_in=np.array([[0.0, 1.0]]), w_res=np.array([[0.0]]))
-        out = model.update([0.5])
+        out = model.run([[0.5]])[:, 0]
         assert out[0] == pytest.approx(0.46211715726, abs=1e-11)
         assert out[0] == math.tanh(0.5)
 
@@ -144,20 +144,15 @@ class TestUpdate:
         model = small_model(seed=11)
         model.w_in[:] = 0.0
         model.state = seeded_rng(5).uniform(-1.0, 1.0, model.n_res)
-        norms = []
-        for _ in range(200):
-            model.update([0.0])
-            norms.append(float(np.linalg.norm(model.state)))
+        norms = list(np.linalg.norm(model.run(np.zeros((200, 1))), axis=0))
         assert norms[-1] < 1e-4
         tail = norms[150:]
         assert all(b <= a + 1e-15 for a, b in zip(tail, tail[1:]))
 
     def test_state_stays_strictly_inside_unit_box(self):
         model = small_model(seed=21)
-        rng = seeded_rng(22)
-        for _ in range(100):
-            state = model.update(rng.uniform(-5.0, 5.0, 1))
-            assert np.all(np.abs(state) < 1.0)
+        states = model.run(seeded_rng(22).uniform(-5.0, 5.0, (100, 1)))
+        assert np.all(np.abs(states) < 1.0)
 
     def test_fading_memory(self):
         # same weights, different initial states, same 500-step drive
@@ -166,40 +161,37 @@ class TestUpdate:
         init = seeded_rng(32)
         a.state = init.uniform(-1.0, 1.0, 40)
         b.state = init.uniform(-1.0, 1.0, 40)
-        drive = seeded_rng(33).uniform(0.0, 1.0, 500)
-        for value in drive:
-            a.update([value])
-            b.update([value])
+        drive = seeded_rng(33).uniform(0.0, 1.0, (500, 1))
+        a.run(drive)
+        b.run(drive)
         assert np.linalg.norm(a.state - b.state) < 1e-6
 
     def test_trajectory_determinism(self):
-        drive = seeded_rng(40).uniform(0.0, 1.0, 50)
+        drive = seeded_rng(40).uniform(0.0, 1.0, (50, 1))
         a = small_model(seed=41)
         b = small_model(seed=41)
-        for value in drive:
-            np.testing.assert_array_equal(a.update([value]), b.update([value]))
+        np.testing.assert_array_equal(a.run(drive), b.run(drive))
 
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionError):
-            small_model().update([0.1, 0.2])
+            small_model().run([[0.1, 0.2]])
 
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
-            small_model().update([np.inf])
+            small_model().run([[np.inf]])
 
 
 class TestReset:
     def test_reset_equals_fresh_model(self):
         model = small_model(seed=50)
         fresh = small_model(seed=50)
-        for value in (0.3, 0.7, 0.1):
-            model.update([value])
+        model.run([[0.3], [0.7], [0.1]])
         model.reset(seeded_rng(0))
-        np.testing.assert_array_equal(model.update([0.5]), fresh.update([0.5]))
+        np.testing.assert_array_equal(model.run([[0.5]]), fresh.run([[0.5]]))
 
     def test_reset_idempotent(self):
         model = small_model(seed=51)
-        model.update([0.4])
+        model.run([[0.4]])
         model.reset(seeded_rng(0))
         after_once = model.state.copy()
         model.reset(seeded_rng(1))
@@ -207,6 +199,6 @@ class TestReset:
 
     def test_reset_zeroes_state(self):
         model = small_model(seed=52)
-        model.update([0.9])
+        model.run([[0.9]])
         model.reset(seeded_rng(0))
         assert np.linalg.norm(model.state) == 0.0

@@ -159,13 +159,13 @@ class TestUpdate:
                           w_minus_res=base.w_minus_res,
                           rates_in=base.rates_in, rates_res=base.rates_res,
                           state=base.state)
-        out = model.update(seeded_rng(3).uniform(0.0, 1.0, model.n_in))
+        out = model.run(seeded_rng(3).uniform(0.0, 1.0, (1, model.n_in)))[:, 0]
         np.testing.assert_array_equal(out, 0.0)
 
     def test_scalar_hand_value(self):
         # (1.0 * 0.2 + 0.5 * 0.1) / (1 + 1.0 * 0.1 + 0) = 0.25 / 1.1
         model = scalar_model(state=0.5)
-        out = model.update([1.0])
+        out = model.run([[1.0]])[:, 0]
         assert out[0] == pytest.approx(0.25 / 1.1, abs=1e-15)
         assert out[0] == pytest.approx(0.22727272727272727, abs=1e-12)
 
@@ -177,7 +177,7 @@ class TestUpdate:
                           w_minus_res=np.zeros((2, 2)),
                           rates_in=[1.0], rates_res=[1.0, 1.0],
                           state=[1.0, 0.0])
-        out = model.update([0.7])
+        out = model.run([[0.7]])[:, 0]
         np.testing.assert_allclose(out, [0.0, 0.5], atol=1e-15)
 
     def test_permutation_equivariance(self):
@@ -191,18 +191,16 @@ class TestUpdate:
                              rates_in=model.rates_in,
                              rates_res=model.rates_res[perm],
                              state=model.state[perm])
-        a = rng.uniform(0.0, 1.0, 2)
-        out = model.update(a)
-        out_permuted = permuted.update(a)
+        a = rng.uniform(0.0, 1.0, (1, 2))
+        out = model.run(a)[:, 0]
+        out_permuted = permuted.run(a)[:, 0]
         np.testing.assert_allclose(out_permuted, out[perm], atol=1e-15)
 
     def test_nonnegative_and_finite(self):
         model = random_model(seed=13)
-        rng = seeded_rng(14)
-        for _ in range(50):
-            state = model.update(rng.uniform(0.0, 1.0, model.n_in))
-            assert np.all(state >= 0.0)
-            assert np.all(np.isfinite(state))
+        states = model.run(seeded_rng(14).uniform(0.0, 1.0, (50, model.n_in)))
+        assert np.all(states >= 0.0)
+        assert np.all(np.isfinite(states))
 
     def test_linear_regime_decay_and_growth(self):
         # with zero input and no inhibition the update is the linear map
@@ -216,8 +214,7 @@ class TestUpdate:
             model = EsqnModel(w_plus_in=np.zeros((3, 1)), w_minus_in=np.zeros((3, 1)),
                               w_plus_res=w_plus, w_minus_res=np.zeros((3, 3)),
                               rates_in=[1.0], rates_res=np.ones(3), state=start)
-            for _ in range(60):
-                model.update([0.0])
+            model.run(np.zeros((60, 1)))
             norm = np.linalg.norm(model.state)
             if grows:
                 assert norm > 10.0 * np.linalg.norm(start)
@@ -232,7 +229,7 @@ class TestUpdate:
         a = seeded_rng(17).uniform(0.1, 1.0, 3)
         for _ in range(20_000):
             previous = model.state.copy()
-            model.update(a)
+            model.run(a[None])
             if np.max(np.abs(model.state - previous)) < 1e-15:
                 break
         x = a / model.rates_in
@@ -249,24 +246,24 @@ class TestUpdate:
                           w_plus_res=[[0.0]], w_minus_res=[[0.0]],
                           rates_in=[1.0], rates_res=[1.0], state=[0.0])
         assert model.overload_steps == 0
-        model.update([1.0])  # load jumps to 5.0
+        model.run([[1.0]])  # load jumps to 5.0
         assert model.overload_steps == 1
-        model.update([0.0])
+        model.run([[0.0]])
         assert model.overload_steps == 1
 
     def test_negative_input_rejected(self):
         with pytest.raises(DomainError):
-            random_model().update([-0.1, 0.2, 0.3])
+            random_model().run([[-0.1, 0.2, 0.3]])
 
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionError):
-            random_model().update([0.1])
+            random_model().run([[0.1]])
 
 
 class TestReset:
     def test_zero_state_leaves_input_terms_only(self):
         model = scalar_model(state=0.0)
-        out = model.update([1.0])
+        out = model.run([[1.0]])[:, 0]
         assert out[0] == pytest.approx(0.2 / 1.1, abs=1e-15)
 
     def test_same_seed_same_reset(self):

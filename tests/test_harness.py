@@ -138,6 +138,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(dataset="csv")  # csv_path missing
 
+    @pytest.mark.parametrize("overrides", [
+        {"lag_offsets": (0, 1.5)},
+        {"lag_offsets": (0, -1)},
+        {"lag_offsets": ()},
+        {"horizon": 0},
+    ])
+    def test_bad_lags_and_horizon_rejected(self, overrides):
+        with pytest.raises(ValueError, match=next(iter(overrides))):
+            ExperimentConfig(**overrides)
+
+    def test_integral_offsets_normalised(self):
+        assert ExperimentConfig(lag_offsets=(0, 6.0, 7)).lag_offsets == (0, 6, 7)
+
 
 class TestPrepareData:
     def test_narma_reference_sizes(self):

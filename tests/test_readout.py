@@ -54,7 +54,7 @@ class TestCollectStates:
         twin = esqn(seed=1)
         out = collect_states(model, np.array([[0.4]]), washout=0)
         assert out.shape == (1 + 1 + 5, 1)
-        expected_state = twin.update([0.4])
+        expected_state = twin.run([[0.4]])[:, 0]
         np.testing.assert_array_equal(out[:, 0],
                                       np.concatenate(([1.0], [0.4], expected_state)))
 
@@ -116,8 +116,8 @@ class TestFitReadout:
         regressors = rng.normal(size=(4, 30))
         true_w = rng.normal(size=(2, 4))
         targets = true_w @ regressors
-        readout = fit_readout(regressors, targets, 0.0)
-        predictions = readout.predict_matrix(regressors)
+        w_out = fit_readout(regressors, targets, 0.0)
+        predictions = w_out @ regressors
         assert nmse(targets.T, predictions.T) < 1e-16
 
     def test_huge_penalty_collapses_to_mean_ratio(self):
@@ -128,14 +128,14 @@ class TestFitReadout:
         regressors = np.vstack([np.ones(5), rng.normal(size=(3, 5))])
         targets = np.array([[1.0, 2.0, 3.0, 4.0, 5.0]])
         lam = 1e6
-        readout = fit_readout(regressors, targets, lam)
+        w_out = fit_readout(regressors, targets, lam)
         # independent normal-equations oracle
         oracle = np.linalg.solve(
             regressors @ regressors.T + lam * np.eye(4),
             (targets @ regressors.T).T).T
-        np.testing.assert_allclose(readout.w_out, oracle, rtol=1e-10)
-        assert np.max(np.abs(readout.predict_matrix(regressors))) < 1e-3
-        assert nmse(targets.T, readout.predict_matrix(regressors).T) == \
+        np.testing.assert_allclose(w_out, oracle, rtol=1e-10)
+        assert np.max(np.abs(w_out @ regressors)) < 1e-3
+        assert nmse(targets.T, (w_out @ regressors).T) == \
             pytest.approx(5.5, rel=1e-2)
 
     def test_two_outputs_equal_stacked_single_fits(self):
@@ -145,16 +145,14 @@ class TestFitReadout:
         joint = fit_readout(regressors, targets, 0.01)
         row0 = fit_readout(regressors, targets[:1], 0.01)
         row1 = fit_readout(regressors, targets[1:], 0.01)
-        np.testing.assert_allclose(joint.w_out,
-                                   np.vstack([row0.w_out, row1.w_out]), atol=1e-12)
+        np.testing.assert_allclose(joint, np.vstack([row0, row1]), atol=1e-12)
 
     def test_training_reproduction_full_rank(self):
         rng = seeded_rng(13)
         regressors = rng.normal(size=(8, 8))
         targets = rng.normal(size=(1, 8))
-        readout = fit_readout(regressors, targets, 0.0)
-        np.testing.assert_allclose(readout.predict_matrix(regressors), targets,
-                                   atol=1e-6)
+        w_out = fit_readout(regressors, targets, 0.0)
+        np.testing.assert_allclose(w_out @ regressors, targets, atol=1e-6)
 
 
 class TestSelectPenalty:
