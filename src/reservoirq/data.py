@@ -45,8 +45,7 @@ class Rescaler:
     """Affine map sending a reference segment's min to 0 and max to 1.
 
     Values outside the reference range map outside [0, 1] and are clipped;
-    ``clip_count`` accumulates how many points were clipped. invert is the
-    exact inverse on unclipped values.
+    ``clip_count`` accumulates how many points were clipped.
     """
 
     lo: float
@@ -66,9 +65,6 @@ class Rescaler:
         clipped = int(np.count_nonzero((y < 0.0) | (y > 1.0)))
         self.clip_count += clipped
         return np.clip(y, 0.0, 1.0)
-
-    def invert(self, values):
-        return self.lo + np.asarray(values, dtype=float) * (self.hi - self.lo)
 
 
 def narma10_response(drive):

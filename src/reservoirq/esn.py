@@ -45,7 +45,7 @@ class EsnModel:
 
     @classmethod
     def random(cls, n_in, n_res, density, target_rho, rng,
-               weight_lo=-0.5, weight_hi=0.5, bias_fixed_to_one=False):
+               weight_lo=-0.5, weight_hi=0.5):
         """Sample a reservoir at the given density and spectral radius.
 
         Exactly round(density * n_res^2) entries of w_res are nonzero,
@@ -53,10 +53,6 @@ class EsnModel:
         [weight_lo, weight_hi] and then rescaled so the spectral radius
         equals target_rho. Draws that land on a nilpotent support (radius
         zero, possible at tiny densities) are resampled a few times.
-
-        With bias_fixed_to_one the bias column of w_in is pinned to 1
-        instead of drawn, which reads the constant input as having unit
-        weights.
         """
         if n_res < 1 or n_in < 0:
             raise ValueError("n_res must be >= 1 and n_in >= 0")
@@ -81,8 +77,6 @@ class EsnModel:
                 f"sampled reservoir had zero spectral radius {RESAMPLE_ATTEMPTS} times")
         w_res *= target_rho / rho
         w_in = rng.uniform(weight_lo, weight_hi, (n_res, 1 + n_in))
-        if bias_fixed_to_one:
-            w_in[:, 0] = 1.0
         return cls(w_in=w_in, w_res=w_res)
 
     def run(self, inputs, out=None):
@@ -103,11 +97,3 @@ class EsnModel:
             out[:, t] = state
         self.state = state
         return out
-
-    def reset(self, rng):
-        """Return to the rest state, zero; weights are untouched.
-
-        ``rng`` is unused: it keeps one ``reset(rng)`` signature across
-        both reservoir kinds, and an ESN's rest state is not random.
-        """
-        self.state = np.zeros(self.n_res)

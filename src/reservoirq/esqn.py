@@ -76,16 +76,13 @@ class EsqnModel:
         return self.w_plus_in.shape[1]
 
     @classmethod
-    def random(cls, n_in, n_res, rng, weight_lo=0.0, weight_hi=0.2,
-               density=1.0, rate=1.0):
+    def random(cls, n_in, n_res, rng, weight_lo=0.0, weight_hi=0.2, rate=1.0):
         """Draw all four weight blocks uniformly from [weight_lo, weight_hi].
 
         The initial load vector is uniform on [0, 1] and every firing rate
         is ``rate``. Blocks are drawn in a fixed order (excitatory input,
         inhibitory input, excitatory recurrent, inhibitory recurrent, then
-        state) so a seed pins the model. ``density`` < 1 keeps only that
-        fraction of each recurrent block, chosen uniformly; the reference
-        configuration is dense.
+        state) so a seed pins the model.
         """
         if n_in < 1 or n_res < 1:
             raise ValueError("n_in and n_res must be >= 1")
@@ -93,21 +90,12 @@ class EsqnModel:
             raise ValueError("weight_lo must be nonnegative (weights are rates)")
         if weight_lo > weight_hi:
             raise ValueError(f"empty interval: weight_lo={weight_lo} > weight_hi={weight_hi}")
-        if not 0.0 < density <= 1.0:
-            raise ValueError("density must lie in (0, 1]")
         if rate <= 0:
             raise ValueError("rate must be positive")
         w_plus_in = rng.uniform(weight_lo, weight_hi, (n_res, n_in))
         w_minus_in = rng.uniform(weight_lo, weight_hi, (n_res, n_in))
         w_plus_res = rng.uniform(weight_lo, weight_hi, (n_res, n_res))
         w_minus_res = rng.uniform(weight_lo, weight_hi, (n_res, n_res))
-        if density < 1.0:
-            nnz = max(1, round(density * n_res * n_res))
-            for block in (w_plus_res, w_minus_res):
-                keep = rng.choice(n_res * n_res, size=nnz, replace=False)
-                mask = np.zeros(n_res * n_res)
-                mask[keep] = 1.0
-                block *= mask.reshape(n_res, n_res)
         state = rng.uniform(0.0, 1.0, n_res)
         return cls(w_plus_in=w_plus_in, w_minus_in=w_minus_in,
                    w_plus_res=w_plus_res, w_minus_res=w_minus_res,
@@ -142,7 +130,3 @@ class EsqnModel:
         self.state = state
         self.overload_steps += int(np.count_nonzero((out > 1.0).any(axis=0)))
         return out
-
-    def reset(self, rng):
-        """Redraw the load vector uniformly on [0, 1]; weights are untouched."""
-        self.state = rng.uniform(0.0, 1.0, self.n_res)

@@ -36,6 +36,8 @@ AUTO_WASHOUT = 100
 NARMA_DEFAULT_OFFSETS = tuple(range(10))
 NARMA_TRAIN_SIZE = 1990
 NARMA_VALIDATION_SIZE = 390
+# A csv config without train_size trains on this share of the rows.
+CSV_TRAIN_FRACTION = 2 / 3
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,6 @@ class ExperimentConfig:
     horizon: int = 1
     train_size: int | None = None
     validation_size: int | None = None
-    train_fraction: float | None = None
     model: str = "esqn"               # "esn" | "esqn"
     reservoir_size: int = 80
     trials: int = 20
@@ -61,18 +62,12 @@ class ExperimentConfig:
     spectral_radius: float = 0.95
     esn_weight_lo: float = -0.5
     esn_weight_hi: float = 0.5
-    bias_weights_fixed_to_one: bool = False
     # ESQN knobs
     weight_lo: float = 0.0
     weight_hi: float = 0.2
-    esqn_density: float = 1.0
     firing_rate: float = 1.0
     # Readout / evaluation
     lambda_grid: tuple[float, ...] = LAMBDA_GRID
-    readout_inputs: bool = True
-    reset_state_before_validation: bool = False
-    rescale_on_full_series: bool = False
-    nmse_on_original_units: bool = False
 
     def __post_init__(self):
         if self.dataset not in ("narma", "csv"):
@@ -86,15 +81,22 @@ class ExperimentConfig:
         if self.reservoir_size < 1:
             raise ValueError("reservoir_size must be >= 1")
         if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         offsets = tuple(int(o) for o in self.lag_offsets)
         if not offsets or offsets != tuple(self.lag_offsets) or min(offsets) < 0:
             raise ValueError(
                 "lag_offsets must be a non-empty tuple of nonnegative integers, "
                 f"got {self.lag_offsets}")
         object.__setattr__(self, "lag_offsets", offsets)
-        object.__setattr__(self, "lambda_grid",
-                           tuple(float(l) for l in self.lambda_grid))
+        for key in ("train_size", "validation_size"):
+            size = getattr(self, key)
+            if size is not None and size < 1:
+                raise ValueError(f"{key} must be >= 1, got {size}")
+        grid = tuple(float(l) for l in self.lambda_grid)
+        if not grid or not all(np.isfinite(l) and l >= 0 for l in grid):
+            raise ValueError("lambda_grid must be a non-empty tuple of finite "
+                             f"nonnegative penalties, got {self.lambda_grid}")
+        object.__setattr__(self, "lambda_grid", grid)
         if not self.name:
             default = "narma" if self.dataset == "narma" else \
                 os.path.splitext(os.path.basename(self.csv_path))[0]
@@ -108,7 +110,10 @@ class ExperimentConfig:
         for key, raw in mapping.items():
             if key not in fields:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = _parse_value(fields[key], raw)
+            try:
+                kwargs[key] = _parse_value(fields[key], raw)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from exc
         return cls(**kwargs)
 
     @classmethod
@@ -140,19 +145,13 @@ class ExperimentConfig:
 def _parse_value(field, raw):
     """Cast a config-file string to the field's annotated type.
 
-    Booleans take true/1/yes or false/0/no; ``tuple[T, ...]`` fields take
-    comma-separated T values; a union tries its types in order, so
-    ``int | str`` keeps a non-numeric string and ``int | None`` reads an int.
+    ``tuple[T, ...]`` fields take comma-separated T values; a union tries
+    its types in order, so ``int | str`` keeps a non-numeric string and
+    ``int | None`` reads an int.
     """
     if not isinstance(raw, str):
         return raw
     raw = raw.strip()
-    if field.type is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"config key {field.name!r}: expected a boolean, got {raw!r}")
     if typing.get_origin(field.type) is tuple:
         cast = typing.get_args(field.type)[0]
         return tuple(cast(part.strip()) for part in raw.split(",") if part.strip())
@@ -169,7 +168,6 @@ def _parse_value(field, raw):
 class PreparedData:
     train: datamod.SupervisedDataset
     validation: datamod.SupervisedDataset
-    target_rescaler: datamod.Rescaler | None
 
 
 @dataclass(frozen=True)
@@ -191,31 +189,24 @@ def prepare_data(config):
         s, b_next = datamod.generate_narma10(
             total, substream_rng(config.seed, DATA_STREAM))
         # training rows touch s and b indices below max_off + train_size
-        fit_end = len(s) if config.rescale_on_full_series else max_off + train_size
-        in_scaler = datamod.Rescaler.fit(s[:fit_end])
-        scaler = datamod.Rescaler.fit(b_next[:fit_end])
-        inputs, targets = in_scaler.apply(s), scaler.apply(b_next)
+        fit_end = max_off + train_size
+        inputs = datamod.Rescaler.fit(s[:fit_end]).apply(s)
+        targets = datamod.Rescaler.fit(b_next[:fit_end]).apply(b_next)
     else:
         series = datamod.load_csv(config.csv_path, config.csv_column)
         h = config.horizon
         n_rows = len(series) - max_off - h
         if n_rows < 2:
             raise ValueError("series too short for the requested lags and horizon")
-        if config.train_size is not None:
-            train_size = config.train_size
-        else:
-            fraction = config.train_fraction if config.train_fraction is not None else 2 / 3
-            train_size = round(fraction * n_rows)
+        train_size = round(CSV_TRAIN_FRACTION * n_rows) if config.train_size is None \
+            else config.train_size
         val_size = config.validation_size
         # training rows use series indices up to max_off + train_size - 1 + h
-        fit_end = len(series) if config.rescale_on_full_series \
-            else max_off + train_size + h
-        scaler = datamod.Rescaler.fit(series[:fit_end])
-        scaled = scaler.apply(series)
+        scaled = datamod.Rescaler.fit(series[:max_off + train_size + h]).apply(series)
         inputs, targets = scaled[:-h], scaled[h:]
     dataset = datamod.lag_paired_series(inputs, targets, config.lag_offsets)
     train, val = datamod.split_dataset(dataset, train_size, val_size)
-    return PreparedData(train=train, validation=val, target_rescaler=scaler)
+    return PreparedData(train=train, validation=val)
 
 
 def resolve_washout(config, train_rows):
@@ -233,12 +224,11 @@ def build_model(config, n_in, rng):
         return EsnModel.random(
             n_in, config.reservoir_size, density=config.density,
             target_rho=config.spectral_radius, rng=rng,
-            weight_lo=config.esn_weight_lo, weight_hi=config.esn_weight_hi,
-            bias_fixed_to_one=config.bias_weights_fixed_to_one)
+            weight_lo=config.esn_weight_lo, weight_hi=config.esn_weight_hi)
     return EsqnModel.random(
         n_in, config.reservoir_size, rng=rng,
         weight_lo=config.weight_lo, weight_hi=config.weight_hi,
-        density=config.esqn_density, rate=config.firing_rate)
+        rate=config.firing_rate)
 
 
 def run_trial(config, prepared, washout, trial_index):
@@ -254,29 +244,20 @@ def run_trial(config, prepared, washout, trial_index):
     rng = np.random.default_rng(trial_seed)
     model = build_model(config, prepared.train.inputs.shape[1], rng)
 
-    regressors = collect_states(model, prepared.train.inputs, washout,
-                                include_inputs=config.readout_inputs)
+    regressors = collect_states(model, prepared.train.inputs, washout)
     if not np.all(np.isfinite(regressors)):
         raise FloatingPointError(f"trial {trial_index}: non-finite training state")
     targets = prepared.train.targets[washout:].T
     lam, _ = select_penalty(regressors, targets, grid=config.lambda_grid)
     w_out = fit_readout(regressors, targets, lam)
 
-    if config.reset_state_before_validation:
-        model.reset(rng)
-
-    val_regressors = collect_states(model, prepared.validation.inputs, 0,
-                                    include_inputs=config.readout_inputs)
+    val_regressors = collect_states(model, prepared.validation.inputs, 0)
     predictions = (w_out @ val_regressors).T
     if not (np.all(np.isfinite(val_regressors)) and np.all(np.isfinite(predictions))):
         raise FloatingPointError(f"trial {trial_index}: non-finite state or prediction")
 
     val_targets = prepared.validation.targets
-    if config.nmse_on_original_units:
-        scaler = prepared.target_rescaler
-        score = nmse(scaler.invert(val_targets), scaler.invert(predictions))
-    else:
-        score = nmse(val_targets, predictions)
+    score = nmse(val_targets, predictions)
 
     result = TrialResult(series=config.name, model=config.model,
                          trial=trial_index, seed=trial_seed, nmse=score,

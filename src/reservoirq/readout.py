@@ -3,8 +3,7 @@
 The readout is the only trained object: a single weight matrix w_out
 that maps the concatenated regressor [1; a(t); x(t)] (bias, current
 input, reservoir state) to the outputs, y = w_out z, fitted offline by
-ridge regression. Direct input-to-readout terms can be dropped, in which
-case the regressor is just [1; x(t)].
+ridge regression.
 """
 
 import numpy as np
@@ -19,7 +18,7 @@ LAMBDA_GRID = tuple(10.0 ** k for k in range(-8, 0))
 HOLDOUT_FRACTION = 0.2
 
 
-def collect_states(model, inputs, washout, include_inputs=True):
+def collect_states(model, inputs, washout):
     """Drive a reservoir through K inputs and stack regressors columnwise.
 
     The model runs in place through all K rows in order; regressors
@@ -35,11 +34,10 @@ def collect_states(model, inputs, washout, include_inputs=True):
     if not 0 <= washout < k:
         raise ValueError(f"washout must lie in [0, K), got {washout} with K={k}")
     recorded = inputs[washout:]
-    lead = 1 + inputs.shape[1] if include_inputs else 1
+    lead = 1 + inputs.shape[1]
     out = np.empty((lead + model.n_res, k - washout))
     out[0] = 1.0
-    if include_inputs:
-        out[1:lead] = recorded.T
+    out[1:lead] = recorded.T
     model.run(inputs[:washout])
     model.run(recorded, out=out[lead:])
     return out

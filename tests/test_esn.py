@@ -60,11 +60,6 @@ class TestInit:
     def test_state_starts_at_zero(self):
         assert np.linalg.norm(small_model().state) == 0.0
 
-    def test_bias_weights_fixed_to_one(self):
-        model = EsnModel.random(2, 10, density=0.5, target_rho=0.9,
-                                rng=seeded_rng(4), bias_fixed_to_one=True)
-        np.testing.assert_array_equal(model.w_in[:, 0], 1.0)
-
     def test_too_small_density_rejected(self):
         with pytest.raises(ValueError):
             EsnModel.random(1, 2, density=0.05, target_rho=0.9, rng=seeded_rng(0))
@@ -180,25 +175,3 @@ class TestUpdate:
         with pytest.raises(DomainError):
             small_model().run([[np.inf]])
 
-
-class TestReset:
-    def test_reset_equals_fresh_model(self):
-        model = small_model(seed=50)
-        fresh = small_model(seed=50)
-        model.run([[0.3], [0.7], [0.1]])
-        model.reset(seeded_rng(0))
-        np.testing.assert_array_equal(model.run([[0.5]]), fresh.run([[0.5]]))
-
-    def test_reset_idempotent(self):
-        model = small_model(seed=51)
-        model.run([[0.4]])
-        model.reset(seeded_rng(0))
-        after_once = model.state.copy()
-        model.reset(seeded_rng(1))
-        np.testing.assert_array_equal(model.state, after_once)
-
-    def test_reset_zeroes_state(self):
-        model = small_model(seed=52)
-        model.run([[0.9]])
-        model.reset(seeded_rng(0))
-        assert np.linalg.norm(model.state) == 0.0

@@ -52,14 +52,6 @@ class TestInit:
         with pytest.raises(ValueError):
             random_model(weight_lo=0.3, weight_hi=0.1)
 
-    def test_recurrent_density_masks_only_recurrences(self):
-        model = random_model(seed=5, n_res=20, density=0.25)
-        expected = round(0.25 * 20 * 20)
-        assert np.count_nonzero(model.w_plus_res) == expected
-        assert np.count_nonzero(model.w_minus_res) == expected
-        # input blocks stay dense
-        assert np.count_nonzero(model.w_plus_in) == model.n_res * model.n_in
-
 
     def test_non_finite_state_rejected(self):
         for bad in (np.nan, np.inf):
@@ -169,6 +161,11 @@ class TestUpdate:
         assert out[0] == pytest.approx(0.25 / 1.1, abs=1e-15)
         assert out[0] == pytest.approx(0.22727272727272727, abs=1e-12)
 
+    def test_zero_state_leaves_input_terms_only(self):
+        model = scalar_model(state=0.0)
+        out = model.run([[1.0]])[:, 0]
+        assert out[0] == pytest.approx(0.2 / 1.1, abs=1e-15)
+
     def test_update_reads_previous_state_only(self):
         # two disconnected-from-input units chained u0 -> u1: after one
         # step from (1, 0), u1 must see the old u0 load, not the new one
@@ -259,21 +256,3 @@ class TestUpdate:
         with pytest.raises(DimensionError):
             random_model().run([[0.1]])
 
-
-class TestReset:
-    def test_zero_state_leaves_input_terms_only(self):
-        model = scalar_model(state=0.0)
-        out = model.run([[1.0]])[:, 0]
-        assert out[0] == pytest.approx(0.2 / 1.1, abs=1e-15)
-
-    def test_same_seed_same_reset(self):
-        a, b = random_model(seed=21), random_model(seed=21)
-        a.reset(seeded_rng(5))
-        b.reset(seeded_rng(5))
-        np.testing.assert_array_equal(a.state, b.state)
-
-    def test_reset_keeps_weights(self):
-        model = random_model(seed=22)
-        weights_before = model.w_plus_res.copy()
-        model.reset(seeded_rng(1))
-        np.testing.assert_array_equal(model.w_plus_res, weights_before)

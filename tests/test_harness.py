@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -34,7 +35,6 @@ FIELD_CASES = [
     ("horizon = 2", "horizon", 2),
     ("train_size = 47", "train_size", 47),
     ("validation_size = 15", "validation_size", 15),
-    ("train_fraction = 0.75", "train_fraction", 0.75),
     ("model = esn", "model", "esn"),
     ("reservoir_size = 40", "reservoir_size", 40),
     ("trials = 3", "trials", 3),
@@ -45,18 +45,17 @@ FIELD_CASES = [
     ("spectral_radius = 0.9", "spectral_radius", 0.9),
     ("esn_weight_lo = -1", "esn_weight_lo", -1.0),
     ("esn_weight_hi = 1.5", "esn_weight_hi", 1.5),
-    ("bias_weights_fixed_to_one = yes", "bias_weights_fixed_to_one", True),
     ("weight_lo = 0.05", "weight_lo", 0.05),
     ("weight_hi = 0.4", "weight_hi", 0.4),
-    ("esqn_density = 0.5", "esqn_density", 0.5),
     ("firing_rate = 2", "firing_rate", 2.0),
     ("lambda_grid = 1e-6, 0.001,1", "lambda_grid", (1e-6, 1e-3, 1.0)),
-    ("readout_inputs = false", "readout_inputs", False),
-    ("reset_state_before_validation = True", "reset_state_before_validation", True),
-    ("rescale_on_full_series = 1", "rescale_on_full_series", True),
-    ("nmse_on_original_units = no", "nmse_on_original_units", False),
-    ("nmse_on_original_units = 0", "nmse_on_original_units", False),
 ]
+
+# Keys of evaluation switches that earlier versions accepted; a config that
+# sets one must fail rather than run a protocol other than the one it names.
+REMOVED_KEYS = ["train_fraction", "bias_weights_fixed_to_one", "esqn_density",
+                "readout_inputs", "reset_state_before_validation",
+                "rescale_on_full_series", "nmse_on_original_units"]
 
 
 class TestConfig:
@@ -75,10 +74,11 @@ class TestConfig:
         assert config.train_size == 47 and config.validation_size == 15
         assert os.path.isabs(config.csv_path) and os.path.exists(config.csv_path)
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["wibble", *REMOVED_KEYS])
+    def test_unknown_key_rejected(self, tmp_path, key):
         path = tmp_path / "bad.cfg"
-        path.write_text("dataset = narma\nwibble = 3\n")
-        with pytest.raises(ValueError, match="wibble"):
+        path.write_text(f"dataset = narma\n{key} = 1\n")
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
             ExperimentConfig.from_file(path)
 
     def test_duplicate_key_rejected(self, tmp_path):
@@ -91,13 +91,11 @@ class TestConfig:
         path = tmp_path / "ok.cfg"
         path.write_text(
             "dataset = narma\ntrials = 3\nweight_hi = 0.4\n"
-            "lag_offsets = 0, 2, 5\nreset_state_before_validation = true\n"
-            "# a comment\n\n")
+            "lag_offsets = 0, 2, 5\n# a comment\n\n")
         config = ExperimentConfig.from_file(path)
         assert config.trials == 3
         assert config.weight_hi == 0.4
         assert config.lag_offsets == (0, 2, 5)
-        assert config.reset_state_before_validation is True
 
     @pytest.mark.parametrize("text, key, expected", FIELD_CASES,
                              ids=[text.splitlines()[0].replace(" ", "")
@@ -115,8 +113,20 @@ class TestConfig:
         assert {key for _, key, _ in FIELD_CASES} == \
             {f.name for f in dataclasses.fields(ExperimentConfig)}
 
+    def test_readme_config_table_lists_every_field(self, fixture_root):
+        # the first column of each row of the README's "Config files"
+        # table names one or more keys in backticks
+        with open(os.path.join(os.path.dirname(fixture_root), "README.md")) as fh:
+            section = fh.read().split("## Config files", 1)[1].split("\n## ", 1)[0]
+        keys = {key for line in section.splitlines() if line.startswith("| `")
+                for key in re.findall(r"`([^`]+)`", line.split("|")[1])}
+        assert keys == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
     @pytest.mark.parametrize("line, match", [
-        ("readout_inputs = maybe", "readout_inputs.*expected a boolean"),
+        ("lambda_grid = 1e-3, small", "lambda_grid.*float"),
+        ("lambda_grid = nan", "lambda_grid.*nan"),
+        ("lambda_grid =", r"lambda_grid.*got \(\)"),
+        ("train_size = 0", "train_size.*0"),
         ("trials = 2.5", "int"),
         ("washout = none", "int"),
         ("density = dense", "float"),
@@ -143,10 +153,18 @@ class TestConfig:
         {"lag_offsets": (0, -1)},
         {"lag_offsets": ()},
         {"horizon": 0},
+        {"train_size": 0},
+        {"validation_size": -3},
+        {"lambda_grid": ()},
+        {"lambda_grid": (1e-3, -1e-2)},
+        {"lambda_grid": (float("nan"),)},
+        {"lambda_grid": (1e-3, float("inf"))},
     ])
     def test_bad_lags_and_horizon_rejected(self, overrides):
-        with pytest.raises(ValueError, match=next(iter(overrides))):
+        (key, value), = overrides.items()
+        with pytest.raises(ValueError, match=key) as info:
             ExperimentConfig(**overrides)
+        assert str(value) in str(info.value)
 
     def test_integral_offsets_normalised(self):
         assert ExperimentConfig(lag_offsets=(0, 6.0, 7)).lag_offsets == (0, 6, 7)
@@ -215,20 +233,6 @@ class TestRunExperiment:
         b = run_experiment(tiny_narma(seed=6))
         assert a.summary.mean_nmse != b.summary.mean_nmse
 
-    def test_reset_flag_changes_validation(self):
-        keep = run_experiment(tiny_narma())
-        reset = run_experiment(tiny_narma(reset_state_before_validation=True))
-        assert keep.summary.mean_nmse != reset.summary.mean_nmse
-
-    def test_original_units_flag_matches_when_nothing_clips(self):
-        # NMSE is invariant under the affine rescaling, so inverting the
-        # scale only matters for clipped points
-        scaled = run_experiment(tiny_narma(rescale_on_full_series=True))
-        original = run_experiment(tiny_narma(rescale_on_full_series=True,
-                                             nmse_on_original_units=True))
-        assert original.summary.mean_nmse == pytest.approx(
-            scaled.summary.mean_nmse, rel=1e-9)
-
     def test_failed_trials_are_excluded_and_counted(self, monkeypatch):
         real_run_trial = harness.run_trial
 
@@ -289,12 +293,6 @@ class TestRunExperiment:
         outcome = run_experiment(tiny_narma(model="esn", reservoir_size=20))
         assert outcome.summary.model == "esn"
         assert np.isfinite(outcome.summary.mean_nmse)
-
-    def test_readout_without_direct_input_terms(self):
-        with_inputs = run_experiment(tiny_narma())
-        without = run_experiment(tiny_narma(readout_inputs=False))
-        assert np.isfinite(without.summary.mean_nmse)
-        assert without.summary.mean_nmse != with_inputs.summary.mean_nmse
 
 
 class TestSweep:

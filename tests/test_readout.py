@@ -96,12 +96,6 @@ class TestCollectStates:
         tail = collect_states(esqn(seed=7), inputs, washout=5)
         np.testing.assert_array_equal(tail, full[:, 5:])
 
-    def test_without_input_terms(self):
-        inputs = seeded_rng(8).uniform(0.0, 1.0, (4, 1))
-        out = collect_states(esqn(seed=9), inputs, washout=0, include_inputs=False)
-        assert out.shape == (1 + 5, 4)
-        np.testing.assert_array_equal(out[0], 1.0)
-
     def test_washout_must_leave_rows(self):
         inputs = np.zeros((3, 1))
         with pytest.raises(ValueError):
