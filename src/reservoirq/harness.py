@@ -21,7 +21,7 @@ from .esn import EsnModel
 from .esqn import EsqnModel
 from .metrics import (Summary, TrialResult, nmse, results_csv, summarize,
                       summary_csv)
-from .numerics import substream_rng, substream_seed
+from .numerics import one_blas_thread, substream_rng, substream_seed
 from .readout import LAMBDA_GRID, collect_states, fit_readout, select_penalty
 
 # Substream tags under the master seed.
@@ -272,20 +272,25 @@ def run_experiment(config):
 
     Trials whose states or predictions go non-finite are excluded and
     counted in the summary's failure tally rather than aborting the run.
+    The run holds numpy's OpenBLAS to one thread (``one_blas_thread``),
+    which halves its CPU time and makes its bytes independent of the core
+    count; the pin is process-wide while the run lasts, and the old thread
+    count comes back when it ends.
     """
-    prepared = prepare_data(config)
-    washout = resolve_washout(config, prepared.train.n_rows)
-    results = []
-    trace = None
-    failures = 0
-    for i in range(config.trials):
-        try:
-            result, trial_trace = run_trial(config, prepared, washout, i)
-        except FloatingPointError:
-            failures += 1
-            continue
-        results.append(result)
-        trace = trial_trace
+    with one_blas_thread():
+        prepared = prepare_data(config)
+        washout = resolve_washout(config, prepared.train.n_rows)
+        results = []
+        trace = None
+        failures = 0
+        for i in range(config.trials):
+            try:
+                result, trial_trace = run_trial(config, prepared, washout, i)
+            except FloatingPointError:
+                failures += 1
+                continue
+            results.append(result)
+            trace = trial_trace
     if not results:
         raise ArithmeticError(f"all {config.trials} trials failed")
     summary = summarize(results, failures=failures)

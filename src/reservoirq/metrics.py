@@ -1,5 +1,6 @@
 """Forecast accuracy (NMSE) and multi-trial aggregation with 95% CIs."""
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -7,29 +8,46 @@ import numpy as np
 
 from .errors import DegenerateVarianceError, DimensionError
 
-# Two-sided 95% Student-t quantiles for 1..50 degrees of freedom, from
-# standard tables; larger dof falls back to the normal quantile.
-T_QUANTILES_975 = (
-    12.7062, 4.3027, 3.1824, 2.7764, 2.5706,
-    2.4469, 2.3646, 2.3060, 2.2622, 2.2281,
-    2.2010, 2.1788, 2.1604, 2.1448, 2.1314,
-    2.1199, 2.1098, 2.1009, 2.0930, 2.0860,
-    2.0796, 2.0739, 2.0687, 2.0639, 2.0595,
-    2.0555, 2.0518, 2.0484, 2.0452, 2.0423,
-    2.0395, 2.0369, 2.0345, 2.0322, 2.0301,
-    2.0281, 2.0262, 2.0244, 2.0227, 2.0211,
-    2.0195, 2.0181, 2.0167, 2.0154, 2.0141,
-    2.0129, 2.0117, 2.0106, 2.0096, 2.0086,
-)
-NORMAL_QUANTILE_975 = 1.959964
+
+def _t_central_mass(t, dof):
+    """P(|T| <= t) for Student's t with integer ``dof`` >= 1 and t >= 0.
+
+    The finite series of Abramowitz & Stegun 26.7.3 (odd dof) and 26.7.4
+    (even dof) in theta = atan(t / sqrt(dof)); both have dof // 2 terms,
+    each a fixed ratio times cos^2(theta) of the one before.
+    """
+    theta = math.atan(t / math.sqrt(dof))
+    cos2 = dof / (dof + t * t)
+    odd = dof % 2
+    term = math.sqrt(cos2) if odd else 1.0
+    total = 0.0
+    for k in range(1, dof // 2 + 1):
+        total += term
+        term *= cos2 * (2 * k - 1 + odd) / (2 * k + odd)
+    series = math.sin(theta) * total
+    return 2 / math.pi * (theta + series) if odd else series
 
 
 def t_quantile_975(dof):
+    """Two-sided 95% Student-t quantile t_{0.975, dof} for integer dof >= 1.
+
+    Solves P(|T| <= t) = 0.95 by Newton's method from t = 0. The central
+    mass is concave in t > 0, so the iterates rise monotonically to the
+    root; they stop when a step no longer moves them up, within rounding
+    of the exact quantile.
+    """
     if dof < 1:
         raise ValueError("degrees of freedom must be >= 1")
-    if dof <= len(T_QUANTILES_975):
-        return T_QUANTILES_975[dof - 1]
-    return NORMAL_QUANTILE_975
+    # log of the density at t = 0
+    log_peak = (math.lgamma((dof + 1) / 2) - math.lgamma(dof / 2)
+                - 0.5 * math.log(dof * math.pi))
+    t = 0.0
+    while True:
+        density = math.exp(log_peak - (dof + 1) / 2 * math.log1p(t * t / dof))
+        step = (0.95 - _t_central_mass(t, dof)) / (2 * density)
+        if t + step <= t:
+            return t
+        t += step
 
 
 def nmse(targets, predictions):

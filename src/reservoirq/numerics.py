@@ -1,4 +1,5 @@
-"""Seeded randomness, spectral radius, the ridge solver, input and state checks.
+"""Seeded randomness, spectral radius, the ridge solver, input and state
+checks, and the BLAS thread pin.
 
 All experiment randomness flows through numpy's PCG64 generator (a
 permuted-congruential generator with published constants and
@@ -6,7 +7,18 @@ platform-independent integer arithmetic), so a seed pins every weight
 draw bit-exactly. Independent substreams are derived from a master seed
 and an integer path, never by splitting one sequential stream, which
 keeps trial results independent of how many other trials run.
+
+OpenBLAS splits a product across its worker threads in a way that depends
+on the thread count, so the last bits of a trial's result would depend on
+the machine's core count. ``one_blas_thread`` runs a block on one OpenBLAS
+thread. The count is process-wide: while the block runs, BLAS calls from
+every thread of the process run on one thread.
 """
+
+import ctypes
+import functools
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -64,6 +76,45 @@ def initial_state(state, n_res):
     if not np.all(np.isfinite(state)):
         raise DomainError("state must be finite")
     return state
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """The (get, set) thread-count functions of the OpenBLAS bundled with
+    numpy, or None where numpy uses another BLAS (MKL, Accelerate, a
+    system build). numpy has already loaded the wheel's library, so this
+    opens the same copy and only looks up its symbols."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the old count.
+
+    Yields True when the count was pinned and False, changing nothing,
+    where numpy's OpenBLAS cannot be found. The count is restored also
+    when the block raises.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield False
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(before)
 
 
 def spectral_radius(m):

@@ -350,3 +350,32 @@ class TestRuntimeImports:
             capture_output=True, text=True, env=subprocess_env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+# Runs one NARMA ESN trial in a fresh interpreter and prints its results.csv.
+ONE_TRIAL_CHILD = textwrap.dedent("""
+    import dataclasses, sys
+    from reservoirq import ExperimentConfig, run_experiment
+    from reservoirq.metrics import results_csv
+
+    config = dataclasses.replace(ExperimentConfig.from_file(sys.argv[1]), trials=1)
+    print(results_csv(run_experiment(config).results), end="")
+""")
+
+
+class TestBlasThreads:
+    def test_results_independent_of_blas_thread_count(self, config_dir, subprocess_env):
+        # Unpinned, trial 0's NMSE moves in its last digits between 1 and 2
+        # OpenBLAS threads. On a 1-core host OpenBLAS caps the count at 1,
+        # so both children run alike and the test passes trivially there.
+        texts = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", ONE_TRIAL_CHILD,
+                 os.path.join(config_dir, "narma_esn.cfg")],
+                capture_output=True, text=True, timeout=120,
+                env=dict(subprocess_env, OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 0, proc.stderr
+            texts.append(proc.stdout)
+        assert len(texts[0].splitlines()) == 2  # header and trial 0
+        assert texts[0] == texts[1]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,18 +60,28 @@ class TestNmse:
 
 class TestTQuantiles:
     def test_table_spot_values(self):
-        assert t_quantile_975(1) == pytest.approx(12.7062)
-        assert t_quantile_975(19) == pytest.approx(2.0930)
-        assert t_quantile_975(50) == pytest.approx(2.0086)
+        # closed forms at 1 dof (Cauchy: tan(0.475 pi)) and 2 dof
+        # ((2p - 1) / sqrt(2 p (1 - p)) at p = 0.975), table values beyond
+        assert t_quantile_975(1) == pytest.approx(math.tan(0.475 * math.pi), rel=1e-14)
+        assert t_quantile_975(2) == pytest.approx(0.95 / math.sqrt(0.04875), rel=1e-14)
+        assert t_quantile_975(19) == pytest.approx(2.093024, abs=5e-7)
+        assert t_quantile_975(50) == pytest.approx(2.008559, abs=5e-7)
 
     def test_matches_scipy(self):
         stats = pytest.importorskip("scipy.stats")
-        for dof in (1, 2, 5, 19, 37, 50):
+        for dof in range(1, 1001):
             assert t_quantile_975(dof) == pytest.approx(
-                stats.t.ppf(0.975, dof), abs=5e-5)
+                stats.t.ppf(0.975, dof), rel=1e-9)
 
-    def test_large_dof_uses_normal(self):
-        assert t_quantile_975(200) == pytest.approx(1.959964)
+    def test_large_dof_exceeds_normal(self):
+        # a normal-quantile fallback (1.959964) made the interval 0.6% too
+        # narrow at 200 dof and 2.4% at 51
+        assert t_quantile_975(51) == pytest.approx(2.007584, abs=5e-7)
+        assert t_quantile_975(200) == pytest.approx(1.971896, abs=5e-7)
+
+    def test_zero_dof_rejected(self):
+        with pytest.raises(ValueError):
+            t_quantile_975(0)
 
 
 class TestSummarize:
@@ -81,10 +93,10 @@ class TestSummarize:
 
     def test_two_point_hand_value(self):
         # mean 1; the sample standard deviation of {0, 2} is sqrt(2), so
-        # the half-width is 12.7062 * sqrt(2) / sqrt(2) = 12.7062
+        # the half-width is t_{0.975, 1} * sqrt(2) / sqrt(2) = tan(0.475 pi)
         summary = summarize([trial(0.0, index=0), trial(2.0, index=1)])
         assert summary.mean_nmse == pytest.approx(1.0)
-        assert summary.ci_halfwidth == pytest.approx(12.7062, abs=1e-12)
+        assert summary.ci_halfwidth == pytest.approx(math.tan(0.475 * math.pi), abs=1e-12)
 
     def test_halfwidth_shrinks_like_root_n(self):
         # n copies of the {0, 2} pattern have sample standard deviation

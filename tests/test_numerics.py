@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reservoirq import numerics
 from reservoirq.errors import DimensionError, SingularSystemError
-from reservoirq.numerics import (ridge_solve, ridge_solve_grid, seeded_rng,
-                                 spectral_radius, substream_rng, substream_seed)
+from reservoirq.numerics import (one_blas_thread, ridge_solve, ridge_solve_grid,
+                                 seeded_rng, spectral_radius, substream_rng,
+                                 substream_seed)
 
 # Spectral radius of the seed-20260809 5x5 uniform matrix, computed
 # independently before the build: characteristic polynomial by
@@ -209,3 +211,39 @@ class TestRng:
     def test_substream_seed_is_stable(self):
         assert substream_seed(7, 1, 3) == substream_seed(7, 1, 3)
         assert substream_seed(7, 1, 3) != substream_seed(7, 1, 4)
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS thread-count getter, with the count set to 2 for
+    the test so a pin to 1 is visible, and the old count restored after."""
+    calls = numerics._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy does not use its bundled OpenBLAS here")
+    get, put = calls
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+class TestOneBlasThread:
+    def test_pins_one_thread_inside_the_block(self, blas_threads):
+        with one_blas_thread() as pinned:
+            assert pinned is True
+            assert blas_threads() == 1
+        assert blas_threads() == 2
+
+    def test_restores_the_count_when_the_body_raises(self, blas_threads):
+        with pytest.raises(RuntimeError, match="boom"):
+            with one_blas_thread():
+                raise RuntimeError("boom")
+        assert blas_threads() == 2
+
+    def test_without_openblas_yields_false_and_changes_nothing(
+            self, blas_threads, monkeypatch):
+        monkeypatch.setattr(numerics, "_openblas_thread_calls", lambda: None)
+        with one_blas_thread() as pinned:
+            assert pinned is False
+            assert blas_threads() == 2
+        assert blas_threads() == 2
