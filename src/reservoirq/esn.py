@@ -14,6 +14,11 @@ from .errors import DimensionError, GenerationError
 from .numerics import drive_buffers, initial_state, spectral_radius
 
 RESAMPLE_ATTEMPTS = 10
+# ``run`` forms its input terms this many rows at a time in a C-order
+# block: BLAS rounds a product and its transpose differently, so the block
+# keeps the states independent of the layout of ``out`` without a
+# (K, n_res) temporary.
+INPUT_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -84,16 +89,25 @@ class EsnModel:
 
         Takes a (K, n_in) input matrix, checked once per call (2-d,
         finite), and returns the (n_res, K) matrix of states after each
-        row, written into ``out`` when it is given. The model is left
-        holding the last column. The input terms of all K steps come from
-        one product; the loop does only the recurrent one.
+        row, written into ``out`` when it is given (any layout; the
+        sample-major default is the fast one). The model is left holding a
+        copy of the last column. The input terms of all K steps are written
+        into ``out`` first; each step then adds the recurrent product and
+        takes tanh in place, allocating nothing.
         """
         a, out = drive_buffers(inputs, self.n_in, self.n_res, out)
-        drive = np.matmul(self.w_in[:, 1:], a.T, out=out)
-        drive += self.w_in[:, :1]
+        w_in, bias = self.w_in[:, 1:].T, self.w_in[:, 0]
+        rows = out.T
+        for lo in range(0, a.shape[0], INPUT_BLOCK_ROWS):
+            block = slice(lo, lo + INPUT_BLOCK_ROWS)
+            np.add(a[block] @ w_in, bias, out=rows[block])
+        dot = self.w_res.dot
+        r = np.empty(self.n_res)
         state = self.state
-        for t in range(a.shape[0]):
-            state = np.tanh(drive[:, t] + self.w_res @ state)
-            out[:, t] = state
-        self.state = state
+        for o in rows:
+            dot(state, out=r)
+            r += o
+            state = np.tanh(r, out=o)
+        # the loop's state is a view into out; the model keeps its own copy
+        self.state = state.copy()
         return out

@@ -15,11 +15,13 @@ map is applied literally, without clamping loads at one; steps where
 some load exceeds one are tallied in ``overload_steps`` as a diagnostic.
 
 ``run`` drives a whole (K, n_in) input matrix. The input terms depend on
-no state, so they are formed for all K steps at once: one product gives
-the K numerator columns and another the K denominator columns. Inside
-the step loop only the recurrent terms remain, and both come from one
-(2N, N) product of the stacked blocks [w+_res; w-_res] with the previous
-load vector.
+no state, so they are formed for all K steps at once: one product with
+the stacked blocks [w+_in; w-_in] gives a (K, 2N) drive whose row t
+holds the numerator terms of step t, then the denominator terms plus r.
+Inside the step loop only the recurrent terms remain: one (2N, N)
+product of [w+_res; w-_res] with the previous load vector, into a fixed
+buffer; the drive row is added and the two halves are divided straight
+into the next, contiguous, state column. The loop allocates no array.
 """
 
 from dataclasses import dataclass, field
@@ -107,26 +109,28 @@ class EsqnModel:
         """Apply the load map once per row of a (K, n_in) input matrix.
 
         Returns the (n_res, K) matrix whose column t holds the loads after
-        input row t, written into ``out`` when it is given, and leaves the
-        model holding the last column. Each step is simultaneous across
-        units: the right-hand side reads only the previous load vector.
-        The inputs are checked once per call (2-d, finite, nonnegative);
-        each column with some load above 1 adds one to ``overload_steps``.
+        input row t, written into ``out`` when it is given (any layout; the
+        sample-major default is the fast one), and leaves the model holding
+        a copy of the last column. Each step is simultaneous across units:
+        the right-hand side reads only the previous load vector. The inputs
+        are checked once per call (2-d, finite, nonnegative); each column
+        with some load above 1 adds one to ``overload_steps``.
         """
         a, out = drive_buffers(inputs, self.n_in, self.n_res, out)
         if np.any(a < 0):
             raise DomainError("inputs are spike rates and must be nonnegative")
         n = self.n_res
-        x = (a / self.rates_in).T
-        numer = np.matmul(self.w_plus_in, x, out=out)
-        denom = self.w_minus_in @ x
-        denom += self.rates_res[:, None]
-        w_res = np.vstack((self.w_plus_res, self.w_minus_res))
+        drive = (a / self.rates_in) @ np.vstack((self.w_plus_in, self.w_minus_in)).T
+        drive[:, n:] += self.rates_res
+        dot = np.vstack((self.w_plus_res, self.w_minus_res)).dot
+        r = np.empty(2 * n)
+        numer, denom = r[:n], r[n:]
         state = self.state
-        for t in range(a.shape[0]):
-            recurrent = w_res @ state
-            state = (numer[:, t] + recurrent[:n]) / (denom[:, t] + recurrent[n:])
-            out[:, t] = state
-        self.state = state
+        for d, o in zip(drive, out.T):
+            dot(state, out=r)
+            r += d
+            state = np.divide(numer, denom, out=o)
+        # the loop's state is a view into out; the model keeps its own copy
+        self.state = state.copy()
         self.overload_steps += int(np.count_nonzero((out > 1.0).any(axis=0)))
         return out

@@ -92,6 +92,11 @@ class ExperimentConfig:
             size = getattr(self, key)
             if size is not None and size < 1:
                 raise ValueError(f"{key} must be >= 1, got {size}")
+        for key in ("density", "spectral_radius", "esn_weight_lo", "esn_weight_hi",
+                    "weight_lo", "weight_hi", "firing_rate"):
+            value = getattr(self, key)
+            if not np.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
         grid = tuple(float(l) for l in self.lambda_grid)
         if not grid or not all(np.isfinite(l) and l >= 0 for l in grid):
             raise ValueError("lambda_grid must be a non-empty tuple of finite "

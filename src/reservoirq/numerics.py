@@ -49,9 +49,10 @@ def substream_seed(master_seed, *path):
 def drive_buffers(inputs, n_in, n_res, out=None):
     """Check a (K, n_in) input matrix once and pair it with a state buffer.
 
-    Returns the inputs as a float array and ``out`` (allocated as an
-    (n_res, K) array when None). Raises DimensionError on a shape
-    mismatch and DomainError on a non-finite input.
+    Returns the inputs as a float array and ``out``, allocated when None
+    sample-major (the transpose of a C-order (K, n_res) array) so each
+    state column is contiguous. Raises DimensionError on a shape mismatch
+    and DomainError on a non-finite input.
     """
     a = np.asarray(inputs, dtype=float)
     if a.ndim != 2 or a.shape[1] != n_in:
@@ -59,7 +60,7 @@ def drive_buffers(inputs, n_in, n_res, out=None):
     if not np.all(np.isfinite(a)):
         raise DomainError("inputs must be finite")
     if out is None:
-        out = np.empty((n_res, a.shape[0]))
+        out = np.empty((a.shape[0], n_res)).T
     elif out.shape != (n_res, a.shape[0]):
         raise DimensionError(f"out must have shape ({n_res}, {a.shape[0]}), got {out.shape}")
     return a, out

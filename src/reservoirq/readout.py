@@ -24,8 +24,9 @@ def collect_states(model, inputs, washout):
     The model runs in place through all K rows in order; regressors
     [1; a(t); x(t)] are recorded for steps after the washout, so the
     result has K - washout columns and the model ends holding the state
-    after the full sequence. The model writes the states of the recorded
-    steps straight into the regressor matrix.
+    after the full sequence. The (D, K) result is sample-major (the
+    transpose of a C-order (K, D) array), so each column is contiguous;
+    the model writes the recorded states straight into it.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2:
@@ -35,7 +36,7 @@ def collect_states(model, inputs, washout):
         raise ValueError(f"washout must lie in [0, K), got {washout} with K={k}")
     recorded = inputs[washout:]
     lead = 1 + inputs.shape[1]
-    out = np.empty((lead + model.n_res, k - washout))
+    out = np.empty((k - washout, lead + model.n_res)).T
     out[0] = 1.0
     out[1:lead] = recorded.T
     model.run(inputs[:washout])

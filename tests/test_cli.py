@@ -79,6 +79,23 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("extra, message", [
+        # every trial's loads overflow: run_experiment's ArithmeticError
+        ("firing_rate = 1e-320", "all 2 trials failed"),
+        # numpy's OverflowError, an ArithmeticError, from the weight draw
+        ("model = esn\nesn_weight_lo = -1e308\nesn_weight_hi = 1e308",
+         "range exceeds valid bounds"),
+    ])
+    def test_arithmetic_failure_is_one_error_line(self, workdir, capsys, extra, message):
+        config = write_config(workdir, CONFIG_TEXT.replace("model = esqn\n", "") + extra)
+        assert cli.main(["experiment", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert not os.path.exists("results.csv")
+
     def test_seed_override_changes_outputs(self, workdir, capsys):
         config = write_config(workdir)
         cli.main(["experiment", "--config", config])

@@ -109,6 +109,17 @@ class TestRun:
         np.testing.assert_array_equal(out, expected)
         np.testing.assert_array_equal(model.state, out[:, -1])
 
+    def test_state_does_not_alias_the_output(self):
+        rng = seeded_rng(74)
+        first, second = rng.uniform(0.0, 1.0, (9, 2)), rng.uniform(0.0, 1.0, (11, 2))
+        model, whole = small_model(seed=75, n_in=2), small_model(seed=75, n_in=2)
+        states = model.run(first)
+        last = states[:, -1].copy()
+        states[:] = 3.0  # writing into the returned matrix leaves the model alone
+        np.testing.assert_array_equal(model.state, last)
+        joined = whole.run(np.vstack([first, second]))
+        np.testing.assert_allclose(model.run(second), joined[:, 9:], rtol=0, atol=1e-15)
+
     def test_bad_inputs_rejected(self):
         model = small_model()
         with pytest.raises(DimensionError):

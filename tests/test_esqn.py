@@ -89,6 +89,17 @@ class TestRun:
         states[:] = -1.0  # the returned matrix does not alias the state
         assert np.all(model.state >= 0.0)
 
+    def test_state_does_not_alias_the_output(self):
+        rng = seeded_rng(47)
+        first, second = rng.uniform(0.0, 1.0, (9, 3)), rng.uniform(0.0, 1.0, (11, 3))
+        model, whole = random_model(seed=48), random_model(seed=48)
+        states = model.run(first)
+        last = states[:, -1].copy()
+        states[:] = 3.0  # writing into the returned matrix leaves the model alone
+        np.testing.assert_array_equal(model.state, last)
+        joined = whole.run(np.vstack([first, second]))
+        np.testing.assert_allclose(model.run(second), joined[:, 9:], rtol=0, atol=1e-15)
+
     def test_empty_input_leaves_state(self):
         model = random_model(seed=46)
         before = model.state.copy()

@@ -131,6 +131,9 @@ class TestConfig:
         ("washout = none", "int"),
         ("density = dense", "float"),
         ("lag_offsets = 0, 1.5", "int"),
+        ("firing_rate = nan", "firing_rate.*nan"),
+        ("weight_hi = inf", "weight_hi.*inf"),
+        ("esn_weight_lo = -inf", "esn_weight_lo.*-inf"),
     ])
     def test_malformed_value_rejected(self, tmp_path, line, match):
         path = tmp_path / "bad.cfg"
@@ -159,6 +162,13 @@ class TestConfig:
         {"lambda_grid": (1e-3, -1e-2)},
         {"lambda_grid": (float("nan"),)},
         {"lambda_grid": (1e-3, float("inf"))},
+        {"density": float("nan")},
+        {"spectral_radius": float("nan")},
+        {"esn_weight_lo": float("-inf")},
+        {"esn_weight_hi": float("inf")},
+        {"weight_lo": float("nan")},
+        {"weight_hi": float("inf")},
+        {"firing_rate": float("nan")},
     ])
     def test_bad_lags_and_horizon_rejected(self, overrides):
         (key, value), = overrides.items()

@@ -90,6 +90,21 @@ class TestCollectStates:
         np.testing.assert_allclose(collected[11:], states[:, 20:], rtol=0, atol=1e-12)
         np.testing.assert_allclose(model.state, states[:, -1], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("make", [
+        lambda: EsnModel.random(10, 80, density=0.15, target_rho=0.95, rng=seeded_rng(9)),
+        lambda: EsqnModel.random(10, 80, rng=seeded_rng(9)),
+    ], ids=["esn", "esqn"])
+    def test_buffer_layout_does_not_change_states(self, make):
+        inputs = narma_lag_inputs(300, seed=8)
+        default = make().run(inputs)
+        c_order = np.full((80, 300), np.nan)
+        make().run(inputs, out=c_order)
+        collected = collect_states(make(), inputs, washout=0)
+        # state matrices are stored sample-major: column t is contiguous
+        assert default.T.flags.c_contiguous and collected.T.flags.c_contiguous
+        np.testing.assert_array_equal(c_order, default)
+        np.testing.assert_array_equal(collected[11:], default)
+
     def test_washout_drops_leading_columns(self):
         inputs = seeded_rng(6).uniform(0.0, 1.0, (20, 1))
         full = collect_states(esqn(seed=7), inputs, washout=0)
