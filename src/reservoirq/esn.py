@@ -11,14 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, GenerationError
-from .numerics import drive_buffers, initial_state, spectral_radius
+from .numerics import initial_state, regressor_buffer, spectral_radius
 
 RESAMPLE_ATTEMPTS = 10
-# ``run`` forms its input terms this many rows at a time in a C-order
-# block: BLAS rounds a product and its transpose differently, so the block
-# keeps the states independent of the layout of ``out`` without a
-# (K, n_res) temporary.
-INPUT_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -84,30 +79,20 @@ class EsnModel:
         w_in = rng.uniform(weight_lo, weight_hi, (n_res, 1 + n_in))
         return cls(w_in=w_in, w_res=w_res)
 
-    def run(self, inputs, out=None):
+    def run(self, inputs):
         """Advance x <- tanh(w_in [1; a] + w_res x) once per input row.
 
         Takes a (K, n_in) input matrix, checked once per call (2-d,
-        finite), and returns the (n_res, K) matrix of states after each
-        row, written into ``out`` when it is given (any layout; the
-        sample-major default is the fast one). The model is left holding a
-        copy of the last column. The input terms of all K steps are written
-        into ``out`` first; each step then adds the recurrent product and
-        takes tanh in place, allocating nothing.
+        finite), and returns the sample-major (1 + n_in + n_res, K) matrix
+        whose column t is the regressor [1; a_t; x_t], so the states are
+        rows n_in + 1 onward. The model is left holding a copy of the last
+        state. Each step is one product of [w_res, w_in] with the window
+        [x_{t-1}; 1; a_t] straight into x_t, then tanh in place.
         """
-        a, out = drive_buffers(inputs, self.n_in, self.n_res, out)
-        w_in, bias = self.w_in[:, 1:].T, self.w_in[:, 0]
-        rows = out.T
-        for lo in range(0, a.shape[0], INPUT_BLOCK_ROWS):
-            block = slice(lo, lo + INPUT_BLOCK_ROWS)
-            np.add(a[block] @ w_in, bias, out=rows[block])
-        dot = self.w_res.dot
-        r = np.empty(self.n_res)
-        state = self.state
-        for o in rows:
-            dot(state, out=r)
-            r += o
-            state = np.tanh(r, out=o)
-        # the loop's state is a view into out; the model keeps its own copy
-        self.state = state.copy()
-        return out
+        buf, windows = regressor_buffer(inputs, self.n_in, self.state)
+        dot = np.hstack((self.w_res, self.w_in)).dot
+        for window, x in zip(windows, buf[1:, 1 + self.n_in:]):
+            dot(window, out=x)
+            np.tanh(x, out=x)
+        self.state = buf[-1, 1 + self.n_in:].copy()
+        return buf[1:].T

@@ -14,14 +14,16 @@ queue. All weights are nonnegative because they are routing rates. The
 map is applied literally, without clamping loads at one; steps where
 some load exceeds one are tallied in ``overload_steps`` as a diagnostic.
 
-``run`` drives a whole (K, n_in) input matrix. The input terms depend on
-no state, so they are formed for all K steps at once: one product with
-the stacked blocks [w+_in; w-_in] gives a (K, 2N) drive whose row t
-holds the numerator terms of step t, then the denominator terms plus r.
-Inside the step loop only the recurrent terms remain: one (2N, N)
-product of [w+_res; w-_res] with the previous load vector, into a fixed
-buffer; the drive row is added and the two halves are divided straight
-into the next, contiguous, state column. The loop allocates no array.
+``run`` drives a whole (K, n_in) input matrix through one C-order buffer
+whose row t is the regressor [1, a_t, rho_t]. Step t reads the window
+[rho_{t-1}, 1, a_t], which ends just before rho_t, and makes two calls: a
+product of the window with the (2N, D) step matrix
+
+    [[w+_res,     0, w+_in / r_in],
+     [w-_res, r_res, w-_in / r_in]]
+
+gives the N numerators, then the N denominators, and their ratio is
+written straight into rho_t. The loop allocates no array.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .numerics import drive_buffers, initial_state
+from .numerics import initial_state, regressor_buffer
 
 _BLOCKS = ("w_plus_in", "w_minus_in", "w_plus_res", "w_minus_res")
 
@@ -105,32 +107,30 @@ class EsqnModel:
                    rates_res=np.full(n_res, float(rate)),
                    state=state)
 
-    def run(self, inputs, out=None):
+    def run(self, inputs):
         """Apply the load map once per row of a (K, n_in) input matrix.
 
-        Returns the (n_res, K) matrix whose column t holds the loads after
-        input row t, written into ``out`` when it is given (any layout; the
-        sample-major default is the fast one), and leaves the model holding
-        a copy of the last column. Each step is simultaneous across units:
-        the right-hand side reads only the previous load vector. The inputs
-        are checked once per call (2-d, finite, nonnegative); each column
-        with some load above 1 adds one to ``overload_steps``.
+        Returns the sample-major (1 + n_in + n_res, K) matrix whose column
+        t is the regressor [1; a_t; rho_t], so the loads are rows n_in + 1
+        onward, and leaves the model holding a copy of the last loads.
+        Each step is simultaneous across units: the right-hand side reads
+        only the previous load vector. The inputs are checked once per
+        call (2-d, finite, nonnegative); each step with some load above 1
+        adds one to ``overload_steps``.
         """
-        a, out = drive_buffers(inputs, self.n_in, self.n_res, out)
-        if np.any(a < 0):
+        buf, windows = regressor_buffer(inputs, self.n_in, self.state)
+        n, lead = self.n_res, 1 + self.n_in
+        if np.any(buf[1:, 1:lead] < 0):
             raise DomainError("inputs are spike rates and must be nonnegative")
-        n = self.n_res
-        drive = (a / self.rates_in) @ np.vstack((self.w_plus_in, self.w_minus_in)).T
-        drive[:, n:] += self.rates_res
-        dot = np.vstack((self.w_plus_res, self.w_minus_res)).dot
+        plus_in, minus_in = self.w_plus_in / self.rates_in, self.w_minus_in / self.rates_in
+        dot = np.vstack((np.hstack((self.w_plus_res, np.zeros((n, 1)), plus_in)),
+                         np.hstack((self.w_minus_res, self.rates_res[:, None], minus_in)))).dot
         r = np.empty(2 * n)
         numer, denom = r[:n], r[n:]
-        state = self.state
-        for d, o in zip(drive, out.T):
-            dot(state, out=r)
-            r += d
-            state = np.divide(numer, denom, out=o)
-        # the loop's state is a view into out; the model keeps its own copy
-        self.state = state.copy()
-        self.overload_steps += int(np.count_nonzero((out > 1.0).any(axis=0)))
-        return out
+        loads = buf[1:, lead:]
+        for window, rho in zip(windows, loads):
+            dot(window, out=r)
+            np.divide(numer, denom, out=rho)
+        self.state = buf[-1, lead:].copy()
+        self.overload_steps += int(np.count_nonzero((loads > 1.0).any(axis=1)))
+        return buf[1:].T

@@ -97,6 +97,10 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not np.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
+        for lo, hi in (("esn_weight_lo", "esn_weight_hi"), ("weight_lo", "weight_hi")):
+            bounds = float(getattr(self, lo)), float(getattr(self, hi))
+            if not np.isfinite(bounds[1] - bounds[0]):
+                raise ValueError(f"{lo} and {hi} must span a finite width, got {bounds}")
         grid = tuple(float(l) for l in self.lambda_grid)
         if not grid or not all(np.isfinite(l) and l >= 0 for l in grid):
             raise ValueError("lambda_grid must be a non-empty tuple of finite "
@@ -276,7 +280,9 @@ def run_experiment(config):
     """Run all trials of one (dataset, model) experiment and aggregate.
 
     Trials whose states or predictions go non-finite are excluded and
-    counted in the summary's failure tally rather than aborting the run.
+    counted in the summary's failure tally rather than aborting the run;
+    numpy's overflow and invalid-value warnings are silenced while the
+    trials run, since the tally already reports them.
     The run holds numpy's OpenBLAS to one thread (``one_blas_thread``),
     which halves its CPU time and makes its bytes independent of the core
     count; the pin is process-wide while the run lasts, and the old thread
@@ -288,14 +294,15 @@ def run_experiment(config):
         results = []
         trace = None
         failures = 0
-        for i in range(config.trials):
-            try:
-                result, trial_trace = run_trial(config, prepared, washout, i)
-            except FloatingPointError:
-                failures += 1
-                continue
-            results.append(result)
-            trace = trial_trace
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for i in range(config.trials):
+                try:
+                    result, trial_trace = run_trial(config, prepared, washout, i)
+                except FloatingPointError:
+                    failures += 1
+                    continue
+                results.append(result)
+                trace = trial_trace
     if not results:
         raise ArithmeticError(f"all {config.trials} trials failed")
     summary = summarize(results, failures=failures)

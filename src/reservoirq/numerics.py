@@ -1,5 +1,5 @@
-"""Seeded randomness, spectral radius, the ridge solver, input and state
-checks, and the BLAS thread pin.
+"""Seeded randomness, spectral radius, the ridge solver, the reservoirs'
+regressor buffer and state check, and the BLAS thread pin.
 
 All experiment randomness flows through numpy's PCG64 generator (a
 permuted-congruential generator with published constants and
@@ -46,24 +46,28 @@ def substream_seed(master_seed, *path):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def drive_buffers(inputs, n_in, n_res, out=None):
-    """Check a (K, n_in) input matrix once and pair it with a state buffer.
+def regressor_buffer(inputs, n_in, state):
+    """Check a (K, n_in) input matrix once and lay out K reservoir steps.
 
-    Returns the inputs as a float array and ``out``, allocated when None
-    sample-major (the transpose of a C-order (K, n_res) array) so each
-    state column is contiguous. Raises DimensionError on a shape mismatch
-    and DomainError on a non-finite input.
+    Returns a C-order (K + 1, D) buffer, D = 1 + n_in + n_res, and a
+    read-only (K, D) view of its windows. Row 0 of the buffer ends with
+    ``state``; row t holds [1, a_t, x_t], with x_t left for the caller to
+    write. Window t - 1 is [x_{t-1}, 1, a_t], everything step t reads, and
+    it ends just before x_t. Raises DimensionError on a shape mismatch and
+    DomainError on a non-finite input.
     """
     a = np.asarray(inputs, dtype=float)
     if a.ndim != 2 or a.shape[1] != n_in:
         raise DimensionError(f"expected a K x {n_in} input matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DomainError("inputs must be finite")
-    if out is None:
-        out = np.empty((a.shape[0], n_res)).T
-    elif out.shape != (n_res, a.shape[0]):
-        raise DimensionError(f"out must have shape ({n_res}, {a.shape[0]}), got {out.shape}")
-    return a, out
+    lead = 1 + n_in
+    buf = np.empty((a.shape[0] + 1, lead + state.shape[0]))
+    buf[0, lead:] = state
+    buf[1:, 0] = 1.0
+    buf[1:, 1:lead] = a
+    d = buf.shape[1]
+    return buf, np.lib.stride_tricks.sliding_window_view(buf.ravel(), d)[lead::d]
 
 
 def initial_state(state, n_res):

@@ -8,7 +8,6 @@ ridge regression.
 
 import numpy as np
 
-from .errors import DimensionError
 from .metrics import nmse
 from .numerics import ridge_solve, ridge_solve_grid
 
@@ -19,29 +18,18 @@ HOLDOUT_FRACTION = 0.2
 
 
 def collect_states(model, inputs, washout):
-    """Drive a reservoir through K inputs and stack regressors columnwise.
+    """Drive a reservoir through K inputs and keep the regressors after the
+    washout.
 
-    The model runs in place through all K rows in order; regressors
-    [1; a(t); x(t)] are recorded for steps after the washout, so the
-    result has K - washout columns and the model ends holding the state
-    after the full sequence. The (D, K) result is sample-major (the
-    transpose of a C-order (K, D) array), so each column is contiguous;
-    the model writes the recorded states straight into it.
+    The model runs in place through all K rows in order and ends holding
+    the state after the full sequence. The result is the sample-major
+    (D, K - washout) tail of ``model.run(inputs)``: column t is the
+    regressor [1; a(t); x(t)] of step washout + t.
     """
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 2:
-        raise DimensionError("inputs must be a K x n_in matrix")
-    k = inputs.shape[0]
+    k = len(inputs)
     if not 0 <= washout < k:
         raise ValueError(f"washout must lie in [0, K), got {washout} with K={k}")
-    recorded = inputs[washout:]
-    lead = 1 + inputs.shape[1]
-    out = np.empty((k - washout, lead + model.n_res)).T
-    out[0] = 1.0
-    out[1:lead] = recorded.T
-    model.run(inputs[:washout])
-    model.run(recorded, out=out[lead:])
-    return out
+    return model.run(inputs)[:, washout:]
 
 
 def fit_readout(regressors, targets, lam):

@@ -79,13 +79,15 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # pytest captures warnings, so stderr alone would not show one that
+    # escaped a failing trial; as an error it fails the run instead
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("extra, message", [
         # every trial's loads overflow: run_experiment's ArithmeticError
         ("firing_rate = 1e-320", "all 2 trials failed"),
-        # numpy's OverflowError, an ArithmeticError, from the weight draw
+        # a weight interval whose width overflows, rejected with the config
         ("model = esn\nesn_weight_lo = -1e308\nesn_weight_hi = 1e308",
-         "range exceeds valid bounds"),
+         "esn_weight_lo and esn_weight_hi"),
     ])
     def test_arithmetic_failure_is_one_error_line(self, workdir, capsys, extra, message):
         config = write_config(workdir, CONFIG_TEXT.replace("model = esqn\n", "") + extra)

@@ -134,6 +134,9 @@ class TestConfig:
         ("firing_rate = nan", "firing_rate.*nan"),
         ("weight_hi = inf", "weight_hi.*inf"),
         ("esn_weight_lo = -inf", "esn_weight_lo.*-inf"),
+        # finite bounds whose width, which the weight draw scales by, is not
+        ("esn_weight_lo = -1e308\nesn_weight_hi = 1e308", "esn_weight_lo and esn_weight_hi"),
+        ("weight_lo = -1e308\nweight_hi = 1e308", "weight_lo and weight_hi"),
     ])
     def test_malformed_value_rejected(self, tmp_path, line, match):
         path = tmp_path / "bad.cfg"

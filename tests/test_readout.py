@@ -15,6 +15,10 @@ def esqn(seed=0, n_in=1, n_res=5):
     return EsqnModel.random(n_in, n_res, rng=seeded_rng(seed))
 
 
+def esn(seed=0, n_in=1, n_res=5):
+    return EsnModel.random(n_in, n_res, density=0.2, target_rho=0.95, rng=seeded_rng(seed))
+
+
 def narma_lag_inputs(steps, seed, lags=10):
     """Rows of `lags` consecutive NARMA-10 drive values, as the shipped
     NARMA configs feed the reservoir."""
@@ -35,7 +39,7 @@ def esqn_reference(model, inputs):
         rho = numer / denom
         overloads += int(np.any(rho > 1.0))
         columns.append(rho)
-    return np.column_stack(columns), overloads
+    return np.reshape(columns, (len(inputs), model.n_res)).T, overloads
 
 
 def esn_reference(model, inputs):
@@ -45,7 +49,7 @@ def esn_reference(model, inputs):
     for a in inputs:
         x = np.tanh(model.w_in @ np.concatenate(([1.0], a)) + model.w_res @ x)
         columns.append(x)
-    return np.column_stack(columns)
+    return np.reshape(columns, (len(inputs), model.n_res)).T
 
 
 class TestCollectStates:
@@ -54,7 +58,7 @@ class TestCollectStates:
         twin = esqn(seed=1)
         out = collect_states(model, np.array([[0.4]]), washout=0)
         assert out.shape == (1 + 1 + 5, 1)
-        expected_state = twin.run([[0.4]])[:, 0]
+        expected_state = twin.run([[0.4]])[2:, 0]
         np.testing.assert_array_equal(out[:, 0],
                                       np.concatenate(([1.0], [0.4], expected_state)))
 
@@ -90,20 +94,28 @@ class TestCollectStates:
         np.testing.assert_allclose(collected[11:], states[:, 20:], rtol=0, atol=1e-12)
         np.testing.assert_allclose(model.state, states[:, -1], rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("make", [
-        lambda: EsnModel.random(10, 80, density=0.15, target_rho=0.95, rng=seeded_rng(9)),
-        lambda: EsqnModel.random(10, 80, rng=seeded_rng(9)),
-    ], ids=["esn", "esqn"])
-    def test_buffer_layout_does_not_change_states(self, make):
-        inputs = narma_lag_inputs(300, seed=8)
-        default = make().run(inputs)
-        c_order = np.full((80, 300), np.nan)
-        make().run(inputs, out=c_order)
-        collected = collect_states(make(), inputs, washout=0)
-        # state matrices are stored sample-major: column t is contiguous
-        assert default.T.flags.c_contiguous and collected.T.flags.c_contiguous
-        np.testing.assert_array_equal(c_order, default)
-        np.testing.assert_array_equal(collected[11:], default)
+    @pytest.mark.parametrize("steps", [0, 1, 300])
+    @pytest.mark.parametrize("make, reference, n_in", [
+        # with no inputs the ESN's window is only the state and the bias
+        (esn, esn_reference, 0),
+        (esn, esn_reference, 4),
+        (esqn, lambda model, inputs: esqn_reference(model, inputs)[0], 4),
+    ], ids=["esn-no-input", "esn", "esqn"])
+    def test_run_returns_regressors_of_the_literal_steps(self, make, reference,
+                                                         n_in, steps):
+        model = make(seed=9, n_in=n_in, n_res=30)
+        start = model.state.copy()
+        inputs = seeded_rng(8).uniform(0.0, 1.0, (steps, n_in))
+        states = reference(model, inputs)
+        regressors = model.run(inputs)
+        assert regressors.shape == (1 + n_in + 30, steps)
+        # sample-major: column t is contiguous
+        assert regressors.T.flags.c_contiguous
+        np.testing.assert_array_equal(regressors[0], 1.0)
+        np.testing.assert_array_equal(regressors[1:1 + n_in], inputs.T)
+        np.testing.assert_allclose(regressors[1 + n_in:], states, rtol=0, atol=1e-12)
+        last = states[:, -1] if steps else start
+        np.testing.assert_allclose(model.state, last, rtol=0, atol=1e-12)
 
     def test_washout_drops_leading_columns(self):
         inputs = seeded_rng(6).uniform(0.0, 1.0, (20, 1))
