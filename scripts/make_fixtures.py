@@ -4,7 +4,9 @@
 The traffic-shaped series are seeded synthetic stand-ins (sinusoids plus
 noise) with the same lengths and lag protocols as the real ISP and UKERNA
 traces, which are not redistributable. Goldens are produced by running
-the CLI on the committed assets.
+the CLI on the committed assets. The experiment configs under
+fixtures/configs are hand-written; this script reads them and never
+writes them.
 """
 
 import os
@@ -73,113 +75,6 @@ def make_randnn_specs():
     save_spec(pair, os.path.join(FIXTURES, "randnn_pair.txt"))
 
 
-CONFIG_TEXTS = {
-    "narma_esqn.cfg": """\
-# NARMA-10 benchmark, queueing reservoir (reference protocol)
-dataset = narma
-name = narma
-model = esqn
-reservoir_size = 80
-trials = 20
-seed = 1
-""",
-    "narma_esn.cfg": """\
-# NARMA-10 benchmark, tanh reservoir (reference protocol)
-dataset = narma
-name = narma
-model = esn
-reservoir_size = 80
-trials = 20
-seed = 1
-""",
-    "isp_esqn.cfg": """\
-# ISP-shaped synthetic stand-in (NOT the proprietary traffic data)
-dataset = csv
-csv_path = ../isp_like.csv
-csv_column = value
-name = isp_like
-lag_offsets = 0,1,2,3,4,5,6
-train_size = 9848
-validation_size = 4924
-model = esqn
-reservoir_size = 40
-trials = 5
-seed = 1
-""",
-    "isp_esn.cfg": """\
-# ISP-shaped synthetic stand-in (NOT the proprietary traffic data)
-dataset = csv
-csv_path = ../isp_like.csv
-csv_column = value
-name = isp_like
-lag_offsets = 0,1,2,3,4,5,6
-train_size = 9848
-validation_size = 4924
-model = esn
-reservoir_size = 40
-trials = 5
-seed = 1
-""",
-    "ukerna_esqn.cfg": """\
-# UKERNA-shaped synthetic stand-in (NOT the real daily traffic data)
-dataset = csv
-csv_path = ../ukerna_like.csv
-csv_column = value
-name = ukerna_like
-lag_offsets = 0,6,7
-train_size = 47
-validation_size = 15
-model = esqn
-reservoir_size = 40
-trials = 20
-seed = 1
-""",
-    "ukerna_esn.cfg": """\
-# UKERNA-shaped synthetic stand-in (NOT the real daily traffic data)
-dataset = csv
-csv_path = ../ukerna_like.csv
-csv_column = value
-name = ukerna_like
-lag_offsets = 0,6,7
-train_size = 47
-validation_size = 15
-model = esn
-reservoir_size = 40
-trials = 20
-seed = 1
-""",
-    "sine_perfect.cfg": """\
-# A sinusoid is affine in lags {0, 1}: the pipeline must fit it exactly
-dataset = csv
-csv_path = ../sine.csv
-csv_column = value
-name = sine
-lag_offsets = 0,1
-model = esqn
-reservoir_size = 10
-trials = 1
-seed = 3
-""",
-    "narma_tiny.cfg": """\
-# Small fast experiment used by the determinism fixture
-dataset = narma
-name = narma
-train_size = 150
-validation_size = 50
-model = esqn
-reservoir_size = 10
-trials = 2
-seed = 5
-""",
-}
-
-
-def make_configs():
-    for fname, text in CONFIG_TEXTS.items():
-        with open(os.path.join(CONFIGS, fname), "w") as fh:
-            fh.write(text)
-
-
 def run_cli(argv, cwd):
     # the child runs in a scratch directory, so it needs the absolute src
     env = dict(os.environ)
@@ -215,11 +110,9 @@ def make_goldens():
 
 
 def main():
-    os.makedirs(CONFIGS, exist_ok=True)
     os.makedirs(GOLDENS, exist_ok=True)
     make_series()
     make_randnn_specs()
-    make_configs()
     make_goldens()
     print("fixtures written under", FIXTURES)
 

@@ -1,8 +1,7 @@
 """reservoirq: echo state networks with tanh or queueing-load reservoirs,
 plus the forecasting benchmark harness that compares them."""
 
-from .data import (Rescaler, generate_narma10, lag_paired_series, load_csv,
-                   split_dataset)
+from .data import Rescaler, generate_narma10, lag_paired_series, load_csv
 from .esn import EsnModel
 from .esqn import EsqnModel
 from .harness import ExperimentConfig, reservoir_size_sweep, run_experiment
@@ -18,5 +17,5 @@ __all__ = [
     "collect_states", "fit_readout", "generate_narma10", "lag_paired_series",
     "load_csv", "nmse", "reservoir_size_sweep", "ridge_solve",
     "run_experiment", "seeded_rng", "select_penalty", "solve_steady_state",
-    "spectral_radius", "split_dataset", "summarize",
+    "spectral_radius", "summarize",
 ]

@@ -1,9 +1,9 @@
-"""Dataset construction: NARMA-10 generation, CSV ingestion, rescaling,
-lagged windowing and chronological splits.
+"""Dataset construction: NARMA-10 generation, CSV ingestion, rescaling
+and lagged windowing.
 
-Everything here is deterministic given its inputs; splits preserve time
-order (no shuffling) so validation targets always postdate training
-targets.
+Everything here is deterministic given its inputs; windowing keeps time
+order, so the chronological split that ``harness.prepare_data`` takes
+leaves every validation target after every training target.
 """
 
 import csv
@@ -18,26 +18,6 @@ NARMA_ORDER = 10
 NARMA_DIVERGENCE_LIMIT = 10.0
 NARMA_ATTEMPTS = 10
 DEFAULT_WARMUP = 200
-
-
-@dataclass(frozen=True)
-class SupervisedDataset:
-    """Paired input matrix (K x N_a) and target matrix (K x N_b)."""
-
-    inputs: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", np.atleast_2d(np.asarray(self.inputs, dtype=float)))
-        object.__setattr__(self, "targets", np.atleast_2d(np.asarray(self.targets, dtype=float)))
-        if self.inputs.shape[0] != self.targets.shape[0]:
-            raise DimensionError("inputs and targets must have the same row count")
-        if self.inputs.shape[0] < 1:
-            raise DimensionError("a dataset needs at least one row")
-
-    @property
-    def n_rows(self):
-        return self.inputs.shape[0]
 
 
 @dataclass
@@ -188,8 +168,9 @@ def save_series_csv(path, values, value_header="value"):
 def lag_paired_series(inputs_series, targets_series, offsets):
     """Window pre-aligned (input(t), target(t)) pairs with input lags.
 
-    Row k (at t = max(offsets) + k) has inputs [s(t - o) for o in offsets]
-    and target y(t), keeping the original pair alignment; the first
+    Returns the (K, len(offsets)) inputs and the (K, 1) targets. Row k
+    (at t = max(offsets) + k) has inputs [s(t - o) for o in offsets] and
+    target y(t), keeping the original pair alignment; the first
     max(offsets) pairs are consumed by the lag window. A forecast of x
     h steps ahead pairs s = x[:-h] with y = x[h:].
     """
@@ -207,28 +188,5 @@ def lag_paired_series(inputs_series, targets_series, offsets):
         raise ValueError(
             f"series of length {s.shape[0]} is too short for offsets up to {max_off}")
     inputs = np.column_stack([s[max_off - o:max_off - o + n_rows] for o in lags])
-    return SupervisedDataset(inputs=inputs, targets=y[max_off:][:, None])
+    return inputs, y[max_off:][:, None]
 
-
-def split_dataset(dataset, train_size, validation_size=None):
-    """Chronological split into (train, validation), order preserved.
-
-    The first ``train_size`` rows train; the next ``validation_size`` rows
-    (default: all the rest) validate.
-    """
-    k = dataset.n_rows
-    train_size = int(train_size)
-    if validation_size is None:
-        validation_size = k - train_size
-    validation_size = int(validation_size)
-    if train_size < 1 or validation_size < 1:
-        raise ValueError("both splits need at least one row")
-    if train_size + validation_size > k:
-        raise ValueError(
-            f"requested {train_size}+{validation_size} rows from a dataset of {k}")
-    train = SupervisedDataset(inputs=dataset.inputs[:train_size],
-                              targets=dataset.targets[:train_size])
-    val = SupervisedDataset(
-        inputs=dataset.inputs[train_size:train_size + validation_size],
-        targets=dataset.targets[train_size:train_size + validation_size])
-    return train, val

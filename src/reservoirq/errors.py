@@ -9,10 +9,6 @@ class DomainError(ValueError):
     """A value lies outside the mathematically admissible domain."""
 
 
-class SingularSystemError(ValueError):
-    """A linear system is singular and cannot be solved as posed."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative procedure ran out of iterations.
 

@@ -76,22 +76,22 @@ class ExperimentConfig:
             raise ValueError(f"unknown model kind {self.model!r}")
         if self.dataset == "csv" and not self.csv_path:
             raise ValueError("csv dataset needs csv_path")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.reservoir_size < 1:
-            raise ValueError("reservoir_size must be >= 1")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        for key, least in (("trials", 1), ("reservoir_size", 1), ("horizon", 1),
+                           ("train_size", 1), ("validation_size", 1), ("washout", 0)):
+            value = getattr(self, key)
+            if value is not None and value < least:
+                raise ValueError(f"{key} must be >= {least}, got {value}")
+        if self.dataset == "narma":
+            for key, default in (("csv_path", None), ("horizon", 1)):
+                if getattr(self, key) != default:
+                    raise ValueError(f"{key} applies to a csv dataset only, "
+                                     f"got {getattr(self, key)!r} with dataset narma")
         offsets = tuple(int(o) for o in self.lag_offsets)
         if not offsets or offsets != tuple(self.lag_offsets) or min(offsets) < 0:
             raise ValueError(
                 "lag_offsets must be a non-empty tuple of nonnegative integers, "
                 f"got {self.lag_offsets}")
         object.__setattr__(self, "lag_offsets", offsets)
-        for key in ("train_size", "validation_size"):
-            size = getattr(self, key)
-            if size is not None and size < 1:
-                raise ValueError(f"{key} must be >= 1, got {size}")
         for key in ("density", "spectral_radius", "esn_weight_lo", "esn_weight_hi",
                     "weight_lo", "weight_hi", "firing_rate"):
             value = getattr(self, key)
@@ -102,9 +102,9 @@ class ExperimentConfig:
             if not np.isfinite(bounds[1] - bounds[0]):
                 raise ValueError(f"{lo} and {hi} must span a finite width, got {bounds}")
         grid = tuple(float(l) for l in self.lambda_grid)
-        if not grid or not all(np.isfinite(l) and l >= 0 for l in grid):
+        if not grid or not all(np.isfinite(l) and l > 0 for l in grid):
             raise ValueError("lambda_grid must be a non-empty tuple of finite "
-                             f"nonnegative penalties, got {self.lambda_grid}")
+                             f"positive penalties, got {self.lambda_grid}")
         object.__setattr__(self, "lambda_grid", grid)
         if not self.name:
             default = "narma" if self.dataset == "narma" else \
@@ -175,8 +175,13 @@ def _parse_value(field, raw):
 
 @dataclass(frozen=True)
 class PreparedData:
-    train: datamod.SupervisedDataset
-    validation: datamod.SupervisedDataset
+    """One run's rows in time order: (rows, n_in) inputs and (rows, 1)
+    targets for training, then for the validation rows that follow."""
+
+    train_inputs: np.ndarray
+    train_targets: np.ndarray
+    val_inputs: np.ndarray
+    val_targets: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -188,7 +193,13 @@ class ExperimentOutcome:
 
 
 def prepare_data(config):
-    """Build the rescaled, windowed, chronologically split dataset."""
+    """Build the rescaled, windowed dataset and split it in time order.
+
+    The first train_size rows train and the validation_size rows after
+    them validate. A csv request that does not fit the series raises
+    ValueError naming both sizes and the row count; a narma series is
+    generated to fit.
+    """
     max_off = max(config.lag_offsets)
     if config.dataset == "narma":
         train_size = NARMA_TRAIN_SIZE if config.train_size is None else config.train_size
@@ -204,18 +215,22 @@ def prepare_data(config):
     else:
         series = datamod.load_csv(config.csv_path, config.csv_column)
         h = config.horizon
-        n_rows = len(series) - max_off - h
-        if n_rows < 2:
-            raise ValueError("series too short for the requested lags and horizon")
+        n_rows = max(0, len(series) - max_off - h)
         train_size = round(CSV_TRAIN_FRACTION * n_rows) if config.train_size is None \
             else config.train_size
-        val_size = config.validation_size
+        val_size = n_rows - train_size if config.validation_size is None \
+            else config.validation_size
+        if not 0 < val_size <= n_rows - train_size:
+            raise ValueError(
+                f"train_size {train_size} and validation_size {val_size} do not fit "
+                f"the {n_rows} rows of {config.csv_path}; each split needs a row")
         # training rows use series indices up to max_off + train_size - 1 + h
         scaled = datamod.Rescaler.fit(series[:max_off + train_size + h]).apply(series)
         inputs, targets = scaled[:-h], scaled[h:]
-    dataset = datamod.lag_paired_series(inputs, targets, config.lag_offsets)
-    train, val = datamod.split_dataset(dataset, train_size, val_size)
-    return PreparedData(train=train, validation=val)
+    inputs, targets = datamod.lag_paired_series(inputs, targets, config.lag_offsets)
+    end = train_size + val_size
+    return PreparedData(inputs[:train_size], targets[:train_size],
+                        inputs[train_size:end], targets[train_size:end])
 
 
 def resolve_washout(config, train_rows):
@@ -223,7 +238,7 @@ def resolve_washout(config, train_rows):
         washout = config.washout
     else:
         washout = AUTO_WASHOUT if train_rows > AUTO_WASHOUT_MIN_ROWS else 0
-    if not 0 <= washout < train_rows:
+    if washout >= train_rows:
         raise ValueError(f"washout {washout} leaves no training rows")
     return washout
 
@@ -251,21 +266,21 @@ def run_trial(config, prepared, washout, trial_index):
     """
     trial_seed = substream_seed(config.seed, TRIAL_STREAM, trial_index)
     rng = np.random.default_rng(trial_seed)
-    model = build_model(config, prepared.train.inputs.shape[1], rng)
+    model = build_model(config, prepared.train_inputs.shape[1], rng)
 
-    regressors = collect_states(model, prepared.train.inputs, washout)
+    regressors = collect_states(model, prepared.train_inputs, washout)
     if not np.all(np.isfinite(regressors)):
         raise FloatingPointError(f"trial {trial_index}: non-finite training state")
-    targets = prepared.train.targets[washout:].T
+    targets = prepared.train_targets[washout:].T
     lam, _ = select_penalty(regressors, targets, grid=config.lambda_grid)
     w_out = fit_readout(regressors, targets, lam)
 
-    val_regressors = collect_states(model, prepared.validation.inputs, 0)
+    val_regressors = collect_states(model, prepared.val_inputs, 0)
     predictions = (w_out @ val_regressors).T
     if not (np.all(np.isfinite(val_regressors)) and np.all(np.isfinite(predictions))):
         raise FloatingPointError(f"trial {trial_index}: non-finite state or prediction")
 
-    val_targets = prepared.validation.targets
+    val_targets = prepared.val_targets
     score = nmse(val_targets, predictions)
 
     result = TrialResult(series=config.name, model=config.model,
@@ -290,7 +305,7 @@ def run_experiment(config):
     """
     with one_blas_thread():
         prepared = prepare_data(config)
-        washout = resolve_washout(config, prepared.train.n_rows)
+        washout = resolve_washout(config, len(prepared.train_targets))
         results = []
         trace = None
         failures = 0

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, SingularSystemError
+from .errors import DimensionError, DomainError
 
 
 def seeded_rng(seed):
@@ -151,11 +151,13 @@ def ridge_solve(regressors, targets, lam):
 def ridge_solve_grid(regressors, targets, lams):
     """Ridge weights W = T Z' (Z Z' + lam I)^-1 for each penalty in ``lams``.
 
-    Returns one N_b x D matrix per penalty, in the order given. The
-    inputs are checked and the smaller of the D x D and K x K Gram
-    matrices is formed once; each penalty then only shifts its diagonal
-    and solves the system with numpy's LU solver, so a grid costs one
-    Gram product plus one factorization per penalty.
+    Returns one N_b x D matrix per penalty, in the order given. Every
+    penalty must be positive (ValueError), so each shifted Gram matrix is
+    positive definite whatever the rank of Z. The inputs are checked and
+    the smaller of the D x D and K x K Gram matrices is formed once; each
+    penalty then only shifts its diagonal and solves the system with
+    numpy's LU solver, so a grid costs one Gram product plus one
+    factorization per penalty.
     """
     Z = np.asarray(regressors, dtype=float)
     T = np.asarray(targets, dtype=float)
@@ -169,15 +171,10 @@ def ridge_solve_grid(regressors, targets, lams):
     if not (np.all(np.isfinite(Z)) and np.all(np.isfinite(T))):
         raise ValueError("regressors and targets must be finite")
     lams = [float(lam) for lam in lams]
-    if any(lam < 0 for lam in lams):
-        raise ValueError("lambda must be nonnegative")
+    if not all(lam > 0 for lam in lams):
+        raise ValueError(f"lambda must be positive, got {lams}")
 
-    d, k = Z.shape
-    if 0.0 in lams and d > k:
-        # fewer samples than regressors leaves the Gram rank-deficient
-        raise SingularSystemError(
-            "underdetermined system (K < D) with no penalty; pass a positive lambda")
-    primal = d <= k
+    primal = Z.shape[0] <= Z.shape[1]
     if primal:
         gram = Z @ Z.T
         rhs = (T @ Z.T).T
@@ -190,24 +187,9 @@ def ridge_solve_grid(regressors, targets, lams):
         # np.linalg.solve factors a copy, so gram only ever has its
         # diagonal rewritten, and no two factors are alive at once
         np.fill_diagonal(gram, diag + lam)
-        try:
-            w = np.linalg.solve(gram, rhs).T
-        except np.linalg.LinAlgError as exc:
-            if lam == 0.0:
-                raise SingularSystemError(
-                    "regressor Gram matrix is singular; pass a positive lambda") from exc
-            raise
+        w = np.linalg.solve(gram, rhs).T
         if not primal:
             # W = T (Z'Z + lam I)^-1 Z'
             w = w @ Z.T
-        if lam == 0.0:
-            # LU can slip through an exactly singular Gram on a
-            # rounding-level pivot (and a consistent singular system even has
-            # zero backward error), so gate the unregularized path on the
-            # Gram's conditioning instead.
-            if not np.all(np.isfinite(w)) or np.linalg.cond(gram) > 1e12:
-                raise SingularSystemError(
-                    "regressor Gram matrix is numerically singular; "
-                    "pass a positive lambda")
         weights.append(w)
     return weights

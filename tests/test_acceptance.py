@@ -80,9 +80,8 @@ def test_03_traffic_shaped_stand_ins(config_dir):
     for name, (train_rows, val_rows, n_in) in expectations.items():
         config = ExperimentConfig.from_file(os.path.join(config_dir, name))
         prepared = prepare_data(config)
-        assert prepared.train.n_rows == train_rows
-        assert prepared.validation.n_rows == val_rows
-        assert prepared.train.inputs.shape[1] == n_in
+        assert prepared.train_inputs.shape == (train_rows, n_in)
+        assert prepared.val_inputs.shape == (val_rows, n_in)
         outcome = run_experiment(config)
         again = run_experiment(config)
         assert np.isfinite(outcome.summary.mean_nmse)

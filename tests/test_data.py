@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reservoirq.data import (Rescaler, SupervisedDataset, generate_narma10,
-                             lag_paired_series, load_csv, narma10_response,
-                             save_series_csv, split_dataset)
+from reservoirq.data import (Rescaler, generate_narma10, lag_paired_series,
+                             load_csv, narma10_response, save_series_csv)
 from reservoirq.errors import (CsvLoadError, DegenerateScaleError,
                                GenerationError)
 from reservoirq.harness import ExperimentConfig, prepare_data
@@ -19,6 +18,15 @@ def forecast_rows(series, offsets, horizon=1):
     """Lagged inputs of x paired with x ``horizon`` steps ahead."""
     x = np.asarray(series, dtype=float)
     return lag_paired_series(x[:-horizon], x[horizon:], offsets)
+
+
+def prepare_csv(series, **config):
+    """prepare_data on a csv file holding ``series`` in its value column."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "series.csv")
+        save_series_csv(path, series)
+        return prepare_data(ExperimentConfig(dataset="csv", csv_path=path,
+                                             csv_column="value", **config))
 
 
 class TestNarma:
@@ -94,25 +102,24 @@ class TestRescaler:
 
 class TestLaggedDataset:
     def test_single_offset(self):
-        ds = forecast_rows([1.0, 2.0, 3.0, 4.0, 5.0], offsets=[0])
-        np.testing.assert_array_equal(ds.inputs[:, 0], [1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_array_equal(ds.targets[:, 0], [2.0, 3.0, 4.0, 5.0])
+        inputs, targets = forecast_rows([1.0, 2.0, 3.0, 4.0, 5.0], offsets=[0])
+        np.testing.assert_array_equal(inputs, [[1.0], [2.0], [3.0], [4.0]])
+        np.testing.assert_array_equal(targets, [[2.0], [3.0], [4.0], [5.0]])
 
     def test_row_count_formula(self):
-        ds = forecast_rows(np.arange(10.0), offsets=[0, 6, 7])
-        assert ds.n_rows == 2  # 10 - 7 - 1
+        inputs, targets = forecast_rows(np.arange(10.0), offsets=[0, 6, 7])
+        assert inputs.shape == (2, 3) and targets.shape == (2, 1)  # 10 - 7 - 1
 
     @given(st.integers(min_value=0, max_value=400))
     @settings(max_examples=30, deadline=None)
     def test_index_bookkeeping_on_arange(self, start):
         series = np.arange(start, start + 30, dtype=float)
         offsets = [0, 3, 5]
-        ds = forecast_rows(series, offsets, horizon=2)
-        for k in range(ds.n_rows):
+        inputs, targets = forecast_rows(series, offsets, horizon=2)
+        for k in range(len(targets)):
             t = 5 + k
-            np.testing.assert_array_equal(ds.inputs[k],
-                                          [series[t - o] for o in offsets])
-            assert ds.targets[k, 0] == series[t + 2]
+            np.testing.assert_array_equal(inputs[k], [series[t - o] for o in offsets])
+            assert targets[k, 0] == series[t + 2]
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
@@ -121,10 +128,10 @@ class TestLaggedDataset:
     def test_paired_windowing(self):
         s = np.arange(10.0)
         y = np.arange(100.0, 110.0)
-        ds = lag_paired_series(s, y, offsets=[0, 2])
-        assert ds.n_rows == 8
-        np.testing.assert_array_equal(ds.inputs[0], [2.0, 0.0])
-        np.testing.assert_array_equal(ds.targets[:, 0], y[2:])
+        inputs, targets = lag_paired_series(s, y, offsets=[0, 2])
+        assert inputs.shape == (8, 2)
+        np.testing.assert_array_equal(inputs[0], [2.0, 0.0])
+        np.testing.assert_array_equal(targets[:, 0], y[2:])
 
     @pytest.mark.parametrize("offsets", [[0, -1], [0, 1.5], []])
     def test_bad_offsets_rejected(self, offsets):
@@ -145,76 +152,77 @@ class TestLaggedDataset:
         n = data.draw(st.integers(max_off + horizon + 2, max_off + horizon + 40),
                       label="length")
         x = np.array(data.draw(st.permutations(range(n)), label="series"), dtype=float)
-        ds = forecast_rows(x, offsets, horizon)
-        assert ds.n_rows == n - max_off - horizon
-        for k in range(ds.n_rows):
+        inputs, targets = forecast_rows(x, offsets, horizon)
+        assert len(targets) == n - max_off - horizon
+        for k in range(len(targets)):
             t = max_off + k
-            assert list(ds.inputs[k]) == [x[t - o] for o in offsets]
-            assert ds.targets[k, 0] == x[t + horizon]
+            assert list(inputs[k]) == [x[t - o] for o in offsets]
+            assert targets[k, 0] == x[t + horizon]
 
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "series.csv")
-            save_series_csv(path, x)
-            prepared = prepare_data(ExperimentConfig(
-                dataset="csv", csv_path=path, csv_column="value",
-                lag_offsets=tuple(offsets), horizon=horizon))
-        train_size = round(2 / 3 * ds.n_rows)
+        prepared = prepare_csv(x, lag_offsets=tuple(offsets), horizon=horizon)
+        train_size = round(2 / 3 * len(targets))
         expected = Rescaler.fit(x[:max_off + train_size + horizon])
-        for name in ("inputs", "targets"):
-            rows = np.vstack([getattr(prepared.train, name),
-                              getattr(prepared.validation, name)])
-            np.testing.assert_array_equal(rows, expected.apply(getattr(ds, name)))
+        np.testing.assert_array_equal(
+            np.vstack([prepared.train_inputs, prepared.val_inputs]), expected.apply(inputs))
+        np.testing.assert_array_equal(
+            np.vstack([prepared.train_targets, prepared.val_targets]),
+            expected.apply(targets))
+
+
+def unit_ramp(n):
+    """n series values whose rows can be read back as time indices.
+
+    x(0) = 0 and x(1) = 1 fix the training rescale to the identity, and the
+    rest rise strictly inside (0, 1), so no two values coincide.
+    """
+    return np.concatenate([[0.0, 1.0], np.arange(1, n - 1) / n])
 
 
 class TestSplit:
+    # prepare_data owns the chronological train/validation split
     def test_counts_and_order(self):
-        ds = forecast_rows(np.arange(11.0), offsets=[0])  # 10 rows
-        train, val = split_dataset(ds, train_size=7)
-        assert train.n_rows == 7 and val.n_rows == 3
-        np.testing.assert_array_equal(val.inputs[:, 0], [7.0, 8.0, 9.0])
+        x = unit_ramp(11)  # 10 rows
+        prepared = prepare_csv(x, lag_offsets=(0,), train_size=7)
+        assert len(prepared.train_inputs) == 7 and len(prepared.val_inputs) == 3
+        np.testing.assert_array_equal(prepared.val_inputs[:, 0], x[7:10])
 
     def test_no_leakage(self):
-        ds = forecast_rows(np.arange(50.0), offsets=[0, 1])  # 48 rows
-        train, val = split_dataset(ds, train_size=round(0.6 * 48))
-        assert train.targets.max() < val.targets.min()
+        x = unit_ramp(50)  # 48 rows at horizon 2; targets rise from x(2) on
+        prepared = prepare_csv(x, lag_offsets=(0,), horizon=2, train_size=round(0.6 * 48))
+        assert prepared.train_targets.max() < prepared.val_targets.min()
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_splits_are_disjoint_chronological_and_contiguous(self, data):
-        # each row carries its own index, so the splits can be read back
-        # as index ranges
+        # each row's input is x(t) and its target x(t + 1), so the splits
+        # can be read back as index ranges of x
         k = data.draw(st.integers(min_value=2, max_value=300), label="rows")
         train_size = data.draw(st.integers(min_value=1, max_value=k - 1),
                                label="train_size")
         val_size = data.draw(st.none() | st.integers(min_value=1,
                                                      max_value=k - train_size),
                              label="validation_size")
-        kwargs = {"train_size": train_size, "validation_size": val_size}
-        if val_size is None:
-            val_size = k - train_size
-        rows = np.arange(k, dtype=float)
-        ds = SupervisedDataset(inputs=np.column_stack([rows, -rows]),
-                               targets=rows[:, None] + 0.5)
-        train, val = split_dataset(ds, **kwargs)
-        np.testing.assert_array_equal(train.inputs[:, 0], np.arange(train_size))
-        np.testing.assert_array_equal(
-            val.inputs[:, 0], np.arange(train_size, train_size + val_size))
+        x = unit_ramp(k + 1)
+        prepared = prepare_csv(x, lag_offsets=(0,), train_size=train_size,
+                               validation_size=val_size)
+        end = k if val_size is None else train_size + val_size
+        np.testing.assert_array_equal(prepared.train_inputs[:, 0], x[:train_size])
+        np.testing.assert_array_equal(prepared.val_inputs[:, 0], x[train_size:end])
         # inputs and targets stay paired row by row
-        for split in (train, val):
-            np.testing.assert_array_equal(split.inputs[:, 1], -split.inputs[:, 0])
-            np.testing.assert_array_equal(split.targets[:, 0], split.inputs[:, 0] + 0.5)
-        assert not set(train.inputs[:, 0]) & set(val.inputs[:, 0])
+        np.testing.assert_array_equal(prepared.train_targets[:, 0], x[1:train_size + 1])
+        np.testing.assert_array_equal(prepared.val_targets[:, 0], x[train_size + 1:end + 1])
+        assert not set(prepared.train_inputs[:, 0]) & set(prepared.val_inputs[:, 0])
 
     def test_oversized_request_rejected(self):
-        ds = forecast_rows(np.arange(10.0), offsets=[0])
-        with pytest.raises(ValueError):
-            split_dataset(ds, train_size=9, validation_size=5)
+        with pytest.raises(ValueError, match="train_size 9 and validation_size 5 .* 9 rows"):
+            prepare_csv(unit_ramp(10), lag_offsets=(0,), train_size=9, validation_size=5)
 
     def test_empty_split_rejected(self):
-        ds = forecast_rows(np.arange(10.0), offsets=[0])  # 9 rows
-        for train_size in (0, 9):
-            with pytest.raises(ValueError, match="at least one row"):
-                split_dataset(ds, train_size=train_size)
+        x = unit_ramp(10)  # 9 rows
+        with pytest.raises(ValueError, match="train_size must be >= 1"):
+            prepare_csv(x, lag_offsets=(0,), train_size=0)
+        with pytest.raises(ValueError, match="each split needs a row"):
+            prepare_csv(x, lag_offsets=(0,), train_size=9)
 
 
 class TestCsv:

@@ -32,7 +32,7 @@ FIELD_CASES = [
     ("csv_column = 3", "csv_column", 3),
     ("csv_column = bytes", "csv_column", "bytes"),
     ("lag_offsets = 0, 6,7", "lag_offsets", (0, 6, 7)),
-    ("horizon = 2", "horizon", 2),
+    ("horizon = 2\ndataset = csv\ncsv_path = /data/traffic.csv", "horizon", 2),
     ("train_size = 47", "train_size", 47),
     ("validation_size = 15", "validation_size", 15),
     ("model = esn", "model", "esn"),
@@ -126,6 +126,7 @@ class TestConfig:
         ("lambda_grid = 1e-3, small", "lambda_grid.*float"),
         ("lambda_grid = nan", "lambda_grid.*nan"),
         ("lambda_grid =", r"lambda_grid.*got \(\)"),
+        ("lambda_grid = 0, 1e-8", r"lambda_grid.*positive.*\(0\.0, 1e-08\)"),
         ("train_size = 0", "train_size.*0"),
         ("trials = 2.5", "int"),
         ("washout = none", "int"),
@@ -172,6 +173,11 @@ class TestConfig:
         {"weight_lo": float("nan")},
         {"weight_hi": float("inf")},
         {"firing_rate": float("nan")},
+        {"lambda_grid": (0.0, 1e-8)},
+        {"washout": -1},
+        # keys that only a csv dataset reads; the default dataset is narma
+        {"csv_path": "nope.csv"},
+        {"horizon": 2},
     ])
     def test_bad_lags_and_horizon_rejected(self, overrides):
         (key, value), = overrides.items()
@@ -186,27 +192,29 @@ class TestConfig:
 class TestPrepareData:
     def test_narma_reference_sizes(self):
         prepared = prepare_data(ExperimentConfig())
-        assert prepared.train.n_rows == 1990
-        assert prepared.validation.n_rows == 390
-        assert prepared.train.inputs.shape[1] == 10
+        assert prepared.train_inputs.shape == (1990, 10)
+        assert prepared.val_inputs.shape == (390, 10)
+        assert prepared.train_targets.shape == (1990, 1)
+        assert prepared.val_targets.shape == (390, 1)
 
     def test_narma_values_rescaled(self):
         prepared = prepare_data(ExperimentConfig())
-        for block in (prepared.train.inputs, prepared.train.targets,
-                      prepared.validation.inputs, prepared.validation.targets):
+        for block in (prepared.train_inputs, prepared.train_targets,
+                      prepared.val_inputs, prepared.val_targets):
             assert block.min() >= 0.0 and block.max() <= 1.0
 
     def test_narma_dataset_shared_across_models(self):
         esqn = prepare_data(tiny_narma())
         esn = prepare_data(tiny_narma(model="esn"))
-        np.testing.assert_array_equal(esqn.train.inputs, esn.train.inputs)
+        np.testing.assert_array_equal(esqn.train_inputs, esn.train_inputs)
 
     def test_csv_protocol_sizes(self, config_dir):
         config = ExperimentConfig.from_file(os.path.join(config_dir, "isp_esqn.cfg"))
         prepared = prepare_data(config)
-        assert prepared.train.n_rows == 9848
-        assert prepared.validation.n_rows == 4924
-        assert prepared.train.inputs.shape[1] == 7
+        assert prepared.train_inputs.shape == (9848, 7)
+        assert prepared.val_inputs.shape == (4924, 7)
+        assert prepared.train_targets.shape == (9848, 1)
+        assert prepared.val_targets.shape == (4924, 1)
 
     def test_washout_rule(self):
         assert resolve_washout(ExperimentConfig(), 1990) == 100
@@ -289,7 +297,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "build_model", poisoned)
         prepared = prepare_data(config)
-        washout = resolve_washout(config, prepared.train.n_rows)
+        washout = resolve_washout(config, len(prepared.train_targets))
         with pytest.raises(FloatingPointError,
                            match="trial 1: non-finite training state"):
             harness.run_trial(config, prepared, washout, 1)
@@ -339,7 +347,7 @@ class TestOutputs:
 
 
 # Runs in a fresh interpreter: a full experiment, a wide spectral radius
-# and an unpenalized ridge solve, then reports any scipy module loaded.
+# and a ridge solve, then reports any scipy module loaded.
 NUMPY_ONLY_CHILD = textwrap.dedent("""
     import sys
     import numpy as np
@@ -348,7 +356,7 @@ NUMPY_ONLY_CHILD = textwrap.dedent("""
     run_experiment(ExperimentConfig.from_file(sys.argv[1]))
     spectral_radius(np.random.default_rng(0).normal(size=(600, 600)))
     z = np.random.default_rng(1).normal(size=(4, 40))
-    ridge_solve(z, np.ones((1, 4)) @ z, 0.0)
+    ridge_solve(z, np.ones((1, 4)) @ z, 1e-12)
     print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """)
 

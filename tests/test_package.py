@@ -5,8 +5,16 @@ import os
 
 import reservoirq
 
-BENCH_TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                             "bench", "tracing.py")
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def load_bench(module):
+    """Load bench/<module>.py as it is, without importing it as a package."""
+    spec = importlib.util.spec_from_file_location(f"bench_{module}",
+                                                  os.path.join(BENCH, f"{module}.py"))
+    loaded = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loaded)
+    return loaded
 
 
 def test_star_import_binds_every_export():
@@ -23,9 +31,7 @@ def test_bench_wrapped_names_are_bound():
     # bench/tracing.py times each layer by replacing these module
     # attributes and reads the listed parameters by name; a prune that
     # drops one would break only the traced bench run
-    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH_TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_bench("tracing")
     assert tracing.WRAPPED
     for module, attr, layer in tracing.WRAPPED:
         fn = getattr(importlib.import_module(f"reservoirq.{module}"), attr, None)
@@ -35,3 +41,17 @@ def test_bench_wrapped_names_are_bound():
         for name in ("collect_states", "select_penalty")}
     assert {"model", "inputs"} <= params["collect_states"]
     assert {"regressors", "targets", "grid", "holdout_fraction"} <= params["select_penalty"]
+
+
+def test_traced_bench_runs_every_layer(monkeypatch):
+    # the bench's tiny traced run of each workload, as bench/selftest.py
+    # makes it: a change under src/ that breaks how the bench calls or
+    # wraps a layer shows here, not only in the manual self-test
+    monkeypatch.syspath_prepend(BENCH)  # run.py imports tracing.py by name
+    run = load_bench("run")
+    for name in run.TINY:
+        result, checker, _ = run.measure(name, seed=1, seconds=0.01, trace=True, tiny=True)
+        assert not checker.problems and checker.failed == 0, (name, checker.problems)
+        silent = [layer for layer in run.tracing.LAYERS
+                  if not result[f"{layer}.calls"][0] > 0]
+        assert not silent, (name, silent)

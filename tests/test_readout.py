@@ -137,7 +137,7 @@ class TestFitReadout:
         regressors = rng.normal(size=(4, 30))
         true_w = rng.normal(size=(2, 4))
         targets = true_w @ regressors
-        w_out = fit_readout(regressors, targets, 0.0)
+        w_out = fit_readout(regressors, targets, 1e-14)
         predictions = w_out @ regressors
         assert nmse(targets.T, predictions.T) < 1e-16
 
@@ -172,7 +172,7 @@ class TestFitReadout:
         rng = seeded_rng(13)
         regressors = rng.normal(size=(8, 8))
         targets = rng.normal(size=(1, 8))
-        w_out = fit_readout(regressors, targets, 0.0)
+        w_out = fit_readout(regressors, targets, 1e-14)
         np.testing.assert_allclose(w_out @ regressors, targets, atol=1e-6)
 
 
