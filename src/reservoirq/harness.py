@@ -82,7 +82,8 @@ class ExperimentConfig:
             if value is not None and value < least:
                 raise ValueError(f"{key} must be >= {least}, got {value}")
         if self.dataset == "narma":
-            for key, default in (("csv_path", None), ("horizon", 1)):
+            for key, default in (("csv_path", None), ("csv_column", 0),
+                                 ("horizon", 1)):
                 if getattr(self, key) != default:
                     raise ValueError(f"{key} applies to a csv dataset only, "
                                      f"got {getattr(self, key)!r} with dataset narma")

@@ -56,14 +56,18 @@ def nmse(targets, predictions):
     Sum of squared errors over the sum of squared deviations of the
     targets from their per-dimension empirical mean. A mean predictor
     scores exactly 1; constant targets make the measure undefined.
+    ``targets`` is 1-d or K x N_b. ``predictions`` has the same shape,
+    giving a float, or holds a stack of L such predictions along a
+    leading axis, giving the L scores as an array.
     """
     b = np.asarray(targets, dtype=float)
     y = np.asarray(predictions, dtype=float)
-    if b.shape != y.shape:
+    stacked = y.ndim == b.ndim + 1
+    if y.shape[stacked:] != b.shape:
         raise DimensionError(f"shape mismatch: targets {b.shape}, predictions {y.shape}")
     if b.ndim == 1:
         b = b[:, None]
-        y = y[:, None]
+        y = y[..., None]
     if b.ndim != 2:
         raise DimensionError("targets must be 1-d or K x N_b")
     if b.shape[0] < 2:
@@ -72,7 +76,8 @@ def nmse(targets, predictions):
     denom_per_dim = (centered ** 2).sum(axis=0)
     if np.any(denom_per_dim <= 0.0):
         raise DegenerateVarianceError("targets are constant in some output dimension")
-    return float(((b - y) ** 2).sum() / denom_per_dim.sum())
+    scores = ((b - y) ** 2).sum(axis=(-2, -1)) / denom_per_dim.sum()
+    return scores if stacked else float(scores)
 
 
 @dataclass(frozen=True)

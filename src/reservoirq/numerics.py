@@ -24,6 +24,9 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 
+# Most float64 entries in one stack of shifted Gram matrices (1 MiB).
+STACK_DOUBLES = 2 ** 17
+
 
 def seeded_rng(seed):
     """Return a PCG64 generator seeded with ``seed``."""
@@ -53,7 +56,9 @@ def regressor_buffer(inputs, n_in, state):
     read-only (K, D) view of its windows. Row 0 of the buffer ends with
     ``state``; row t holds [1, a_t, x_t], with x_t left for the caller to
     write. Window t - 1 is [x_{t-1}, 1, a_t], everything step t reads, and
-    it ends just before x_t. Raises DimensionError on a shape mismatch and
+    it ends just before x_t: the windows are the buffer's rows shifted
+    back by n_res entries, one strided view that numpy bounds-checks
+    against the buffer. Raises DimensionError on a shape mismatch and
     DomainError on a non-finite input.
     """
     a = np.asarray(inputs, dtype=float)
@@ -66,8 +71,10 @@ def regressor_buffer(inputs, n_in, state):
     buf[0, lead:] = state
     buf[1:, 0] = 1.0
     buf[1:, 1:lead] = a
-    d = buf.shape[1]
-    return buf, np.lib.stride_tricks.sliding_window_view(buf.ravel(), d)[lead::d]
+    windows = np.ndarray((a.shape[0], buf.shape[1]), float, buf,
+                         offset=lead * buf.itemsize, strides=buf.strides)
+    windows.flags.writeable = False
+    return buf, windows
 
 
 def initial_state(state, n_res):
@@ -88,7 +95,8 @@ def _openblas_thread_calls():
     """The (get, set) thread-count functions of the OpenBLAS bundled with
     numpy, or None where numpy uses another BLAS (MKL, Accelerate, a
     system build). numpy has already loaded the wheel's library, so this
-    opens the same copy and only looks up its symbols."""
+    opens the same copy and only looks up its symbols, under the names
+    numpy 2's wheels give them."""
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for path in sorted(libs.glob("*openblas*")):
         lib = ctypes.CDLL(str(path))
@@ -151,13 +159,18 @@ def ridge_solve(regressors, targets, lam):
 def ridge_solve_grid(regressors, targets, lams):
     """Ridge weights W = T Z' (Z Z' + lam I)^-1 for each penalty in ``lams``.
 
-    Returns one N_b x D matrix per penalty, in the order given. Every
-    penalty must be positive (ValueError), so each shifted Gram matrix is
-    positive definite whatever the rank of Z. The inputs are checked and
-    the smaller of the D x D and K x K Gram matrices is formed once; each
-    penalty then only shifts its diagonal and solves the system with
-    numpy's LU solver, so a grid costs one Gram product plus one
-    factorization per penalty.
+    Returns an (L, N_b, D) array, one N_b x D matrix per penalty in the
+    order given. Every penalty must be positive (ValueError), so each
+    shifted Gram matrix is positive definite whatever the rank of Z. The
+    inputs are checked and the smaller of the D x D and K x K Gram
+    matrices is formed once. Copies of it, each with one penalty added to
+    its diagonal, are stacked and solved by one ``numpy.linalg.solve``
+    call; LAPACK factors each system of the stack exactly as it would a
+    lone one, so a weight does not depend on the grid around it. A stack
+    holds at most STACK_DOUBLES entries, so a long grid of large systems
+    takes several calls. Where two m x m systems would not fit, each
+    penalty is solved on the Gram matrix itself, its diagonal shifted in
+    place, so no copy is made.
     """
     Z = np.asarray(regressors, dtype=float)
     T = np.asarray(targets, dtype=float)
@@ -170,9 +183,9 @@ def ridge_solve_grid(regressors, targets, lams):
         raise DimensionError("need at least one sample column")
     if not (np.all(np.isfinite(Z)) and np.all(np.isfinite(T))):
         raise ValueError("regressors and targets must be finite")
-    lams = [float(lam) for lam in lams]
-    if not all(lam > 0 for lam in lams):
-        raise ValueError(f"lambda must be positive, got {lams}")
+    lams = np.array(lams, dtype=float)
+    if not np.all(lams > 0):
+        raise ValueError(f"lambda must be positive, got {lams.tolist()}")
 
     primal = Z.shape[0] <= Z.shape[1]
     if primal:
@@ -181,15 +194,21 @@ def ridge_solve_grid(regressors, targets, lams):
     else:
         gram = Z.T @ Z
         rhs = T.T
+    m = gram.shape[0]
+    per_call = max(1, min(len(lams), STACK_DOUBLES // (m * m)))
+    stack = gram[None] if per_call == 1 else np.repeat(gram[None], per_call, axis=0)
     diag = gram.diagonal().copy()
-    weights = []
-    for lam in lams:
-        # np.linalg.solve factors a copy, so gram only ever has its
-        # diagonal rewritten, and no two factors are alive at once
-        np.fill_diagonal(gram, diag + lam)
-        w = np.linalg.solve(gram, rhs).T
-        if not primal:
-            # W = T (Z'Z + lam I)^-1 Z'
-            w = w @ Z.T
-        weights.append(w)
+    on_diag = np.arange(m)
+    solved = np.empty((len(lams), m, T.shape[0]))
+    for start in range(0, len(lams), per_call):
+        part = lams[start:start + per_call]
+        systems = stack[:len(part)]
+        # np.linalg.solve factors copies, so only the diagonals are ever
+        # rewritten
+        systems[:, on_diag, on_diag] = diag + part[:, None]
+        solved[start:start + len(part)] = np.linalg.solve(systems, rhs)
+    weights = solved.transpose(0, 2, 1)
+    if not primal:
+        # W = T (Z'Z + lam I)^-1 Z'
+        weights = weights @ Z.T
     return weights

@@ -42,9 +42,10 @@ def select_penalty(regressors, targets, grid=LAMBDA_GRID,
                    holdout_fraction=HOLDOUT_FRACTION):
     """Pick the ridge penalty by NMSE on a held-out tail of the training data.
 
-    Fits on the leading 1 - holdout_fraction of the columns for each
-    penalty in the grid (one shared Gram matrix for the whole grid),
-    scores NMSE on the remaining tail, and returns
+    Fits on the leading 1 - holdout_fraction of the columns for every
+    penalty in the grid (one stacked solve, see ``ridge_solve_grid``),
+    predicts the remaining tail for all of them with one product, scores
+    the predictions with one NMSE reduction, and returns
     (best penalty, {penalty: score}). Ties go to the smaller penalty.
     """
     regressors = np.asarray(regressors, dtype=float)
@@ -59,10 +60,7 @@ def select_penalty(regressors, targets, grid=LAMBDA_GRID,
         raise ValueError("not enough samples to hold out a validation tail")
     lams = sorted(grid)
     fits = ridge_solve_grid(regressors[:, :n_fit], targets[:, :n_fit], lams)
-    scores = {}
-    best = None
-    for lam, w in zip(lams, fits):
-        scores[lam] = nmse(targets[:, n_fit:].T, (w @ regressors[:, n_fit:]).T)
-        if best is None or scores[lam] < scores[best]:
-            best = lam
-    return best, scores
+    predictions = fits @ regressors[:, n_fit:]
+    scores = nmse(targets[:, n_fit:].T, predictions.transpose(0, 2, 1))
+    # the first minimum over the ascending grid, so ties keep the smaller
+    return lams[int(np.argmin(scores))], dict(zip(lams, scores.tolist()))

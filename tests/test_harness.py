@@ -29,8 +29,10 @@ FIELD_CASES = [
     ("dataset = csv\ncsv_path = /data/traffic.csv", "dataset", "csv"),
     ("name = isp", "name", "isp"),
     ("csv_path = /data/traffic.csv\ndataset = csv", "csv_path", "/data/traffic.csv"),
-    ("csv_column = 3", "csv_column", 3),
-    ("csv_column = bytes", "csv_column", "bytes"),
+    ("csv_column = 3\ndataset = csv\ncsv_path = /data/traffic.csv",
+     "csv_column", 3),
+    ("csv_column = bytes\ndataset = csv\ncsv_path = /data/traffic.csv",
+     "csv_column", "bytes"),
     ("lag_offsets = 0, 6,7", "lag_offsets", (0, 6, 7)),
     ("horizon = 2\ndataset = csv\ncsv_path = /data/traffic.csv", "horizon", 2),
     ("train_size = 47", "train_size", 47),
@@ -177,6 +179,7 @@ class TestConfig:
         {"washout": -1},
         # keys that only a csv dataset reads; the default dataset is narma
         {"csv_path": "nope.csv"},
+        {"csv_column": 3},
         {"horizon": 2},
     ])
     def test_bad_lags_and_horizon_rejected(self, overrides):

@@ -52,10 +52,21 @@ class TestNmse:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             nmse(np.ones((4, 1)), np.ones((5, 1)))
+        with pytest.raises(DimensionError):
+            nmse(np.ones((4, 1)), np.ones((3, 5, 1)))
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             nmse([1.0], [1.0])
+
+    @pytest.mark.parametrize("shape", [(12,), (12, 2)])
+    def test_stack_scores_each_prediction(self, shape):
+        rng = seeded_rng(3)
+        targets = rng.normal(size=shape)
+        stack = rng.normal(size=(4, *shape))
+        scores = nmse(targets, stack)
+        assert scores.shape == (4,)
+        assert scores.tolist() == [nmse(targets, y) for y in stack]
 
 
 class TestTQuantiles:

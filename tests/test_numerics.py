@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from reservoirq import numerics
 from reservoirq.errors import DimensionError
-from reservoirq.numerics import (one_blas_thread, ridge_solve, ridge_solve_grid,
-                                 seeded_rng, spectral_radius, substream_rng,
-                                 substream_seed)
+from reservoirq.numerics import (one_blas_thread, regressor_buffer, ridge_solve,
+                                 ridge_solve_grid, seeded_rng, spectral_radius,
+                                 substream_rng, substream_seed)
 
 # Spectral radius of the seed-20260809 5x5 uniform matrix, computed
 # independently before the build: characteristic polynomial by
@@ -195,6 +195,34 @@ class TestRidgeSolveGrid:
         for bad in (-1.0, 0.0):
             with pytest.raises(ValueError, match="positive"):
                 ridge_solve_grid(np.eye(2), np.ones((1, 2)), [0.1, bad, 1.0])
+
+    @pytest.mark.parametrize("shape", [(209, 300), (300, 209)])
+    def test_grid_spanning_several_stacks_matches_lone_solves(self, shape):
+        # a 209 x 209 system (primal, then dual) fits three to a stack, so
+        # eight penalties take three solve calls; each fit must equal the
+        # one-penalty solve bit for bit
+        assert 1 < numerics.STACK_DOUBLES // 209 ** 2 < 8
+        rng = seeded_rng(23)
+        z = rng.normal(size=shape)
+        t = rng.normal(size=(2, shape[1]))
+        lams = [10.0 ** k for k in range(-8, 0)]
+        weights = ridge_solve_grid(z, t, lams)
+        assert weights.shape == (8, 2, shape[0])
+        for lam, w in zip(lams, weights):
+            np.testing.assert_array_equal(w, ridge_solve_grid(z, t, [lam])[0])
+
+
+class TestRegressorBuffer:
+    def test_windows_are_read_only_shifted_rows(self):
+        state = np.array([0.5, -0.25])
+        buf, windows = regressor_buffer(np.arange(6.0).reshape(3, 2), 2, state)
+        assert windows.shape == (3, 5)
+        flat = buf.ravel()
+        for t in range(3):
+            np.testing.assert_array_equal(windows[t], flat[3 + 5 * t:8 + 5 * t])
+        np.testing.assert_array_equal(windows[0], [0.5, -0.25, 1.0, 0.0, 1.0])
+        with pytest.raises(ValueError):
+            windows[0, 0] = 1.0
 
 
 class TestRng:

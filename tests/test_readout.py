@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from reservoirq.data import generate_narma10
 from reservoirq.esn import EsnModel
+from reservoirq.errors import DegenerateVarianceError
 from reservoirq.esqn import EsqnModel
 from reservoirq.metrics import nmse
 from reservoirq.numerics import seeded_rng
@@ -260,3 +261,11 @@ class TestSelectPenalty:
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError):
             select_penalty(np.ones((2, 2)), np.ones((1, 2)))
+
+    def test_constant_holdout_tail_rejected(self):
+        # the tail's targets have no variance, so no penalty can be scored
+        regressors = seeded_rng(18).normal(size=(3, 20))
+        targets = np.ones((1, 20))
+        targets[:, :16] = seeded_rng(24).normal(size=(1, 16))
+        with pytest.raises(DegenerateVarianceError):
+            select_penalty(regressors, targets)
