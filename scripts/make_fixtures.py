@@ -3,27 +3,24 @@
 
 The traffic-shaped series are seeded synthetic stand-ins (sinusoids plus
 noise) with the same lengths and lag protocols as the real ISP and UKERNA
-traces, which are not redistributable. Goldens are produced by running
-the CLI on the committed assets. The experiment configs under
+traces, which are not redistributable. Goldens are written by running
+the commands of the golden table in tests/fixture_runner.py, in this
+process, on the committed assets. The experiment configs under
 fixtures/configs are hand-written; this script reads them and never
 writes them.
 """
 
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
 
 import numpy as np
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-FIXTURES = os.path.join(REPO, "fixtures")
-CONFIGS = os.path.join(FIXTURES, "configs")
-GOLDENS = os.path.join(FIXTURES, "goldens")
+sys.path[:0] = [os.path.join(REPO, "src"), os.path.join(REPO, "tests")]
 
-sys.path.insert(0, os.path.join(REPO, "src"))
-
+from fixture_runner import FIXTURES, GOLDEN, GOLDENS, run_cli  # noqa: E402
 from reservoirq.data import save_series_csv  # noqa: E402
 from reservoirq.randnn import RandnnSpec, save_spec  # noqa: E402
 
@@ -75,38 +72,12 @@ def make_randnn_specs():
     save_spec(pair, os.path.join(FIXTURES, "randnn_pair.txt"))
 
 
-def run_cli(argv, cwd):
-    # the child runs in a scratch directory, so it needs the absolute src
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(REPO, "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "reservoirq.cli", *argv],
-                          cwd=cwd, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"CLI failed: {argv}\n{proc.stderr}")
-    return proc.stdout
-
-
 def make_goldens():
-    with tempfile.TemporaryDirectory() as scratch:
-        run_cli(["generate-narma", "--n", "50", "--seed", "7", "--out", "narma50"],
-                scratch)
-        for name in ("narma50_inputs.csv", "narma50_targets.csv"):
-            shutil.copy(os.path.join(scratch, name), os.path.join(GOLDENS, name))
-
-        out = run_cli(["solve-randnn", "--spec",
-                       os.path.join(FIXTURES, "randnn_chain.txt")], scratch)
-        with open(os.path.join(GOLDENS, "randnn_chain_loads.txt"), "w") as fh:
-            fh.write(out)
-        out = run_cli(["solve-randnn", "--spec",
-                       os.path.join(FIXTURES, "randnn_pair.txt")], scratch)
-        with open(os.path.join(GOLDENS, "randnn_pair_loads.txt"), "w") as fh:
-            fh.write(out)
-
-        run_cli(["experiment", "--config",
-                 os.path.join(CONFIGS, "sine_perfect.cfg")], scratch)
-        shutil.copy(os.path.join(scratch, "summary.csv"),
-                    os.path.join(GOLDENS, "summary.csv"))
+    for argv, outputs, stdout_name, _ in GOLDEN.values():
+        with tempfile.TemporaryDirectory() as scratch:
+            run_cli(argv, scratch, stdout_name)
+            for output in outputs + ((stdout_name,) if stdout_name else ()):
+                shutil.copy(os.path.join(scratch, output), os.path.join(GOLDENS, output))
 
 
 def main():

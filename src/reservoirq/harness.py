@@ -77,7 +77,8 @@ class ExperimentConfig:
         if self.dataset == "csv" and not self.csv_path:
             raise ValueError("csv dataset needs csv_path")
         for key, least in (("trials", 1), ("reservoir_size", 1), ("horizon", 1),
-                           ("train_size", 1), ("validation_size", 1), ("washout", 0)):
+                           ("train_size", 1), ("validation_size", 1), ("washout", 0),
+                           ("seed", 0)):
             value = getattr(self, key)
             if value is not None and value < least:
                 raise ValueError(f"{key} must be >= {least}, got {value}")
@@ -111,6 +112,9 @@ class ExperimentConfig:
             default = "narma" if self.dataset == "narma" else \
                 os.path.splitext(os.path.basename(self.csv_path))[0]
             object.__setattr__(self, "name", default)
+        if any(c in self.name for c in ',"\r\n'):
+            raise ValueError("name must hold no comma, double quote or line break, "
+                             f"got {self.name!r}")
 
     @classmethod
     def from_mapping(cls, mapping):

@@ -166,11 +166,10 @@ def ridge_solve_grid(regressors, targets, lams):
     matrices is formed once. Copies of it, each with one penalty added to
     its diagonal, are stacked and solved by one ``numpy.linalg.solve``
     call; LAPACK factors each system of the stack exactly as it would a
-    lone one, so a weight does not depend on the grid around it. A stack
-    holds at most STACK_DOUBLES entries, so a long grid of large systems
-    takes several calls. Where two m x m systems would not fit, each
-    penalty is solved on the Gram matrix itself, its diagonal shifted in
-    place, so no copy is made.
+    lone one, so a weight does not depend on the grid around it. Where
+    the whole stack would hold more than STACK_DOUBLES entries, each
+    penalty is solved in turn on the Gram matrix itself, its diagonal
+    shifted in place, so no copy is made.
     """
     Z = np.asarray(regressors, dtype=float)
     T = np.asarray(targets, dtype=float)
@@ -195,18 +194,17 @@ def ridge_solve_grid(regressors, targets, lams):
         gram = Z.T @ Z
         rhs = T.T
     m = gram.shape[0]
-    per_call = max(1, min(len(lams), STACK_DOUBLES // (m * m)))
+    per_call = len(lams) if len(lams) * m * m <= STACK_DOUBLES else 1
     stack = gram[None] if per_call == 1 else np.repeat(gram[None], per_call, axis=0)
     diag = gram.diagonal().copy()
     on_diag = np.arange(m)
     solved = np.empty((len(lams), m, T.shape[0]))
     for start in range(0, len(lams), per_call):
         part = lams[start:start + per_call]
-        systems = stack[:len(part)]
         # np.linalg.solve factors copies, so only the diagonals are ever
         # rewritten
-        systems[:, on_diag, on_diag] = diag + part[:, None]
-        solved[start:start + len(part)] = np.linalg.solve(systems, rhs)
+        stack[:, on_diag, on_diag] = diag + part[:, None]
+        solved[start:start + per_call] = np.linalg.solve(stack, rhs)
     weights = solved.transpose(0, 2, 1)
     if not primal:
         # W = T (Z'Z + lam I)^-1 Z'

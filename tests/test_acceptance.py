@@ -292,3 +292,14 @@ def test_11_esqn_below_esn_on_every_series(narma_esqn, narma_esn):
     _report(11, "paired ESQN < ESN",
             f"ESQN minus ESN mean NMSE from {min(gaps):.4f} to {max(gaps):.4f} "
             f"over master seeds 1-5, {elapsed:.1f}s for seeds 2-5")
+
+
+def test_12_readme_table_matches_shipped_runs(fixture_root, narma_esqn, narma_esn):
+    with open(os.path.join(os.path.dirname(fixture_root), "README.md")) as fh:
+        rows = [[cell.strip() for cell in line.split("|")[1:-1]]
+                for line in fh if line.startswith("| NARMA-10 |")]
+    want = [[f"{outcome.summary.mean_nmse:.4f}", f"±{outcome.summary.ci_halfwidth:.4f}"]
+            for outcome, _ in (narma_esqn, narma_esn)]
+    assert [row[2:] for row in rows] == want
+    _report(12, "README table",
+            "NARMA-10 rows " + ", ".join(" ".join(cells) for cells in want))

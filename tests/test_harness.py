@@ -181,12 +181,26 @@ class TestConfig:
         {"csv_path": "nope.csv"},
         {"csv_column": 3},
         {"horizon": 2},
+        {"seed": -1},
     ])
     def test_bad_lags_and_horizon_rejected(self, overrides):
         (key, value), = overrides.items()
         with pytest.raises(ValueError, match=key) as info:
             ExperimentConfig(**overrides)
         assert str(value) in str(info.value)
+
+    @pytest.mark.parametrize("overrides, name", [
+        ({"name": "a,b"}, "a,b"),
+        ({"name": 'say "hi"'}, 'say "hi"'),
+        ({"name": "two\nlines"}, "two\nlines"),
+        ({"name": "cr\r"}, "cr\r"),
+        # the default name is the csv file stem
+        ({"dataset": "csv", "csv_path": "/data/x,y.csv"}, "x,y"),
+    ])
+    def test_name_that_would_break_the_csvs_rejected(self, overrides, name):
+        with pytest.raises(ValueError, match="name") as info:
+            ExperimentConfig(**overrides)
+        assert repr(name) in str(info.value)
 
     def test_integral_offsets_normalised(self):
         assert ExperimentConfig(lag_offsets=(0, 6.0, 7)).lag_offsets == (0, 6, 7)

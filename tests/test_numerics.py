@@ -196,12 +196,13 @@ class TestRidgeSolveGrid:
             with pytest.raises(ValueError, match="positive"):
                 ridge_solve_grid(np.eye(2), np.ones((1, 2)), [0.1, bad, 1.0])
 
-    @pytest.mark.parametrize("shape", [(209, 300), (300, 209)])
+    @pytest.mark.parametrize("shape", [(209, 300), (300, 209), (91, 300), (300, 91)])
     def test_grid_spanning_several_stacks_matches_lone_solves(self, shape):
-        # a 209 x 209 system (primal, then dual) fits three to a stack, so
-        # eight penalties take three solve calls; each fit must equal the
-        # one-penalty solve bit for bit
-        assert 1 < numerics.STACK_DOUBLES // 209 ** 2 < 8
+        # eight 91 x 91 systems (primal, then dual) fit in one stack; eight
+        # 209 x 209 systems do not, so each penalty is solved in place on
+        # the Gram matrix; either way each fit must equal the one-penalty
+        # solve bit for bit
+        assert 8 * 91 ** 2 <= numerics.STACK_DOUBLES < 8 * 209 ** 2
         rng = seeded_rng(23)
         z = rng.normal(size=shape)
         t = rng.normal(size=(2, shape[1]))
