@@ -18,11 +18,13 @@ from .numerics import seeded_rng
 from .randnn import load_spec, solve_steady_state
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _int_at_least(least):
+    def int_at_least(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}")
+        return value
+    return int_at_least
 
 
 def _size_list(text):
@@ -43,9 +45,9 @@ def build_parser():
 
     gen = sub.add_parser("generate-narma",
                          help="generate a NARMA-10 input/target series pair")
-    gen.add_argument("--n", type=_positive_int, required=True,
+    gen.add_argument("--n", type=_int_at_least(1), required=True,
                      help="number of (input, target) pairs")
-    gen.add_argument("--seed", type=int, default=0, help="generator seed")
+    gen.add_argument("--seed", type=_int_at_least(0), default=0, help="generator seed")
     gen.add_argument("--out", required=True,
                      help="output prefix; writes <out>_inputs.csv and <out>_targets.csv")
 

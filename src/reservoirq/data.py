@@ -11,9 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CsvLoadError, DegenerateScaleError, DimensionError,
-                     GenerationError)
-
 NARMA_ORDER = 10
 NARMA_DIVERGENCE_LIMIT = 10.0
 NARMA_ATTEMPTS = 10
@@ -37,7 +34,7 @@ class Rescaler:
         values = np.asarray(values, dtype=float)
         lo, hi = float(values.min()), float(values.max())
         if not hi > lo:
-            raise DegenerateScaleError("reference segment is constant; no scale exists")
+            raise ValueError("reference segment is constant; no scale exists")
         return cls(lo=lo, hi=hi)
 
     def apply(self, values):
@@ -91,7 +88,7 @@ def generate_narma10(n, rng, warmup_discard=DEFAULT_WARMUP):
             b_next = narma10_response(s)
         if np.all(np.abs(b_next) <= NARMA_DIVERGENCE_LIMIT):
             return s[warmup_discard:], b_next[warmup_discard:]
-    raise GenerationError(
+    raise RuntimeError(
         f"NARMA-10 diverged on {NARMA_ATTEMPTS} consecutive attempts")
 
 
@@ -100,16 +97,16 @@ def load_csv(path, column=0):
 
     ``column`` is a zero-based index or, when the file starts with a
     header row, a column name. Rows keep file order. Problems, a
-    non-finite value among them, raise CsvLoadError carrying the
-    offending row and column numbers (1-based file line numbers).
+    non-finite value among them, raise ValueError naming the offending
+    row and column (rows are 1-based file line numbers).
     """
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
-        raise CsvLoadError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     if not rows:
-        raise CsvLoadError(f"{path}: file is empty")
+        raise ValueError(f"{path}: file is empty")
 
     def _is_number(cell):
         try:
@@ -121,11 +118,11 @@ def load_csv(path, column=0):
     has_header = any(not _is_number(cell) for cell in rows[0] if cell.strip())
     if isinstance(column, str):
         if not has_header:
-            raise CsvLoadError(f"{path}: no header row to resolve column {column!r}")
+            raise ValueError(f"{path}: no header row to resolve column {column!r}")
         try:
             idx = rows[0].index(column)
         except ValueError:
-            raise CsvLoadError(f"{path}: no column named {column!r}") from None
+            raise ValueError(f"{path}: no column named {column!r}") from None
     else:
         idx = int(column)
     data_rows = rows[1:] if has_header else rows
@@ -137,22 +134,19 @@ def load_csv(path, column=0):
         if not row or all(not cell.strip() for cell in row):
             continue
         if idx >= len(row):
-            raise CsvLoadError(f"{path}: row {lineno} has no column {idx}",
-                               row=lineno, col=idx)
+            raise ValueError(f"{path}: row {lineno} has no column {idx}")
         cell = row[idx].strip()
         try:
             value = float(cell)
         except ValueError:
-            raise CsvLoadError(
-                f"{path}: unparseable value {cell!r} at row {lineno}, column {idx}",
-                row=lineno, col=idx) from None
+            raise ValueError(f"{path}: unparseable value {cell!r} at row {lineno}, "
+                             f"column {idx}") from None
         if not np.isfinite(value):
-            raise CsvLoadError(
-                f"{path}: non-finite value {cell!r} at row {lineno}, column {idx}",
-                row=lineno, col=idx)
+            raise ValueError(
+                f"{path}: non-finite value {cell!r} at row {lineno}, column {idx}")
         values.append(value)
     if not values:
-        raise CsvLoadError(f"{path}: selected column is empty", col=idx)
+        raise ValueError(f"{path}: column {idx} is empty")
     return np.array(values)
 
 
@@ -177,7 +171,7 @@ def lag_paired_series(inputs_series, targets_series, offsets):
     s = np.asarray(inputs_series, dtype=float)
     y = np.asarray(targets_series, dtype=float)
     if s.shape[0] != y.shape[0]:
-        raise DimensionError("input and target series must have equal length")
+        raise ValueError("input and target series must have equal length")
     offsets = list(offsets)
     lags = [int(o) for o in offsets]
     if not lags or lags != offsets or min(lags) < 0:

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, GenerationError
 from .numerics import initial_state, regressor_buffer, spectral_radius
 
 RESAMPLE_ATTEMPTS = 10
@@ -28,11 +27,11 @@ class EsnModel:
         self.w_in = np.asarray(self.w_in, dtype=float)
         self.w_res = np.asarray(self.w_res, dtype=float)
         if self.w_res.ndim != 2 or self.w_res.shape[0] != self.w_res.shape[1]:
-            raise DimensionError("w_res must be square")
+            raise ValueError("w_res must be square")
         if self.w_in.ndim != 2 or self.w_in.shape[0] != self.w_res.shape[0]:
-            raise DimensionError("w_in must have one row per reservoir unit")
+            raise ValueError("w_in must have one row per reservoir unit")
         if self.w_in.shape[1] < 1:
-            raise DimensionError("w_in needs at least the bias column")
+            raise ValueError("w_in needs at least the bias column")
         self.state = initial_state(self.state, self.n_res)
 
     @property
@@ -73,7 +72,7 @@ class EsnModel:
             if rho > 0.0:
                 break
         else:
-            raise GenerationError(
+            raise RuntimeError(
                 f"sampled reservoir had zero spectral radius {RESAMPLE_ATTEMPTS} times")
         w_res *= target_rho / rho
         w_in = rng.uniform(weight_lo, weight_hi, (n_res, 1 + n_in))

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
 from .numerics import initial_state, regressor_buffer
 
 _BLOCKS = ("w_plus_in", "w_minus_in", "w_plus_res", "w_minus_res")
@@ -54,14 +53,14 @@ class EsqnModel:
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         n_res, n_in = self.w_plus_in.shape if self.w_plus_in.ndim == 2 else (0, 0)
         if self.w_plus_in.ndim != 2:
-            raise DimensionError("w_plus_in must be 2-d")
+            raise ValueError("w_plus_in must be 2-d")
         if self.w_minus_in.shape != (n_res, n_in):
-            raise DimensionError("w_minus_in must match w_plus_in")
+            raise ValueError("w_minus_in must match w_plus_in")
         for name in ("w_plus_res", "w_minus_res"):
             if getattr(self, name).shape != (n_res, n_res):
-                raise DimensionError(f"{name} must have shape ({n_res}, {n_res})")
+                raise ValueError(f"{name} must have shape ({n_res}, {n_res})")
         if self.rates_in.shape != (n_in,) or self.rates_res.shape != (n_res,):
-            raise DimensionError("rate vectors must match the weight blocks")
+            raise ValueError("rate vectors must match the weight blocks")
         for name in _BLOCKS:
             if np.any(getattr(self, name) < 0):
                 raise ValueError(f"{name} must be nonnegative (weights are rates)")
@@ -69,7 +68,7 @@ class EsqnModel:
             raise ValueError("firing rates must be strictly positive")
         self.state = initial_state(self.state, n_res)
         if np.any(self.state < 0):
-            raise DomainError("loads must be nonnegative")
+            raise ValueError("loads must be nonnegative")
 
     @property
     def n_res(self):
@@ -121,7 +120,7 @@ class EsqnModel:
         buf, windows = regressor_buffer(inputs, self.n_in, self.state)
         n, lead = self.n_res, 1 + self.n_in
         if np.any(buf[1:, 1:lead] < 0):
-            raise DomainError("inputs are spike rates and must be nonnegative")
+            raise ValueError("inputs are spike rates and must be nonnegative")
         plus_in, minus_in = self.w_plus_in / self.rates_in, self.w_minus_in / self.rates_in
         dot = np.vstack((np.hstack((self.w_plus_res, np.zeros((n, 1)), plus_in)),
                          np.hstack((self.w_minus_res, self.rates_res[:, None], minus_in)))).dot

@@ -77,7 +77,7 @@ class ExperimentConfig:
         if self.dataset == "csv" and not self.csv_path:
             raise ValueError("csv dataset needs csv_path")
         for key, least in (("trials", 1), ("reservoir_size", 1), ("horizon", 1),
-                           ("train_size", 1), ("validation_size", 1), ("washout", 0),
+                           ("train_size", 1), ("validation_size", 2), ("washout", 0),
                            ("seed", 0)):
             value = getattr(self, key)
             if value is not None and value < least:
@@ -101,8 +101,9 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be finite, got {value}")
         for lo, hi in (("esn_weight_lo", "esn_weight_hi"), ("weight_lo", "weight_hi")):
             bounds = float(getattr(self, lo)), float(getattr(self, hi))
-            if not np.isfinite(bounds[1] - bounds[0]):
-                raise ValueError(f"{lo} and {hi} must span a finite width, got {bounds}")
+            if not 0.0 <= bounds[1] - bounds[0] < np.inf:
+                raise ValueError(f"{lo} and {hi} must span a finite width >= 0, "
+                                 f"got {bounds}")
         grid = tuple(float(l) for l in self.lambda_grid)
         if not grid or not all(np.isfinite(l) and l > 0 for l in grid):
             raise ValueError("lambda_grid must be a non-empty tuple of finite "
@@ -225,10 +226,11 @@ def prepare_data(config):
             else config.train_size
         val_size = n_rows - train_size if config.validation_size is None \
             else config.validation_size
-        if not 0 < val_size <= n_rows - train_size:
+        # nmse scores at least two validation rows
+        if not 2 <= val_size <= n_rows - train_size:
             raise ValueError(
                 f"train_size {train_size} and validation_size {val_size} do not fit "
-                f"the {n_rows} rows of {config.csv_path}; each split needs a row")
+                f"the {n_rows} rows of {config.csv_path}; validation needs two rows")
         # training rows use series indices up to max_off + train_size - 1 + h
         scaled = datamod.Rescaler.fit(series[:max_off + train_size + h]).apply(series)
         inputs, targets = scaled[:-h], scaled[h:]
@@ -243,8 +245,11 @@ def resolve_washout(config, train_rows):
         washout = config.washout
     else:
         washout = AUTO_WASHOUT if train_rows > AUTO_WASHOUT_MIN_ROWS else 0
-    if washout >= train_rows:
-        raise ValueError(f"washout {washout} leaves no training rows")
+    # penalty selection holds out two rows and fits at least one
+    kept = max(0, train_rows - washout)
+    if kept < 3:
+        raise ValueError(f"train_size {train_rows} with washout {washout} keeps {kept} "
+                         "training rows; penalty selection needs at least 3")
     return washout
 
 

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, DimensionError
-
 
 def _t_central_mass(t, dof):
     """P(|T| <= t) for Student's t with integer ``dof`` >= 1 and t >= 0.
@@ -64,18 +62,18 @@ def nmse(targets, predictions):
     y = np.asarray(predictions, dtype=float)
     stacked = y.ndim == b.ndim + 1
     if y.shape[stacked:] != b.shape:
-        raise DimensionError(f"shape mismatch: targets {b.shape}, predictions {y.shape}")
+        raise ValueError(f"shape mismatch: targets {b.shape}, predictions {y.shape}")
     if b.ndim == 1:
         b = b[:, None]
         y = y[..., None]
     if b.ndim != 2:
-        raise DimensionError("targets must be 1-d or K x N_b")
+        raise ValueError("targets must be 1-d or K x N_b")
     if b.shape[0] < 2:
         raise ValueError("need at least two samples")
     centered = b - b.mean(axis=0)
     denom_per_dim = (centered ** 2).sum(axis=0)
     if np.any(denom_per_dim <= 0.0):
-        raise DegenerateVarianceError("targets are constant in some output dimension")
+        raise ValueError("targets are constant in some output dimension")
     scores = ((b - y) ** 2).sum(axis=(-2, -1)) / denom_per_dim.sum()
     return scores if stacked else float(scores)
 

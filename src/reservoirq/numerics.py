@@ -22,8 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
-
 # Most float64 entries in one stack of shifted Gram matrices (1 MiB).
 STACK_DOUBLES = 2 ** 17
 
@@ -58,14 +56,14 @@ def regressor_buffer(inputs, n_in, state):
     write. Window t - 1 is [x_{t-1}, 1, a_t], everything step t reads, and
     it ends just before x_t: the windows are the buffer's rows shifted
     back by n_res entries, one strided view that numpy bounds-checks
-    against the buffer. Raises DimensionError on a shape mismatch and
-    DomainError on a non-finite input.
+    against the buffer. Raises ValueError on a shape mismatch or a
+    non-finite input.
     """
     a = np.asarray(inputs, dtype=float)
     if a.ndim != 2 or a.shape[1] != n_in:
-        raise DimensionError(f"expected a K x {n_in} input matrix, got shape {a.shape}")
+        raise ValueError(f"expected a K x {n_in} input matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise DomainError("inputs must be finite")
+        raise ValueError("inputs must be finite")
     lead = 1 + n_in
     buf = np.empty((a.shape[0] + 1, lead + state.shape[0]))
     buf[0, lead:] = state
@@ -79,14 +77,14 @@ def regressor_buffer(inputs, n_in, state):
 
 def initial_state(state, n_res):
     """A reservoir's start state: zeros for None, else a copy checked to
-    have shape (n_res,) (DimensionError) and finite entries (DomainError)."""
+    have shape (n_res,) and finite entries (else ValueError)."""
     if state is None:
         return np.zeros(n_res)
     state = np.array(state, dtype=float)
     if state.shape != (n_res,):
-        raise DimensionError(f"state must have shape ({n_res},)")
+        raise ValueError(f"state must have shape ({n_res},)")
     if not np.all(np.isfinite(state)):
-        raise DomainError("state must be finite")
+        raise ValueError("state must be finite")
     return state
 
 
@@ -138,7 +136,7 @@ def spectral_radius(m):
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise DimensionError(f"expected a non-empty square matrix, got shape {m.shape}")
+        raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     if not m.any():
@@ -174,12 +172,12 @@ def ridge_solve_grid(regressors, targets, lams):
     Z = np.asarray(regressors, dtype=float)
     T = np.asarray(targets, dtype=float)
     if Z.ndim != 2 or T.ndim != 2:
-        raise DimensionError("regressors and targets must be 2-d matrices")
+        raise ValueError("regressors and targets must be 2-d matrices")
     if T.shape[1] != Z.shape[1]:
-        raise DimensionError(
+        raise ValueError(
             f"sample counts differ: regressors K={Z.shape[1]}, targets K={T.shape[1]}")
     if Z.shape[1] < 1:
-        raise DimensionError("need at least one sample column")
+        raise ValueError("need at least one sample column")
     if not (np.all(np.isfinite(Z)) and np.all(np.isfinite(T))):
         raise ValueError("regressors and targets must be finite")
     lams = np.array(lams, dtype=float)

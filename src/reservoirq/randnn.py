@@ -19,10 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError
-
 ALPHA_FLOOR = 2.0 ** -20
 OVERLOAD_PATIENCE = 100
+
+
+class ConvergenceError(RuntimeError):
+    """The load iteration ran out of iterations; ``best`` holds its last
+    iterate."""
+
+    def __init__(self, message, best):
+        super().__init__(message)
+        self.best = best
 
 
 @dataclass(frozen=True)
@@ -45,13 +52,13 @@ class RandnnSpec:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         n = self.lambda_plus.shape[0]
         if self.lambda_plus.ndim != 1 or n == 0:
-            raise DimensionError("lambda_plus must be a non-empty vector")
+            raise ValueError("lambda_plus must be a non-empty vector")
         for name in ("lambda_minus", "rates"):
             if getattr(self, name).shape != (n,):
-                raise DimensionError(f"{name} must have shape ({n},)")
+                raise ValueError(f"{name} must have shape ({n},)")
         for name in ("w_plus", "w_minus"):
             if getattr(self, name).shape != (n, n):
-                raise DimensionError(f"{name} must have shape ({n}, {n})")
+                raise ValueError(f"{name} must have shape ({n}, {n})")
         for name in ("lambda_plus", "lambda_minus", "w_plus", "w_minus", "rates"):
             arr = getattr(self, name)
             if not np.all(np.isfinite(arr)):
@@ -87,7 +94,7 @@ def residual(spec, rho):
     """max_u |rho_u - g_u(rho)| where g is the load map."""
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (spec.n,):
-        raise DimensionError(f"rho must have shape ({spec.n},), got {rho.shape}")
+        raise ValueError(f"rho must have shape ({spec.n},), got {rho.shape}")
     return float(np.max(np.abs(rho - _load_map(spec, rho))))
 
 

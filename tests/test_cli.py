@@ -171,6 +171,12 @@ class TestUsage:
             cli.main(["generate-narma", "--n", "5", "--out", "x", "--frobnicate"])
         assert info.value.code == 2
 
+    def test_negative_narma_seed_names_the_flag(self, workdir, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["generate-narma", "--n", "5", "--seed", "-1", "--out", "x"])
+        assert info.value.code == 2
+        assert "argument --seed: must be >= 0" in capsys.readouterr().err
+
     def test_unknown_subcommand_rejected(self, workdir):
         with pytest.raises(SystemExit) as info:
             cli.main(["dance"])

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reservoirq.errors import DimensionError, DomainError
 from reservoirq.esqn import EsqnModel
 from reservoirq.numerics import seeded_rng, spectral_radius
 from reservoirq.randnn import RandnnSpec, solve_steady_state
@@ -60,11 +59,11 @@ class TestInit:
 
     def test_non_finite_state_rejected(self):
         for bad in (np.nan, np.inf):
-            with pytest.raises(DomainError):
+            with pytest.raises(ValueError, match="state must be finite"):
                 scalar_model(state=bad)
 
     def test_negative_state_rejected(self):
-        with pytest.raises(DomainError, match="nonnegative"):
+        with pytest.raises(ValueError, match="loads must be nonnegative"):
             scalar_model(state=-0.5)
 
 
@@ -115,13 +114,13 @@ class TestRun:
 
     def test_bad_inputs_rejected(self):
         model = random_model()
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match=r"K x 3 input matrix, got shape \(3,\)"):
             model.run(np.zeros(3))
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match=r"K x 3 input matrix, got shape \(4, 2\)"):
             model.run(np.zeros((4, 2)))
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="inputs must be finite"):
             model.run(np.full((4, 3), np.nan))
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="inputs are spike rates and must be nonnegative"):
             model.run(np.full((4, 3), -0.1))
 
     @settings(max_examples=60, deadline=None)
@@ -256,10 +255,10 @@ class TestUpdate:
         assert model.overload_steps == 1
 
     def test_negative_input_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="inputs are spike rates and must be nonnegative"):
             random_model().run([[-0.1, 0.2, 0.3]])
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match="K x 3 input matrix"):
             random_model().run([[0.1]])
 

@@ -164,6 +164,8 @@ class TestConfig:
         {"horizon": 0},
         {"train_size": 0},
         {"validation_size": -3},
+        # nmse needs two validation rows to score
+        {"validation_size": 1},
         {"lambda_grid": ()},
         {"lambda_grid": (1e-3, -1e-2)},
         {"lambda_grid": (float("nan"),)},
@@ -182,6 +184,9 @@ class TestConfig:
         {"csv_column": 3},
         {"horizon": 2},
         {"seed": -1},
+        # inverted sampling intervals
+        {"esn_weight_lo": 0.6},
+        {"weight_hi": -0.1},
     ])
     def test_bad_lags_and_horizon_rejected(self, overrides):
         (key, value), = overrides.items()
@@ -237,8 +242,14 @@ class TestPrepareData:
         assert resolve_washout(ExperimentConfig(), 1990) == 100
         assert resolve_washout(ExperimentConfig(), 47) == 0
         assert resolve_washout(ExperimentConfig(washout=7), 1990) == 7
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="train_size 50 with washout 60 keeps 0 "):
             resolve_washout(ExperimentConfig(washout=60), 50)
+        # penalty selection holds out two rows and must fit one more
+        assert resolve_washout(ExperimentConfig(), 3) == 0
+        with pytest.raises(ValueError, match="train_size 2 with washout 0 keeps 2 "):
+            resolve_washout(ExperimentConfig(), 2)
+        with pytest.raises(ValueError, match="train_size 50 with washout 48 keeps 2 "):
+            resolve_washout(ExperimentConfig(washout=48), 50)
 
 
 class TestRunExperiment:

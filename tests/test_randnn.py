@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from reservoirq.errors import ConvergenceError, DimensionError
-from reservoirq.randnn import (RandnnSpec, load_spec, residual, save_spec,
-                               solve_steady_state)
+from reservoirq.randnn import (ConvergenceError, RandnnSpec, load_spec, residual,
+                               save_spec, solve_steady_state)
 
 
 def single_neuron(lam_plus, lam_minus, rate):
@@ -140,7 +139,7 @@ class TestResidual:
         assert value == pytest.approx(0.01, abs=1e-15)
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match=r"rho must have shape \(2,\)"):
             residual(chain_spec(), [0.1, 0.2, 0.3])
 
 
@@ -159,7 +158,7 @@ class TestSpecValidation:
             single_neuron(0.0, 0.1, 1.0)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match=r"w_plus must have shape \(2, 2\)"):
             RandnnSpec(lambda_plus=[1.0, 0.5], lambda_minus=[0.0, 0.0],
                        w_plus=[[0.0]], w_minus=[[0.0]], rates=[1.0, 1.0])
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from reservoirq.data import generate_narma10
 from reservoirq.esn import EsnModel
-from reservoirq.errors import DegenerateVarianceError
 from reservoirq.esqn import EsqnModel
 from reservoirq.metrics import nmse
 from reservoirq.numerics import seeded_rng
@@ -267,5 +266,5 @@ class TestSelectPenalty:
         regressors = seeded_rng(18).normal(size=(3, 20))
         targets = np.ones((1, 20))
         targets[:, :16] = seeded_rng(24).normal(size=(1, 16))
-        with pytest.raises(DegenerateVarianceError):
+        with pytest.raises(ValueError, match="targets are constant"):
             select_penalty(regressors, targets)
