@@ -2,20 +2,21 @@
 
 Subcommands: generate-narma, experiment, sweep, solve-randnn. Results go
 to CSV files in the current directory; stdout carries one machine-
-parseable line per result row and diagnostics go to stderr with a
-nonzero exit code.
+parseable line per result row. A failing command prints one ``error:``
+line to stderr and exits 1 (argparse exits 2 on a usage error);
+solve-randnn also reports its iteration count and residual on stderr.
 """
 
 import argparse
 import dataclasses
-import os
 import sys
+from pathlib import Path
 
 from .data import generate_narma10, save_series_csv
-from .harness import (ExperimentConfig, reservoir_size_sweep, run_experiment,
-                      sweep_csv, write_experiment_outputs)
+from .harness import ExperimentConfig, reservoir_size_sweep, run_experiment
+from .metrics import results_csv, summary_csv, sweep_csv, trace_csv
 from .numerics import seeded_rng
-from .randnn import load_spec, solve_steady_state
+from .randnn import load_spec, residual, solve_steady_state
 
 
 def _int_at_least(least):
@@ -92,17 +93,19 @@ def cmd_generate_narma(args):
 
 def cmd_experiment(args):
     outcome = run_experiment(_load_config(args))
-    write_experiment_outputs(outcome, os.getcwd())
+    Path("results.csv").write_text(results_csv(outcome.results))
+    Path("summary.csv").write_text(summary_csv([outcome.summary]))
+    Path("trace.csv").write_text(trace_csv(outcome.trace))
     print(_summary_line(outcome.summary))
     return 0
 
 
 def cmd_sweep(args):
-    outcomes = reservoir_size_sweep(_load_config(args), args.sizes)
-    with open(os.path.join(os.getcwd(), "sweep.csv"), "w") as fh:
-        fh.write(sweep_csv(outcomes))
-    for size, outcome in outcomes:
-        print(f"{size} {_summary_line(outcome.summary)}")
+    sized = [(size, outcome.summary) for size, outcome in
+             reservoir_size_sweep(_load_config(args), args.sizes)]
+    Path("sweep.csv").write_text(sweep_csv(sized))
+    for size, summary in sized:
+        print(f"{size} {_summary_line(summary)}")
     return 0
 
 
@@ -112,6 +115,8 @@ def cmd_solve_randnn(args):
     for load in solution.rho:
         print(repr(float(load)))
     print("stable", "true" if solution.stable else "false")
+    print(f"iterations {solution.iterations}", file=sys.stderr)
+    print(f"residual {residual(spec, solution.rho)!r}", file=sys.stderr)
     return 0
 
 

@@ -14,7 +14,7 @@ import numpy as np
 NARMA_ORDER = 10
 NARMA_DIVERGENCE_LIMIT = 10.0
 NARMA_ATTEMPTS = 10
-DEFAULT_WARMUP = 200
+NARMA_WARMUP = 200
 
 
 @dataclass
@@ -68,26 +68,24 @@ def narma10_response(drive):
     return out
 
 
-def generate_narma10(n, rng, warmup_discard=DEFAULT_WARMUP):
+def generate_narma10(n, rng):
     """Generate n aligned (s(t), b(t+1)) pairs of the NARMA-10 system.
 
-    The drive s is uniform on [0, 0.5]. The first ``warmup_discard`` pairs
+    The drive s is uniform on [0, 0.5]. The first NARMA_WARMUP pairs
     are dropped so the zero initial history washes out. Divergent runs
     (|b| exceeding 10, possible for unlucky drives) are regenerated from
     the generator's following draws, at most NARMA_ATTEMPTS times.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if warmup_discard < 0:
-        raise ValueError("warmup_discard must be >= 0")
-    total = warmup_discard + n
+    total = NARMA_WARMUP + n
     for _ in range(NARMA_ATTEMPTS):
         s = rng.uniform(0.0, 0.5, total)
         # divergent drives overflow before the check rejects them
         with np.errstate(over="ignore", invalid="ignore"):
             b_next = narma10_response(s)
         if np.all(np.abs(b_next) <= NARMA_DIVERGENCE_LIMIT):
-            return s[warmup_discard:], b_next[warmup_discard:]
+            return s[NARMA_WARMUP:], b_next[NARMA_WARMUP:]
     raise RuntimeError(
         f"NARMA-10 diverged on {NARMA_ATTEMPTS} consecutive attempts")
 
@@ -125,6 +123,8 @@ def load_csv(path, column=0):
             raise ValueError(f"{path}: no column named {column!r}") from None
     else:
         idx = int(column)
+        if idx < 0:
+            raise ValueError(f"{path}: column {idx} is negative; indices count from 0")
     data_rows = rows[1:] if has_header else rows
     first_line = 2 if has_header else 1
 
@@ -150,10 +150,10 @@ def load_csv(path, column=0):
     return np.array(values)
 
 
-def save_series_csv(path, values, value_header="value"):
+def save_series_csv(path, values):
     """Write a series as a two-column CSV (t, value), repr-formatted."""
     values = np.asarray(values, dtype=float)
-    lines = [f"t,{value_header}"]
+    lines = ["t,value"]
     lines += [f"{t},{float(v)!r}" for t, v in enumerate(values)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

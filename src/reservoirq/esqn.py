@@ -85,16 +85,13 @@ class EsqnModel:
         The initial load vector is uniform on [0, 1] and every firing rate
         is ``rate``. Blocks are drawn in a fixed order (excitatory input,
         inhibitory input, excitatory recurrent, inhibitory recurrent, then
-        state) so a seed pins the model.
+        state) so a seed pins the model. The constructor rejects any negative
+        weight drawn and a non-positive ``rate``.
         """
         if n_in < 1 or n_res < 1:
             raise ValueError("n_in and n_res must be >= 1")
-        if weight_lo < 0:
-            raise ValueError("weight_lo must be nonnegative (weights are rates)")
         if weight_lo > weight_hi:
             raise ValueError(f"empty interval: weight_lo={weight_lo} > weight_hi={weight_hi}")
-        if rate <= 0:
-            raise ValueError("rate must be positive")
         w_plus_in = rng.uniform(weight_lo, weight_hi, (n_res, n_in))
         w_minus_in = rng.uniform(weight_lo, weight_hi, (n_res, n_in))
         w_plus_res = rng.uniform(weight_lo, weight_hi, (n_res, n_res))

@@ -19,8 +19,7 @@ import numpy as np
 from . import data as datamod
 from .esn import EsnModel
 from .esqn import EsqnModel
-from .metrics import (Summary, TrialResult, nmse, results_csv, summarize,
-                      summary_csv)
+from .metrics import Summary, TrialResult, nmse, summarize
 from .numerics import one_blas_thread, substream_rng, substream_seed
 from .readout import LAMBDA_GRID, collect_states, fit_readout, select_penalty
 
@@ -82,6 +81,8 @@ class ExperimentConfig:
             value = getattr(self, key)
             if value is not None and value < least:
                 raise ValueError(f"{key} must be >= {least}, got {value}")
+        if not isinstance(self.csv_column, str) and self.csv_column < 0:
+            raise ValueError(f"csv_column must be >= 0, got {self.csv_column}")
         if self.dataset == "narma":
             for key, default in (("csv_path", None), ("csv_column", 0),
                                  ("horizon", 1)):
@@ -104,6 +105,12 @@ class ExperimentConfig:
             if not 0.0 <= bounds[1] - bounds[0] < np.inf:
                 raise ValueError(f"{lo} and {hi} must span a finite width >= 0, "
                                  f"got {bounds}")
+        for key, inside, domain in (("density", 0 < self.density <= 1, "in (0, 1]"),
+                                    ("spectral_radius", self.spectral_radius > 0, "> 0"),
+                                    ("firing_rate", self.firing_rate > 0, "> 0"),
+                                    ("weight_lo", self.weight_lo >= 0, ">= 0")):
+            if not inside:
+                raise ValueError(f"{key} must be {domain}, got {getattr(self, key)}")
         grid = tuple(float(l) for l in self.lambda_grid)
         if not grid or not all(np.isfinite(l) and l > 0 for l in grid):
             raise ValueError("lambda_grid must be a non-empty tuple of finite "
@@ -345,36 +352,3 @@ def reservoir_size_sweep(config, sizes):
         sized = dataclasses.replace(config, reservoir_size=size)
         outcomes.append((size, run_experiment(sized)))
     return outcomes
-
-
-TRACE_HEADER = "t,target,prediction"
-SWEEP_HEADER = "reservoir_size,mean_nmse,ci_halfwidth"
-
-
-def trace_csv(trace):
-    lines = [TRACE_HEADER]
-    for t, target, pred in trace:
-        lines.append(f"{int(t)},{float(target)!r},{float(pred)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def sweep_csv(outcomes):
-    lines = [SWEEP_HEADER]
-    for size, outcome in outcomes:
-        s = outcome.summary
-        hw = "" if s.ci_halfwidth is None else repr(s.ci_halfwidth)
-        lines.append(f"{size},{s.mean_nmse!r},{hw}")
-    return "\n".join(lines) + "\n"
-
-
-def write_experiment_outputs(outcome, outdir="."):
-    """Emit results.csv, summary.csv and trace.csv; returns their paths."""
-    paths = {}
-    for fname, text in (("results.csv", results_csv(outcome.results)),
-                        ("summary.csv", summary_csv([outcome.summary])),
-                        ("trace.csv", trace_csv(outcome.trace))):
-        path = os.path.join(outdir, fname)
-        with open(path, "w") as fh:
-            fh.write(text)
-        paths[fname] = path
-    return paths

@@ -135,22 +135,32 @@ def summarize(results, failures=0):
                    ridge_lambda=modal_lambda, failures=int(failures))
 
 
-RESULTS_HEADER = "series,model,trial,seed,nmse,lambda,reservoir_size"
-SUMMARY_HEADER = "series,model,n,mean_nmse,ci_halfwidth,lambda,failures"
+def _csv(header, rows):
+    """CSV text: the header line, then one line per row of cells; a float
+    cell prints as its repr (str and repr agree) and None as a blank."""
+    lines = [",".join("" if cell is None else str(cell) for cell in row) for row in rows]
+    return "\n".join([header, *lines]) + "\n"
 
 
 def results_csv(results):
-    lines = [RESULTS_HEADER]
-    for r in results:
-        lines.append(f"{r.series},{r.model},{r.trial},{r.seed},"
-                     f"{r.nmse!r},{r.ridge_lambda!r},{r.reservoir_size}")
-    return "\n".join(lines) + "\n"
+    return _csv("series,model,trial,seed,nmse,lambda,reservoir_size",
+                ((r.series, r.model, r.trial, r.seed, r.nmse, r.ridge_lambda,
+                  r.reservoir_size) for r in results))
 
 
 def summary_csv(summaries):
-    lines = [SUMMARY_HEADER]
-    for s in summaries:
-        hw = "" if s.ci_halfwidth is None else repr(s.ci_halfwidth)
-        lines.append(f"{s.series},{s.model},{s.n_trials},{s.mean_nmse!r},"
-                     f"{hw},{s.ridge_lambda!r},{s.failures}")
-    return "\n".join(lines) + "\n"
+    return _csv("series,model,n,mean_nmse,ci_halfwidth,lambda,failures",
+                ((s.series, s.model, s.n_trials, s.mean_nmse, s.ci_halfwidth,
+                  s.ridge_lambda, s.failures) for s in summaries))
+
+
+def trace_csv(trace):
+    """One line per (t, target, prediction) row of a trace array."""
+    return _csv("t,target,prediction",
+                ((int(t), float(y), float(p)) for t, y, p in trace))
+
+
+def sweep_csv(sized_summaries):
+    """One line per (reservoir size, Summary) pair."""
+    return _csv("reservoir_size,mean_nmse,ci_halfwidth",
+                ((size, s.mean_nmse, s.ci_halfwidth) for size, s in sized_summaries))

@@ -139,8 +139,6 @@ def spectral_radius(m):
         raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    if not m.any():
-        return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 

@@ -20,6 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 ALPHA_FLOOR = 2.0 ** -20
+# the solve stops once the largest load moves less than TOL in one map
+TOL = 1e-12
+MAX_ITER = 10_000
 OVERLOAD_PATIENCE = 100
 
 
@@ -98,26 +101,24 @@ def residual(spec, rho):
     return float(np.max(np.abs(rho - _load_map(spec, rho))))
 
 
-def solve_steady_state(spec, tol=1e-12, max_iter=10_000):
+def solve_steady_state(spec):
     """Fixed point of the load equations by damped successive substitution.
 
     Starts from rho = 0 with full steps; the step size is halved whenever
     successive updates reverse direction (oscillation around the fixed
     point). If some load sits at or above one for OVERLOAD_PATIENCE
     consecutive iterations, the network is reported unstable instead of
-    erroring. Exhausting max_iter raises ConvergenceError carrying the
+    erroring. Exhausting MAX_ITER raises ConvergenceError carrying the
     last iterate.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     rho = np.zeros(spec.n)
     alpha = 1.0
     prev_step = None
     overloaded = 0
-    for iteration in range(int(max_iter)):
+    for iteration in range(MAX_ITER):
         g = _load_map(spec, rho)
         res = float(np.max(np.abs(rho - g)))
-        if res < tol:
+        if res < TOL:
             return SteadyState(rho=rho, stable=bool(np.all(rho < 1.0)), iterations=iteration)
         delta = g - rho
         if prev_step is not None and float(delta @ prev_step) < 0.0:
@@ -129,7 +130,7 @@ def solve_steady_state(spec, tol=1e-12, max_iter=10_000):
         if overloaded >= OVERLOAD_PATIENCE:
             return SteadyState(rho=rho, stable=False, iterations=iteration + 1)
     raise ConvergenceError(
-        f"load equations did not reach tol={tol} within {max_iter} iterations",
+        f"load equations did not reach tol={TOL} within {MAX_ITER} iterations",
         best=rho)
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -66,6 +67,8 @@ class TestExperiment:
         assert fields[3].startswith("±")
         for name in ("results.csv", "summary.csv", "trace.csv"):
             assert os.path.exists(name)
+        with open("trace.csv") as fh:
+            assert fh.readline().strip() == "t,target,prediction"
 
     def test_single_trial_omits_interval(self, workdir, capsys):
         config = write_config(workdir, CONFIG_TEXT.replace("trials = 2", "trials = 1"))
@@ -153,6 +156,15 @@ class TestSolveRandnn:
         assert float(lines[0]) == pytest.approx(0.5, abs=1e-9)
         assert float(lines[1]) == pytest.approx(0.25, abs=1e-9)
         assert lines[2] == "stable true"
+
+    def test_iterations_and_residual_on_stderr(self, workdir, capsys, fixture_root):
+        spec = os.path.join(fixture_root, "randnn_chain.txt")
+        assert cli.main(["solve-randnn", "--spec", spec]) == 0
+        captured = capsys.readouterr()
+        iterations, res = captured.err.splitlines()
+        assert re.fullmatch(r"iterations [1-9]\d*", iterations)
+        assert res.startswith("residual ") and 0.0 <= float(res.split()[1]) < 1e-12
+        assert "iterations" not in captured.out and "residual" not in captured.out
 
     def test_unstable_spec_reports_false(self, workdir, capsys, tmp_path):
         path = tmp_path / "hot.txt"

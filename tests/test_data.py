@@ -42,16 +42,16 @@ class TestNarma:
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_lengths_and_alignment(self):
-        s, b_next = generate_narma10(500, seeded_rng(9), warmup_discard=100)
+        s, b_next = generate_narma10(500, seeded_rng(9))
         assert s.shape == (500,) and b_next.shape == (500,)
-        # regenerating without the discard shows the same aligned pairs
-        s_full = seeded_rng(9).uniform(0.0, 0.5, 600)
-        np.testing.assert_array_equal(s, s_full[100:])
-        np.testing.assert_array_equal(b_next, narma10_response(s_full)[100:])
+        # regenerating with the 200-pair warm-up kept shows the same aligned pairs
+        s_full = seeded_rng(9).uniform(0.0, 0.5, 700)
+        np.testing.assert_array_equal(s, s_full[200:])
+        np.testing.assert_array_equal(b_next, narma10_response(s_full)[200:])
 
     def test_drive_mean(self):
         # mean of U[0, 0.5] is 0.25; the 0.005 band is > 20 sigma at 1e5
-        s, _ = generate_narma10(100_000, seeded_rng(10), warmup_discard=0)
+        s, _ = generate_narma10(100_000, seeded_rng(10))
         assert abs(s.mean() - 0.25) < 0.005
 
     def test_outputs_bounded_by_divergence_limit(self):
@@ -269,6 +269,12 @@ class TestCsv:
         path.write_text("t,value\n0,1.0\n1\n")
         with pytest.raises(ValueError, match="row 3 has no column 1"):
             load_csv(path, column=1)
+
+    def test_negative_column_rejected(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("t,value\n0,1.0\n1,2.0\n")
+        with pytest.raises(ValueError, match="column -2 is negative"):
+            load_csv(path, column=-2)
 
     def test_empty_column(self, tmp_path):
         path = tmp_path / "series.csv"

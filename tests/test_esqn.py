@@ -52,6 +52,10 @@ class TestInit:
         with pytest.raises(ValueError, match="rates"):
             random_model(weight_lo=-0.1)
 
+    def test_zero_rate_rejected(self):
+        with pytest.raises(ValueError, match="rate"):
+            random_model(rate=0.0)
+
     def test_inverted_interval_rejected(self):
         with pytest.raises(ValueError):
             random_model(weight_lo=0.3, weight_hi=0.1)

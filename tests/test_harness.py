@@ -8,12 +8,11 @@ import textwrap
 import numpy as np
 import pytest
 
-from reservoirq import harness
+from reservoirq import cli, harness
 from reservoirq.harness import (ExperimentConfig, prepare_data,
                                 reservoir_size_sweep, resolve_washout,
-                                run_experiment, sweep_csv, trace_csv,
-                                write_experiment_outputs)
-from reservoirq.metrics import results_csv, summary_csv
+                                run_experiment)
+from reservoirq.metrics import results_csv, summary_csv, trace_csv
 
 
 def tiny_narma(**overrides):
@@ -187,6 +186,12 @@ class TestConfig:
         # inverted sampling intervals
         {"esn_weight_lo": 0.6},
         {"weight_hi": -0.1},
+        # model knobs outside the domain the models accept
+        {"density": 0.0},
+        {"density": 1.5},
+        {"spectral_radius": -0.5},
+        {"firing_rate": -1.0},
+        {"weight_lo": -0.1},
     ])
     def test_bad_lags_and_horizon_rejected(self, overrides):
         (key, value), = overrides.items()
@@ -206,6 +211,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="name") as info:
             ExperimentConfig(**overrides)
         assert repr(name) in str(info.value)
+
+    def test_negative_csv_column_rejected(self):
+        with pytest.raises(ValueError, match="csv_column must be >= 0, got -2"):
+            ExperimentConfig(dataset="csv", csv_path="/data/x.csv", csv_column=-2)
 
     def test_integral_offsets_normalised(self):
         assert ExperimentConfig(lag_offsets=(0, 6.0, 7)).lag_offsets == (0, 6, 7)
@@ -356,21 +365,22 @@ class TestSweep:
         with pytest.raises(ValueError):
             reservoir_size_sweep(tiny_narma(), [])
 
-    def test_sweep_csv_layout(self):
-        outcomes = reservoir_size_sweep(tiny_narma(trials=2), [5, 10])
-        lines = sweep_csv(outcomes).splitlines()
-        assert lines[0] == "reservoir_size,mean_nmse,ci_halfwidth"
-        assert len(lines) == 3
-        assert lines[1].startswith("5,") and lines[2].startswith("10,")
-
 
 class TestOutputs:
-    def test_files_written(self, tmp_path):
+    def test_files_written(self, tmp_path, monkeypatch):
+        config_path = tmp_path / "tiny.cfg"
+        config_path.write_text("dataset = narma\ntrain_size = 150\n"
+                               "validation_size = 50\nreservoir_size = 10\n"
+                               "trials = 2\nseed = 5\nmodel = esqn\n")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["experiment", "--config", str(config_path)]) == 0
         outcome = run_experiment(tiny_narma())
-        paths = write_experiment_outputs(outcome, tmp_path)
-        for name in ("results.csv", "summary.csv", "trace.csv"):
-            assert os.path.exists(paths[name])
-        with open(paths["trace.csv"]) as fh:
+        expected = {"results.csv": results_csv(outcome.results),
+                    "summary.csv": summary_csv([outcome.summary]),
+                    "trace.csv": trace_csv(outcome.trace)}
+        for name, text in expected.items():
+            assert (tmp_path / name).read_text() == text
+        with open(tmp_path / "trace.csv") as fh:
             assert fh.readline().strip() == "t,target,prediction"
 
 

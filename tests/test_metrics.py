@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reservoirq.metrics import (Summary, TrialResult, nmse, results_csv,
-                                summarize, summary_csv, t_quantile_975)
+                                summarize, summary_csv, sweep_csv,
+                                t_quantile_975, trace_csv)
 from reservoirq.numerics import seeded_rng
 
 
@@ -167,3 +168,17 @@ class TestEmission:
         summary = Summary(series="x", model="esn", n_trials=1, mean_nmse=0.5,
                           ci_halfwidth=None, ridge_lambda=0.1)
         assert summary_csv([summary]).splitlines()[1] == "x,esn,1,0.5,,0.1,0"
+
+    def test_trace_csv_layout(self):
+        trace = np.array([[0.0, 0.25, 0.125], [1.0, 0.5, 0.75]])
+        assert trace_csv(trace) == "t,target,prediction\n0,0.25,0.125\n1,0.5,0.75\n"
+
+    def test_sweep_csv_layout(self):
+        sized = [(size, Summary(series="narma", model="esn", n_trials=n,
+                                mean_nmse=0.25, ci_halfwidth=hw, ridge_lambda=1e-8))
+                 for size, n, hw in ((5, 2, 0.125), (10, 1, None))]
+        lines = sweep_csv(sized).splitlines()
+        assert lines[0] == "reservoir_size,mean_nmse,ci_halfwidth"
+        assert len(lines) == 3
+        assert lines[1].startswith("5,") and lines[2].startswith("10,")
+        assert lines[1:] == ["5,0.25,0.125", "10,0.25,"]

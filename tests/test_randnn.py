@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reservoirq import randnn
 from reservoirq.randnn import (ConvergenceError, RandnnSpec, load_spec, residual,
                                save_spec, solve_steady_state)
 
@@ -81,9 +82,10 @@ class TestSolveSteadyState:
         assert not solution.stable
         assert solution.rho[0] >= 1.0
 
-    def test_out_of_iterations_raises_with_best(self):
+    def test_out_of_iterations_raises_with_best(self, monkeypatch):
+        monkeypatch.setattr(randnn, "MAX_ITER", 2)
         with pytest.raises(ConvergenceError) as info:
-            solve_steady_state(pair_spec(), tol=1e-12, max_iter=2)
+            solve_steady_state(pair_spec())
         assert info.value.best is not None
         assert info.value.best.shape == (2,)
 
@@ -126,7 +128,7 @@ class TestSolveSteadyState:
 class TestResidual:
     def test_zero_at_fixed_point(self):
         spec = pair_spec()
-        solution = solve_steady_state(spec, tol=1e-12)
+        solution = solve_steady_state(spec)
         assert residual(spec, solution.rho) < 1e-12
 
     def test_zero_guess_single_neuron(self):
