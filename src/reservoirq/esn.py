@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import initial_state, regressor_buffer, spectral_radius
+from .numerics import drive, initial_state, spectral_radius
 
 RESAMPLE_ATTEMPTS = 10
 
@@ -32,6 +32,9 @@ class EsnModel:
             raise ValueError("w_in must have one row per reservoir unit")
         if self.w_in.shape[1] < 1:
             raise ValueError("w_in needs at least the bias column")
+        for name in ("w_in", "w_res"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         self.state = initial_state(self.state, self.n_res)
 
     @property
@@ -57,8 +60,8 @@ class EsnModel:
             raise ValueError("n_res must be >= 1 and n_in >= 0")
         if not 0.0 < density <= 1.0:
             raise ValueError("density must lie in (0, 1]")
-        if target_rho <= 0:
-            raise ValueError("target_rho must be positive")
+        if not target_rho > 0:
+            raise ValueError(f"target_rho must be positive, got {target_rho}")
         nnz = round(density * n_res * n_res)
         if nnz < 1:
             raise ValueError("density too small: no nonzero entries at this size")
@@ -81,17 +84,10 @@ class EsnModel:
     def run(self, inputs):
         """Advance x <- tanh(w_in [1; a] + w_res x) once per input row.
 
-        Takes a (K, n_in) input matrix, checked once per call (2-d,
-        finite), and returns the sample-major (1 + n_in + n_res, K) matrix
-        whose column t is the regressor [1; a_t; x_t], so the states are
-        rows n_in + 1 onward. The model is left holding a copy of the last
-        state. Each step is one product of [w_res, w_in] with the window
-        [x_{t-1}; 1; a_t] straight into x_t, then tanh in place.
+        Takes a (K, n_in) input matrix and returns the (1 + n_in + n_res,
+        K) regressor matrix whose column t is [1; a_t; x_t] (see
+        ``numerics.drive``); the model is left holding the last state.
         """
-        buf, windows = regressor_buffer(inputs, self.n_in, self.state)
-        dot = np.hstack((self.w_res, self.w_in)).dot
-        for window, x in zip(windows, buf[1:, 1 + self.n_in:]):
-            dot(window, out=x)
-            np.tanh(x, out=x)
-        self.state = buf[-1, 1 + self.n_in:].copy()
-        return buf[1:].T
+        regressors, self.state = drive(inputs, self.state,
+                                       np.hstack((self.w_res, self.w_in)), np.tanh)
+        return regressors

@@ -14,25 +14,21 @@ queue. All weights are nonnegative because they are routing rates. The
 map is applied literally, without clamping loads at one; steps where
 some load exceeds one are tallied in ``overload_steps`` as a diagnostic.
 
-``run`` drives a whole (K, n_in) input matrix through one C-order buffer
-whose row t is the regressor [1, a_t, rho_t]. Step t reads the window
-[rho_{t-1}, 1, a_t], which ends just before rho_t, and makes two calls: a
-product of the window with the (2N, D) step matrix
+``run`` hands ``numerics.drive`` the (2N, D) step matrix
 
     [[w+_res,     0, w+_in / r_in],
-     [w-_res, r_res, w-_in / r_in]]
+     [w-_res, r_res, w-_in / r_in]],
 
-gives the N numerators, then the N denominators, and their ratio is
-written straight into rho_t. The loop allocates no array.
+whose product with the window [rho_{t-1}; 1; a_t] gives the N numerators,
+then the N denominators; their ratio is rho_t.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import initial_state, regressor_buffer
-
-_BLOCKS = ("w_plus_in", "w_minus_in", "w_plus_res", "w_minus_res")
+from .numerics import drive, initial_state
+from .randnn import rate_array
 
 
 @dataclass
@@ -49,21 +45,14 @@ class EsqnModel:
     overload_steps: int = 0  # steps in which some load exceeded 1
 
     def __post_init__(self):
-        for name in (*_BLOCKS, "rates_in", "rates_res"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        n_res, n_in = self.w_plus_in.shape if self.w_plus_in.ndim == 2 else (0, 0)
-        if self.w_plus_in.ndim != 2:
+        shape = np.shape(self.w_plus_in)
+        if len(shape) != 2:
             raise ValueError("w_plus_in must be 2-d")
-        if self.w_minus_in.shape != (n_res, n_in):
-            raise ValueError("w_minus_in must match w_plus_in")
-        for name in ("w_plus_res", "w_minus_res"):
-            if getattr(self, name).shape != (n_res, n_res):
-                raise ValueError(f"{name} must have shape ({n_res}, {n_res})")
-        if self.rates_in.shape != (n_in,) or self.rates_res.shape != (n_res,):
-            raise ValueError("rate vectors must match the weight blocks")
-        for name in _BLOCKS:
-            if np.any(getattr(self, name) < 0):
-                raise ValueError(f"{name} must be nonnegative (weights are rates)")
+        n_res, n_in = shape
+        for name, dims in (("w_plus_in", shape), ("w_minus_in", shape),
+                           ("w_plus_res", (n_res, n_res)), ("w_minus_res", (n_res, n_res)),
+                           ("rates_in", (n_in,)), ("rates_res", (n_res,))):
+            setattr(self, name, rate_array(name, getattr(self, name), dims))
         if np.any(self.rates_in <= 0) or np.any(self.rates_res <= 0):
             raise ValueError("firing rates must be strictly positive")
         self.state = initial_state(self.state, n_res)
@@ -86,7 +75,8 @@ class EsqnModel:
         is ``rate``. Blocks are drawn in a fixed order (excitatory input,
         inhibitory input, excitatory recurrent, inhibitory recurrent, then
         state) so a seed pins the model. The constructor rejects any negative
-        weight drawn and a non-positive ``rate``.
+        or non-finite weight drawn and a ``rate`` that is not finite and
+        positive.
         """
         if n_in < 1 or n_res < 1:
             raise ValueError("n_in and n_res must be >= 1")
@@ -106,27 +96,21 @@ class EsqnModel:
     def run(self, inputs):
         """Apply the load map once per row of a (K, n_in) input matrix.
 
-        Returns the sample-major (1 + n_in + n_res, K) matrix whose column
-        t is the regressor [1; a_t; rho_t], so the loads are rows n_in + 1
-        onward, and leaves the model holding a copy of the last loads.
-        Each step is simultaneous across units: the right-hand side reads
-        only the previous load vector. The inputs are checked once per
-        call (2-d, finite, nonnegative); each step with some load above 1
-        adds one to ``overload_steps``.
+        Returns the (1 + n_in + n_res, K) regressor matrix whose column t
+        is [1; a_t; rho_t] (see ``numerics.drive``) and leaves the model
+        holding the last loads. Each step is simultaneous across units:
+        the right-hand side reads only the previous load vector. Negative
+        inputs raise ValueError; each step with some load above 1 adds one
+        to ``overload_steps``.
         """
-        buf, windows = regressor_buffer(inputs, self.n_in, self.state)
-        n, lead = self.n_res, 1 + self.n_in
-        if np.any(buf[1:, 1:lead] < 0):
+        inputs = np.asarray(inputs, dtype=float)
+        if np.any(inputs < 0):
             raise ValueError("inputs are spike rates and must be nonnegative")
+        n = self.n_res
         plus_in, minus_in = self.w_plus_in / self.rates_in, self.w_minus_in / self.rates_in
-        dot = np.vstack((np.hstack((self.w_plus_res, np.zeros((n, 1)), plus_in)),
-                         np.hstack((self.w_minus_res, self.rates_res[:, None], minus_in)))).dot
-        r = np.empty(2 * n)
-        numer, denom = r[:n], r[n:]
-        loads = buf[1:, lead:]
-        for window, rho in zip(windows, loads):
-            dot(window, out=r)
-            np.divide(numer, denom, out=rho)
-        self.state = buf[-1, lead:].copy()
-        self.overload_steps += int(np.count_nonzero((loads > 1.0).any(axis=1)))
-        return buf[1:].T
+        step = np.vstack((np.hstack((self.w_plus_res, np.zeros((n, 1)), plus_in)),
+                          np.hstack((self.w_minus_res, self.rates_res[:, None], minus_in))))
+        regressors, self.state = drive(inputs, self.state, step, np.divide)
+        loads = regressors[1 + self.n_in:]
+        self.overload_steps += int(np.count_nonzero((loads > 1.0).any(axis=0)))
+        return regressors

@@ -105,6 +105,9 @@ class ExperimentConfig:
             if not 0.0 <= bounds[1] - bounds[0] < np.inf:
                 raise ValueError(f"{lo} and {hi} must span a finite width >= 0, "
                                  f"got {bounds}")
+            # all-zero ESN weights have no spectral radius to rescale
+            if lo == "esn_weight_lo" and bounds == (0.0, 0.0):
+                raise ValueError(f"{lo} and {hi} must not both be 0, got {bounds}")
         for key, inside, domain in (("density", 0 < self.density <= 1, "in (0, 1]"),
                                     ("spectral_radius", self.spectral_radius > 0, "> 0"),
                                     ("firing_rate", self.firing_rate > 0, "> 0"),
@@ -125,25 +128,12 @@ class ExperimentConfig:
                              f"got {self.name!r}")
 
     @classmethod
-    def from_mapping(cls, mapping):
-        """Build a config from string key/value pairs (config-file values)."""
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        kwargs = {}
-        for key, raw in mapping.items():
-            if key not in fields:
-                raise ValueError(f"unknown config key {key!r}")
-            try:
-                kwargs[key] = _parse_value(fields[key], raw)
-            except ValueError as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from exc
-        return cls(**kwargs)
-
-    @classmethod
     def from_file(cls, path):
         """Parse a plain-text key=value config file ('#' starts a comment).
 
-        A relative csv_path is resolved against the config file's own
-        directory, so configs can ship next to their data.
+        Each value is cast to its field's annotated type. A relative
+        csv_path is resolved against the config file's own directory, so
+        configs can ship next to their data.
         """
         mapping = {}
         with open(path) as fh:
@@ -161,7 +151,16 @@ class ExperimentConfig:
             mapping["csv_path"] = os.path.normpath(
                 os.path.join(os.path.dirname(os.path.abspath(path)),
                              mapping["csv_path"]))
-        return cls.from_mapping(mapping)
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        kwargs = {}
+        for key, raw in mapping.items():
+            if key not in fields:
+                raise ValueError(f"unknown config key {key!r}")
+            try:
+                kwargs[key] = _parse_value(fields[key], raw)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from exc
+        return cls(**kwargs)
 
 
 def _parse_value(field, raw):
@@ -171,9 +170,6 @@ def _parse_value(field, raw):
     its types in order, so ``int | str`` keeps a non-numeric string and
     ``int | None`` reads an int.
     """
-    if not isinstance(raw, str):
-        return raw
-    raw = raw.strip()
     if typing.get_origin(field.type) is tuple:
         cast = typing.get_args(field.type)[0]
         return tuple(cast(part.strip()) for part in raw.split(",") if part.strip())

@@ -1,5 +1,5 @@
 """Seeded randomness, spectral radius, the ridge solver, the reservoirs'
-regressor buffer and state check, and the BLAS thread pin.
+step loop and state check, and the BLAS thread pin.
 
 All experiment randomness flows through numpy's PCG64 generator (a
 permuted-congruential generator with published constants and
@@ -47,32 +47,47 @@ def substream_seed(master_seed, *path):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def regressor_buffer(inputs, n_in, state):
-    """Check a (K, n_in) input matrix once and lay out K reservoir steps.
+def drive(inputs, state, step, ufunc):
+    """Step a reservoir once per row of a (K, n_in) input matrix.
 
-    Returns a C-order (K + 1, D) buffer, D = 1 + n_in + n_res, and a
-    read-only (K, D) view of its windows. Row 0 of the buffer ends with
-    ``state``; row t holds [1, a_t, x_t], with x_t left for the caller to
-    write. Window t - 1 is [x_{t-1}, 1, a_t], everything step t reads, and
-    it ends just before x_t: the windows are the buffer's rows shifted
-    back by n_res entries, one strided view that numpy bounds-checks
-    against the buffer. Raises ValueError on a shape mismatch or a
-    non-finite input.
+    ``state`` is the (n,) start state and ``step`` the (ufunc.nin * n, D)
+    step matrix, D = 1 + n_in + n, whose columns multiply the window
+    [x_{t-1}; 1; a_t]; x_t is ``ufunc`` over the ufunc.nin equal parts of
+    that product. The inputs are checked once: a shape other than
+    (K, n_in), or a non-finite entry, raises ValueError.
+
+    Returns the (D, K) regressor matrix, whose column t is [1; a_t; x_t],
+    and a copy of the last state (of ``state`` when K = 0). The matrix is
+    the transpose of a C-order (K + 1, D) buffer less its row 0, which
+    ends with ``state``; row t holds [1, a_t, x_t], so each column is
+    contiguous. Window t - 1 is [x_{t-1}, 1, a_t], everything step t
+    reads, and it ends just before x_t: the windows are the buffer's rows
+    shifted back by n entries, one read-only strided view that numpy
+    bounds-checks against the buffer. Each step is two calls, the product
+    into one scratch vector and ``ufunc`` from it into x_t, and allocates
+    no array.
     """
     a = np.asarray(inputs, dtype=float)
-    if a.ndim != 2 or a.shape[1] != n_in:
-        raise ValueError(f"expected a K x {n_in} input matrix, got shape {a.shape}")
+    lead = step.shape[1] - state.shape[0]
+    if a.ndim != 2 or a.shape[1] != lead - 1:
+        raise ValueError(f"expected a K x {lead - 1} input matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("inputs must be finite")
-    lead = 1 + n_in
-    buf = np.empty((a.shape[0] + 1, lead + state.shape[0]))
+    buf = np.empty((a.shape[0] + 1, step.shape[1]))
     buf[0, lead:] = state
     buf[1:, 0] = 1.0
     buf[1:, 1:lead] = a
     windows = np.ndarray((a.shape[0], buf.shape[1]), float, buf,
                          offset=lead * buf.itemsize, strides=buf.strides)
     windows.flags.writeable = False
-    return buf, windows
+    dot = step.dot
+    r = np.empty(step.shape[0])
+    # bound once, so no step unpacks r's parts again
+    apply = functools.partial(ufunc, *r.reshape(ufunc.nin, -1))
+    for window, x in zip(windows, buf[1:, lead:]):
+        dot(window, out=r)
+        apply(out=x)
+    return buf[1:].T, buf[-1, lead:].copy()
 
 
 def initial_state(state, n_res):

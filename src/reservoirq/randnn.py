@@ -35,6 +35,18 @@ class ConvergenceError(RuntimeError):
         self.best = best
 
 
+def rate_array(name, value, shape):
+    """``value`` as a float array of ``shape`` whose entries are finite and
+    nonnegative, as every rate and routing weight of a queueing network
+    is; raises ValueError naming ``name`` otherwise."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}")
+    if not ((arr >= 0).all() and np.isfinite(arr).all()):
+        raise ValueError(f"{name} must hold finite, nonnegative rates")
+    return arr
+
+
 @dataclass(frozen=True)
 class RandnnSpec:
     """Immutable description of one random neural network.
@@ -51,23 +63,13 @@ class RandnnSpec:
     rates: np.ndarray
 
     def __post_init__(self):
-        for name in ("lambda_plus", "lambda_minus", "rates", "w_plus", "w_minus"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        n = self.lambda_plus.shape[0]
-        if self.lambda_plus.ndim != 1 or n == 0:
+        shape = np.shape(self.lambda_plus)
+        if len(shape) != 1 or shape[0] == 0:
             raise ValueError("lambda_plus must be a non-empty vector")
-        for name in ("lambda_minus", "rates"):
-            if getattr(self, name).shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},)")
-        for name in ("w_plus", "w_minus"):
-            if getattr(self, name).shape != (n, n):
-                raise ValueError(f"{name} must have shape ({n}, {n})")
-        for name in ("lambda_plus", "lambda_minus", "w_plus", "w_minus", "rates"):
-            arr = getattr(self, name)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-            if np.any(arr < 0):
-                raise ValueError(f"{name} must be nonnegative")
+        n = shape[0]
+        for name, dims in (("lambda_plus", (n,)), ("lambda_minus", (n,)),
+                           ("w_plus", (n, n)), ("w_minus", (n, n)), ("rates", (n,))):
+            object.__setattr__(self, name, rate_array(name, getattr(self, name), dims))
         if np.any(self.rates <= 0):
             raise ValueError("firing rates must be strictly positive")
         if self.lambda_plus.sum() <= 0:

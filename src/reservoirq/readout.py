@@ -22,9 +22,9 @@ def collect_states(model, inputs, washout):
     washout.
 
     The model runs in place through all K rows in order and ends holding
-    the state after the full sequence. The result is the sample-major
-    (D, K - washout) tail of ``model.run(inputs)``: column t is the
-    regressor [1; a(t); x(t)] of step washout + t.
+    the state after the full sequence. The result is the (D, K - washout)
+    tail of ``model.run(inputs)``: column t is the regressor
+    [1; a(t); x(t)] of step washout + t.
     """
     k = len(inputs)
     if not 0 <= washout < k:

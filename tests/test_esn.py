@@ -93,6 +93,18 @@ class TestInit:
             with pytest.raises(ValueError, match="state must be finite"):
                 EsnModel(w_in=np.zeros((1, 2)), w_res=np.zeros((1, 1)), state=[bad])
 
+    def test_nan_target_radius_rejected(self):
+        with pytest.raises(ValueError, match="target_rho must be positive, got nan"):
+            EsnModel.random(2, 5, 0.5, float("nan"), seeded_rng(0))
+
+    @pytest.mark.parametrize("name", ["w_in", "w_res"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, name, bad):
+        weights = {"w_in": np.zeros((1, 2)), "w_res": np.zeros((1, 1))}
+        weights[name].flat[0] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            EsnModel(**weights)
+
 
 class TestRun:
     def test_split_run_equals_whole_run(self):

@@ -60,6 +60,16 @@ class TestInit:
         with pytest.raises(ValueError):
             random_model(weight_lo=0.3, weight_hi=0.1)
 
+    @pytest.mark.parametrize("name", ["w_plus_in", "w_minus_in", "w_plus_res",
+                                      "w_minus_res", "rates_in", "rates_res"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_or_rate_rejected(self, name, bad):
+        blocks = dict(w_plus_in=[[0.2]], w_minus_in=[[0.1]], w_plus_res=[[0.1]],
+                      w_minus_res=[[0.0]], rates_in=[1.0], rates_res=[1.0])
+        blocks[name] = np.full(np.shape(blocks[name]), bad)
+        with pytest.raises(ValueError, match=f"{name} must hold finite, nonnegative rates"):
+            EsqnModel(**blocks)
+
 
     def test_non_finite_state_rejected(self):
         for bad in (np.nan, np.inf):

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reservoirq import numerics
-from reservoirq.numerics import (one_blas_thread, regressor_buffer, ridge_solve,
-                                 ridge_solve_grid, seeded_rng, spectral_radius,
-                                 substream_rng, substream_seed)
+from reservoirq.numerics import (drive, one_blas_thread, ridge_solve, ridge_solve_grid,
+                                 seeded_rng, spectral_radius, substream_rng,
+                                 substream_seed)
 
 # Spectral radius of the seed-20260809 5x5 uniform matrix, computed
 # independently before the build: characteristic polynomial by
@@ -212,17 +212,33 @@ class TestRidgeSolveGrid:
             np.testing.assert_array_equal(w, ridge_solve_grid(z, t, [lam])[0])
 
 
-class TestRegressorBuffer:
-    def test_windows_are_read_only_shifted_rows(self):
+class TestDrive:
+    def test_columns_equal_a_literal_step_loop(self):
+        rng = seeded_rng(12)
+        n_in, n, k = 2, 4, 6
+        inputs = rng.uniform(0.0, 1.0, (k, n_in))
+        for ufunc in (np.tanh, np.divide):
+            state = rng.uniform(0.0, 1.0, n)
+            step = rng.uniform(0.1, 1.0, (ufunc.nin * n, 1 + n_in + n))
+            regressors, last = drive(inputs, state, step, ufunc)
+            assert regressors.shape == (1 + n_in + n, k)
+            x = state
+            for t in range(k):
+                # the step matrix's columns multiply [x_{t-1}; 1; a_t]
+                r = step @ np.concatenate([x, [1.0], inputs[t]])
+                x = ufunc(*np.split(r, ufunc.nin))
+                np.testing.assert_array_equal(
+                    regressors[:, t], np.concatenate([[1.0], inputs[t], x]))
+            np.testing.assert_array_equal(last, x)
+            last[:] = -1.0  # the returned state does not alias the matrix
+            np.testing.assert_array_equal(regressors[1 + n_in:, -1], x)
+
+    def test_no_inputs_give_no_columns_and_the_given_state(self):
         state = np.array([0.5, -0.25])
-        buf, windows = regressor_buffer(np.arange(6.0).reshape(3, 2), 2, state)
-        assert windows.shape == (3, 5)
-        flat = buf.ravel()
-        for t in range(3):
-            np.testing.assert_array_equal(windows[t], flat[3 + 5 * t:8 + 5 * t])
-        np.testing.assert_array_equal(windows[0], [0.5, -0.25, 1.0, 0.0, 1.0])
-        with pytest.raises(ValueError):
-            windows[0, 0] = 1.0
+        regressors, last = drive(np.empty((0, 1)), state, np.ones((2, 4)), np.tanh)
+        assert regressors.shape == (4, 0)
+        np.testing.assert_array_equal(last, state)
+        assert last is not state
 
 
 class TestRng:
