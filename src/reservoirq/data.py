@@ -32,6 +32,8 @@ class Rescaler:
     @classmethod
     def fit(cls, values):
         values = np.asarray(values, dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("reference segment must be finite")
         lo, hi = float(values.min()), float(values.max())
         if not hi > lo:
             raise ValueError("reference segment is constant; no scale exists")

@@ -54,7 +54,8 @@ class EsnModel:
         placed uniformly at random, with values drawn uniformly from
         [weight_lo, weight_hi] and then rescaled so the spectral radius
         equals target_rho. Draws that land on a nilpotent support (radius
-        zero, possible at tiny densities) are resampled a few times.
+        zero, possible at tiny densities) are resampled a few times. An
+        inverted or all-zero interval raises ValueError before any draw.
         """
         if n_res < 1 or n_in < 0:
             raise ValueError("n_res must be >= 1 and n_in >= 0")
@@ -62,6 +63,10 @@ class EsnModel:
             raise ValueError("density must lie in (0, 1]")
         if not target_rho > 0:
             raise ValueError(f"target_rho must be positive, got {target_rho}")
+        if weight_lo > weight_hi:
+            raise ValueError(f"empty interval: weight_lo={weight_lo} > weight_hi={weight_hi}")
+        if weight_lo == weight_hi == 0:
+            raise ValueError(f"all-zero interval: weight_lo = weight_hi = {weight_hi}")
         nnz = round(density * n_res * n_res)
         if nnz < 1:
             raise ValueError("density too small: no nonzero entries at this size")

@@ -27,8 +27,8 @@ from .readout import LAMBDA_GRID, collect_states, fit_readout, select_penalty
 DATA_STREAM = 0
 TRIAL_STREAM = 1
 
-# Training splits shorter than this skip the washout by default; tiny
-# sets cannot afford to discard rows.
+# Training splits of at most this many rows skip the washout; tiny sets
+# cannot afford to discard rows.
 AUTO_WASHOUT_MIN_ROWS = 400
 AUTO_WASHOUT = 100
 
@@ -37,35 +37,28 @@ NARMA_TRAIN_SIZE = 1990
 NARMA_VALIDATION_SIZE = 390
 # A csv config without train_size trains on this share of the rows.
 CSV_TRAIN_FRACTION = 2 / 3
+# The ESN reservoir's nonzero fraction and target spectral radius.
+ESN_DENSITY = 0.15
+ESN_SPECTRAL_RADIUS = 0.95
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a benchmark run depends on; see README for the file keys."""
+    """What a run varies; see README for the file keys. The rest of the
+    protocol is fixed: one-step targets, ``resolve_washout``, the ESN_*
+    constants and the sampling defaults of both models' ``random``."""
 
     dataset: str = "narma"            # "narma" | "csv"
     name: str = ""                    # series label; defaults per dataset
     csv_path: str | None = None
     csv_column: int | str = 0
     lag_offsets: tuple[int, ...] = NARMA_DEFAULT_OFFSETS
-    horizon: int = 1
     train_size: int | None = None
     validation_size: int | None = None
     model: str = "esqn"               # "esn" | "esqn"
     reservoir_size: int = 80
     trials: int = 20
     seed: int = 1
-    washout: int | None = None        # None: auto (100 on large splits, else 0)
-    # ESN knobs
-    density: float = 0.15
-    spectral_radius: float = 0.95
-    esn_weight_lo: float = -0.5
-    esn_weight_hi: float = 0.5
-    # ESQN knobs
-    weight_lo: float = 0.0
-    weight_hi: float = 0.2
-    firing_rate: float = 1.0
-    # Readout / evaluation
     lambda_grid: tuple[float, ...] = LAMBDA_GRID
 
     def __post_init__(self):
@@ -75,17 +68,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown model kind {self.model!r}")
         if self.dataset == "csv" and not self.csv_path:
             raise ValueError("csv dataset needs csv_path")
-        for key, least in (("trials", 1), ("reservoir_size", 1), ("horizon", 1),
-                           ("train_size", 1), ("validation_size", 2), ("washout", 0),
-                           ("seed", 0)):
+        for key, least in (("trials", 1), ("reservoir_size", 1), ("train_size", 1),
+                           ("validation_size", 2), ("seed", 0)):
             value = getattr(self, key)
             if value is not None and value < least:
                 raise ValueError(f"{key} must be >= {least}, got {value}")
         if not isinstance(self.csv_column, str) and self.csv_column < 0:
             raise ValueError(f"csv_column must be >= 0, got {self.csv_column}")
         if self.dataset == "narma":
-            for key, default in (("csv_path", None), ("csv_column", 0),
-                                 ("horizon", 1)):
+            for key, default in (("csv_path", None), ("csv_column", 0)):
                 if getattr(self, key) != default:
                     raise ValueError(f"{key} applies to a csv dataset only, "
                                      f"got {getattr(self, key)!r} with dataset narma")
@@ -95,25 +86,6 @@ class ExperimentConfig:
                 "lag_offsets must be a non-empty tuple of nonnegative integers, "
                 f"got {self.lag_offsets}")
         object.__setattr__(self, "lag_offsets", offsets)
-        for key in ("density", "spectral_radius", "esn_weight_lo", "esn_weight_hi",
-                    "weight_lo", "weight_hi", "firing_rate"):
-            value = getattr(self, key)
-            if not np.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value}")
-        for lo, hi in (("esn_weight_lo", "esn_weight_hi"), ("weight_lo", "weight_hi")):
-            bounds = float(getattr(self, lo)), float(getattr(self, hi))
-            if not 0.0 <= bounds[1] - bounds[0] < np.inf:
-                raise ValueError(f"{lo} and {hi} must span a finite width >= 0, "
-                                 f"got {bounds}")
-            # all-zero ESN weights have no spectral radius to rescale
-            if lo == "esn_weight_lo" and bounds == (0.0, 0.0):
-                raise ValueError(f"{lo} and {hi} must not both be 0, got {bounds}")
-        for key, inside, domain in (("density", 0 < self.density <= 1, "in (0, 1]"),
-                                    ("spectral_radius", self.spectral_radius > 0, "> 0"),
-                                    ("firing_rate", self.firing_rate > 0, "> 0"),
-                                    ("weight_lo", self.weight_lo >= 0, ">= 0")):
-            if not inside:
-                raise ValueError(f"{key} must be {domain}, got {getattr(self, key)}")
         grid = tuple(float(l) for l in self.lambda_grid)
         if not grid or not all(np.isfinite(l) and l > 0 for l in grid):
             raise ValueError("lambda_grid must be a non-empty tuple of finite "
@@ -131,9 +103,9 @@ class ExperimentConfig:
     def from_file(cls, path):
         """Parse a plain-text key=value config file ('#' starts a comment).
 
-        Each value is cast to its field's annotated type. A relative
-        csv_path is resolved against the config file's own directory, so
-        configs can ship next to their data.
+        Each value is cast to its field's annotated type. A non-empty
+        relative csv_path is resolved against the config file's own
+        directory, so configs can ship next to their data.
         """
         mapping = {}
         with open(path) as fh:
@@ -147,7 +119,7 @@ class ExperimentConfig:
                 if key in mapping:
                     raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
                 mapping[key] = value
-        if "csv_path" in mapping and not os.path.isabs(mapping["csv_path"]):
+        if mapping.get("csv_path") and not os.path.isabs(mapping["csv_path"]):
             mapping["csv_path"] = os.path.normpath(
                 os.path.join(os.path.dirname(os.path.abspath(path)),
                              mapping["csv_path"]))
@@ -223,8 +195,7 @@ def prepare_data(config):
         targets = datamod.Rescaler.fit(b_next[:fit_end]).apply(b_next)
     else:
         series = datamod.load_csv(config.csv_path, config.csv_column)
-        h = config.horizon
-        n_rows = max(0, len(series) - max_off - h)
+        n_rows = max(0, len(series) - max_off - 1)
         train_size = round(CSV_TRAIN_FRACTION * n_rows) if config.train_size is None \
             else config.train_size
         val_size = n_rows - train_size if config.validation_size is None \
@@ -234,22 +205,19 @@ def prepare_data(config):
             raise ValueError(
                 f"train_size {train_size} and validation_size {val_size} do not fit "
                 f"the {n_rows} rows of {config.csv_path}; validation needs two rows")
-        # training rows use series indices up to max_off + train_size - 1 + h
-        scaled = datamod.Rescaler.fit(series[:max_off + train_size + h]).apply(series)
-        inputs, targets = scaled[:-h], scaled[h:]
+        # training rows use series indices up to max_off + train_size
+        scaled = datamod.Rescaler.fit(series[:max_off + train_size + 1]).apply(series)
+        inputs, targets = scaled[:-1], scaled[1:]
     inputs, targets = datamod.lag_paired_series(inputs, targets, config.lag_offsets)
     end = train_size + val_size
     return PreparedData(inputs[:train_size], targets[:train_size],
                         inputs[train_size:end], targets[train_size:end])
 
 
-def resolve_washout(config, train_rows):
-    if config.washout is not None:
-        washout = config.washout
-    else:
-        washout = AUTO_WASHOUT if train_rows > AUTO_WASHOUT_MIN_ROWS else 0
+def resolve_washout(train_rows):
+    washout = AUTO_WASHOUT if train_rows > AUTO_WASHOUT_MIN_ROWS else 0
     # penalty selection holds out two rows and fits at least one
-    kept = max(0, train_rows - washout)
+    kept = train_rows - washout
     if kept < 3:
         raise ValueError(f"train_size {train_rows} with washout {washout} keeps {kept} "
                          "training rows; penalty selection needs at least 3")
@@ -258,14 +226,9 @@ def resolve_washout(config, train_rows):
 
 def build_model(config, n_in, rng):
     if config.model == "esn":
-        return EsnModel.random(
-            n_in, config.reservoir_size, density=config.density,
-            target_rho=config.spectral_radius, rng=rng,
-            weight_lo=config.esn_weight_lo, weight_hi=config.esn_weight_hi)
-    return EsqnModel.random(
-        n_in, config.reservoir_size, rng=rng,
-        weight_lo=config.weight_lo, weight_hi=config.weight_hi,
-        rate=config.firing_rate)
+        return EsnModel.random(n_in, config.reservoir_size, ESN_DENSITY,
+                               ESN_SPECTRAL_RADIUS, rng)
+    return EsqnModel.random(n_in, config.reservoir_size, rng)
 
 
 def run_trial(config, prepared, washout, trial_index):
@@ -318,7 +281,7 @@ def run_experiment(config):
     """
     with one_blas_thread():
         prepared = prepare_data(config)
-        washout = resolve_washout(config, len(prepared.train_targets))
+        washout = resolve_washout(len(prepared.train_targets))
         results = []
         trace = None
         failures = 0

@@ -2,25 +2,31 @@
 verdict line with the measured values (run pytest -s to see them all)."""
 
 import dataclasses
+import inspect
 import os
 import time
 
 import numpy as np
 import pytest
 
-from reservoirq import cli
+from reservoirq import cli, harness
 from reservoirq.esn import EsnModel
 from reservoirq.esqn import EsqnModel
 from reservoirq.harness import (ExperimentConfig, prepare_data,
                                 reservoir_size_sweep, run_experiment)
 from reservoirq.metrics import nmse, results_csv, summary_csv
-from reservoirq.numerics import ridge_solve, seeded_rng
+from reservoirq.numerics import ridge_solve, seeded_rng, spectral_radius
 from reservoirq.randnn import RandnnSpec, residual, solve_steady_state
 from reservoirq.readout import fit_readout
 
 
 def _report(number, title, detail):
     print(f"[criterion {number:02d}] PASS {title}: {detail}")
+
+
+def _defaults(function):
+    return {name: p.default for name, p in inspect.signature(function).parameters.items()
+            if p.default is not inspect.Parameter.empty}
 
 
 def _run_config(config_dir, name):
@@ -44,7 +50,11 @@ def test_01_narma_esqn_reproduction(narma_esqn):
     outcome, elapsed = narma_esqn
     config = outcome.config
     assert config.trials == 20 and config.reservoir_size == 80
-    assert (config.weight_lo, config.weight_hi) == (0.0, 0.2)
+    # the sampling law: all four blocks from U[0, 0.2], unit firing rates
+    assert _defaults(EsqnModel.random) == {"weight_lo": 0.0, "weight_hi": 0.2, "rate": 1.0}
+    model = harness.build_model(config, 10, seeded_rng(0))
+    assert model.w_plus_res.min() >= 0.0 and model.w_minus_in.max() <= 0.2
+    assert np.all(model.rates_in == 1.0) and np.all(model.rates_res == 1.0)
     summary = outcome.summary
     assert summary.n_trials == 20 and summary.failures == 0
     assert 0.05 <= summary.mean_nmse <= 0.25
@@ -58,7 +68,12 @@ def test_02_narma_esn_reproduction(narma_esn):
     outcome, elapsed = narma_esn
     config = outcome.config
     assert config.trials == 20 and config.reservoir_size == 80
-    assert config.density == 0.15 and config.spectral_radius == 0.95
+    # the sampling law: density 0.15, radius 0.95, weights from U[-0.5, 0.5]
+    assert (harness.ESN_DENSITY, harness.ESN_SPECTRAL_RADIUS) == (0.15, 0.95)
+    assert _defaults(EsnModel.random) == {"weight_lo": -0.5, "weight_hi": 0.5}
+    model = harness.build_model(config, 10, seeded_rng(0))
+    assert np.count_nonzero(model.w_res) == round(0.15 * 80 * 80)
+    assert spectral_radius(model.w_res) == pytest.approx(0.95)
     summary = outcome.summary
     assert summary.n_trials == 20 and summary.failures == 0
     assert 0.05 <= summary.mean_nmse <= 0.35

@@ -97,6 +97,12 @@ class TestRescaler:
         with pytest.raises(ValueError, match="reference segment is constant"):
             Rescaler.fit([1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("values", [[0.0, np.inf], [np.nan, 1.0], [-np.inf, 0.0]])
+    def test_non_finite_reference_rejected(self, values):
+        # an infinite bound maps every value to 0; a nan hides the range
+        with pytest.raises(ValueError, match="reference segment must be finite"):
+            Rescaler.fit(values)
+
 
 class TestLaggedDataset:
     def test_single_offset(self):
@@ -140,9 +146,9 @@ class TestLaggedDataset:
     @settings(max_examples=40, deadline=None)
     def test_rows_pair_lags_with_future_target(self, data):
         # row k, at t = max(offsets) + k, has inputs x(t - o) and target
-        # x(t + h); prepare_data's csv dataset holds exactly these rows,
-        # split in time order and rescaled by the min and max of the
-        # series values the default 2/3 training split touches
+        # x(t + h); prepare_data's csv dataset holds exactly the rows of
+        # h = 1, split in time order and rescaled by the min and max of
+        # the series values the default 2/3 training split touches
         offsets = data.draw(st.lists(st.integers(0, 8), min_size=1, max_size=4),
                             label="offsets")
         horizon = data.draw(st.integers(1, 5), label="horizon")
@@ -158,9 +164,10 @@ class TestLaggedDataset:
             assert list(inputs[k]) == [x[t - o] for o in offsets]
             assert targets[k, 0] == x[t + horizon]
 
-        prepared = prepare_csv(x, lag_offsets=tuple(offsets), horizon=horizon)
+        prepared = prepare_csv(x, lag_offsets=tuple(offsets))
+        inputs, targets = forecast_rows(x, offsets)
         train_size = round(2 / 3 * len(targets))
-        expected = Rescaler.fit(x[:max_off + train_size + horizon])
+        expected = Rescaler.fit(x[:max_off + train_size + 1])
         np.testing.assert_array_equal(
             np.vstack([prepared.train_inputs, prepared.val_inputs]), expected.apply(inputs))
         np.testing.assert_array_equal(
@@ -186,8 +193,8 @@ class TestSplit:
         np.testing.assert_array_equal(prepared.val_inputs[:, 0], x[7:10])
 
     def test_no_leakage(self):
-        x = unit_ramp(50)  # 48 rows at horizon 2; targets rise from x(2) on
-        prepared = prepare_csv(x, lag_offsets=(0,), horizon=2, train_size=round(0.6 * 48))
+        x = unit_ramp(50)  # 48 rows at offset 1; targets rise from x(2) on
+        prepared = prepare_csv(x, lag_offsets=(1,), train_size=round(0.6 * 48))
         assert prepared.train_targets.max() < prepared.val_targets.min()
 
     @given(data=st.data())

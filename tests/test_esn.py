@@ -88,6 +88,19 @@ class TestInit:
         assert rng.choice_calls == 10
 
 
+    @pytest.mark.parametrize("lo, hi, message", [
+        (0.6, 0.5, "empty interval: weight_lo=0.6 > weight_hi=0.5"),
+        # no spectral radius to rescale
+        (0.0, 0.0, "all-zero interval: weight_lo = weight_hi = 0.0"),
+    ])
+    def test_bad_weight_interval_rejected_before_any_draw(self, lo, hi, message):
+        rng = seeded_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError) as info:
+            EsnModel.random(1, 10, 0.5, 0.9, rng, weight_lo=lo, weight_hi=hi)
+        assert str(info.value) == message
+        assert rng.bit_generator.state == before
+
     def test_non_finite_state_rejected(self):
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError, match="state must be finite"):
