@@ -8,6 +8,7 @@ import pytest
 
 from reservoirq import cli, harness
 from reservoirq.data import load_csv
+from reservoirq.esn import EsnModel
 from reservoirq.esqn import EsqnModel
 
 CONFIG_TEXT = """\
@@ -86,17 +87,28 @@ class TestExperiment:
     # pytest captures warnings, so stderr alone would not show one that
     # escaped a failing trial; as an error it fails the run instead
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_arithmetic_failure_is_one_error_line(self, workdir, capsys, monkeypatch):
-        # at this firing rate every trial's loads overflow, and
-        # run_experiment raises its ArithmeticError
+    @pytest.mark.parametrize("build, message", [
+        # every trial's loads overflow: run_experiment's ArithmeticError
+        pytest.param(lambda n_in, n_res, rng: EsqnModel.random(n_in, n_res, rng, rate=1e-320),
+                     "all 2 trials failed", id="firing_rate = 1e-320-all 2 trials failed"),
+        # a weight interval whose width overflows: the draw itself raises
+        pytest.param(lambda n_in, n_res, rng: EsnModel.random(
+                         n_in, n_res, harness.ESN_DENSITY, harness.ESN_SPECTRAL_RADIUS, rng,
+                         weight_lo=-1e308, weight_hi=1e308),
+                     "range exceeds valid bounds", id="esn interval width overflows"),
+    ])
+    def test_arithmetic_failure_is_one_error_line(self, workdir, capsys, monkeypatch,
+                                                  build, message):
+        # the config has no knob for these models, so the builder is swapped;
+        # the overflow itself is real and passes through np.errstate
         monkeypatch.setattr(harness, "build_model", lambda config, n_in, rng:
-                            EsqnModel.random(n_in, config.reservoir_size, rng, rate=1e-320))
+                            build(n_in, config.reservoir_size, rng))
         config = write_config(workdir)
         assert cli.main(["experiment", "--config", config]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-        assert "all 2 trials failed" in captured.err
+        assert message in captured.err
         assert not os.path.exists("results.csv")
 
     def test_seed_override_changes_outputs(self, workdir, capsys):
