@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import drive, initial_state, spectral_radius
+from .numerics import check_weight_interval, drive, initial_state, spectral_radius
 
 RESAMPLE_ATTEMPTS = 10
 
@@ -54,17 +54,18 @@ class EsnModel:
         placed uniformly at random, with values drawn uniformly from
         [weight_lo, weight_hi] and then rescaled so the spectral radius
         equals target_rho. Draws that land on a nilpotent support (radius
-        zero, possible at tiny densities) are resampled a few times. An
-        inverted or all-zero interval raises ValueError before any draw.
+        zero, possible at tiny densities) are resampled a few times. A
+        target_rho that is not finite and positive, or a bad or all-zero
+        interval (see ``check_weight_interval``), raises ValueError before
+        any draw.
         """
         if n_res < 1 or n_in < 0:
             raise ValueError("n_res must be >= 1 and n_in >= 0")
         if not 0.0 < density <= 1.0:
             raise ValueError("density must lie in (0, 1]")
-        if not target_rho > 0:
-            raise ValueError(f"target_rho must be positive, got {target_rho}")
-        if weight_lo > weight_hi:
-            raise ValueError(f"empty interval: weight_lo={weight_lo} > weight_hi={weight_hi}")
+        if not (np.isfinite(target_rho) and target_rho > 0):
+            raise ValueError(f"target_rho must be finite and positive, got {target_rho}")
+        check_weight_interval(weight_lo, weight_hi)
         if weight_lo == weight_hi == 0:
             raise ValueError(f"all-zero interval: weight_lo = weight_hi = {weight_hi}")
         nnz = round(density * n_res * n_res)

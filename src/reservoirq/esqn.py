@@ -1,16 +1,12 @@
 """Echo state queueing network: a reservoir whose state is a load vector.
 
 Each reservoir unit is a spiking queue neuron; its state is the queueing
-load rho_u rather than a tanh activation. One time step applies the
-stationary load map once, reading only the previous state:
-
-    rho_u <- (sum_v (a_v / r_v) w+_in[u, v] + sum_v' rho_v' w+_res[u, v'])
-             -----------------------------------------------------------
-             (r_u + sum_v (a_v / r_v) w-_in[u, v] + sum_v' rho_v' w-_res[u, v'])
+load rho_u rather than a tanh activation. One time step applies the load
+map of ``randnn`` once to the previous state, in the G-network that
+``EsqnModel.network(a_t)`` returns.
 
 Inputs a are nonnegative spike arrival rates (data is rescaled to [0, 1]
-upstream) and a_v / r_v is the load of input neuron v viewed as an M/M/1
-queue. All weights are nonnegative because they are routing rates. The
+upstream). All weights are nonnegative because they are routing rates. The
 map is applied literally, without clamping loads at one; steps where
 some load exceeds one are tallied in ``overload_steps`` as a diagnostic.
 
@@ -27,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import drive, initial_state
-from .randnn import rate_array
+from .numerics import check_weight_interval, drive, initial_state
+from .randnn import RandnnSpec, rate_array
 
 
 @dataclass
@@ -80,8 +76,7 @@ class EsqnModel:
         """
         if n_in < 1 or n_res < 1:
             raise ValueError("n_in and n_res must be >= 1")
-        if weight_lo > weight_hi:
-            raise ValueError(f"empty interval: weight_lo={weight_lo} > weight_hi={weight_hi}")
+        check_weight_interval(weight_lo, weight_hi)
         w_plus_in = rng.uniform(weight_lo, weight_hi, (n_res, n_in))
         w_minus_in = rng.uniform(weight_lo, weight_hi, (n_res, n_in))
         w_plus_res = rng.uniform(weight_lo, weight_hi, (n_res, n_res))
@@ -92,6 +87,12 @@ class EsqnModel:
                    rates_in=np.full(n_in, float(rate)),
                    rates_res=np.full(n_res, float(rate)),
                    state=state)
+
+    def network(self, a):
+        """The ``RandnnSpec`` of the reservoir held at ``a``: lambda± = w±_in a / r_in."""
+        x = np.asarray(a, dtype=float) / self.rates_in
+        return RandnnSpec(self.w_plus_in @ x, self.w_minus_in @ x,
+                          self.w_plus_res, self.w_minus_res, self.rates_res)
 
     def run(self, inputs):
         """Apply the load map once per row of a (K, n_in) input matrix.

@@ -1,5 +1,5 @@
 """Seeded randomness, spectral radius, the ridge solver, the reservoirs'
-step loop and state check, and the BLAS thread pin.
+step loop, state and weight-interval checks, and the BLAS thread pin.
 
 All experiment randomness flows through numpy's PCG64 generator (a
 permuted-congruential generator with published constants and
@@ -103,6 +103,17 @@ def initial_state(state, n_res):
     return state
 
 
+def check_weight_interval(weight_lo, weight_hi):
+    """Raise ValueError, naming both bounds, unless a reservoir can draw its
+    weights uniformly from [weight_lo, weight_hi]: not inverted, no NaN
+    bound and a finite width."""
+    if weight_lo > weight_hi:
+        raise ValueError(f"empty interval: weight_lo={weight_lo} > weight_hi={weight_hi}")
+    if not np.isfinite(float(weight_hi) - float(weight_lo)):
+        raise ValueError("weight interval must have a finite width: "
+                         f"weight_lo={weight_lo}, weight_hi={weight_hi}")
+
+
 @functools.cache
 def _openblas_thread_calls():
     """The (get, set) thread-count functions of the OpenBLAS bundled with
@@ -171,16 +182,16 @@ def ridge_solve_grid(regressors, targets, lams):
     """Ridge weights W = T Z' (Z Z' + lam I)^-1 for each penalty in ``lams``.
 
     Returns an (L, N_b, D) array, one N_b x D matrix per penalty in the
-    order given. Every penalty must be positive (ValueError), so each
-    shifted Gram matrix is positive definite whatever the rank of Z. The
-    inputs are checked and the smaller of the D x D and K x K Gram
-    matrices is formed once. Copies of it, each with one penalty added to
-    its diagonal, are stacked and solved by one ``numpy.linalg.solve``
-    call; LAPACK factors each system of the stack exactly as it would a
-    lone one, so a weight does not depend on the grid around it. Where
-    the whole stack would hold more than STACK_DOUBLES entries, each
-    penalty is solved in turn on the Gram matrix itself, its diagonal
-    shifted in place, so no copy is made.
+    order given. The grid must be non-empty and every penalty positive
+    (ValueError), so each shifted Gram matrix is positive definite
+    whatever the rank of Z. The inputs are checked and the smaller of the
+    D x D and K x K Gram matrices is formed once. Copies of it, each with
+    one penalty added to its diagonal, are stacked and solved by one
+    ``numpy.linalg.solve`` call; LAPACK factors each system of the stack
+    exactly as it would a lone one, so a weight does not depend on the
+    grid around it. Where the whole stack would hold more than
+    STACK_DOUBLES entries, each penalty is solved in turn on the Gram
+    matrix itself, its diagonal shifted in place, so no copy is made.
     """
     Z = np.asarray(regressors, dtype=float)
     T = np.asarray(targets, dtype=float)
@@ -194,6 +205,8 @@ def ridge_solve_grid(regressors, targets, lams):
     if not (np.all(np.isfinite(Z)) and np.all(np.isfinite(T))):
         raise ValueError("regressors and targets must be finite")
     lams = np.array(lams, dtype=float)
+    if lams.size == 0:
+        raise ValueError("penalty grid must be non-empty")
     if not np.all(lams > 0):
         raise ValueError(f"lambda must be positive, got {lams.tolist()}")
 

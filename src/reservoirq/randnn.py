@@ -4,10 +4,11 @@ A network of N spiking queue-like neurons exchanges excitatory and
 inhibitory Poisson spike streams. Neuron u fires at rate ``rates[u]``
 while its potential is positive; ``w_plus[u, v]`` / ``w_minus[u, v]``
 are the excitatory / inhibitory spike rates routed from v to u, and
-``lambda_plus`` / ``lambda_minus`` are external arrival rates. In
-equilibrium the activity rates (loads) satisfy
+``lambda_plus`` / ``lambda_minus`` are external arrival rates. The loads
+are the fixed point rho = g(rho) of the load map, which one ESQN step
+applies once (``esqn.EsqnModel.network``):
 
-    rho_u = T+_u / (rates_u + T-_u),
+    g_u(rho) = T+_u / (rates_u + T-_u),
     T+_u  = lambda+_u + sum_v rho_v w+_{u,v},
     T-_u  = lambda-_u + sum_v rho_v w-_{u,v},
 

@@ -50,8 +50,6 @@ def select_penalty(regressors, targets, grid=LAMBDA_GRID,
     """
     regressors = np.asarray(regressors, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    if not grid:
-        raise ValueError("penalty grid must be non-empty")
     k = regressors.shape[1]
     # NMSE needs at least two held-out samples
     n_hold = max(2, round(holdout_fraction * k))

@@ -186,12 +186,7 @@ def test_05_esqn_matches_network_steady_state():
             model.run(a[None])
             if np.max(np.abs(model.state - previous)) < 1e-15:
                 break
-        x = a / model.rates_in
-        spec = RandnnSpec(lambda_plus=model.w_plus_in @ x,
-                          lambda_minus=model.w_minus_in @ x,
-                          w_plus=model.w_plus_res, w_minus=model.w_minus_res,
-                          rates=model.rates_res)
-        solution = solve_steady_state(spec)
+        solution = solve_steady_state(model.network(a))
         if not solution.stable:
             continue
         gap = float(np.max(np.abs(model.state - solution.rho)))

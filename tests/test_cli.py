@@ -91,16 +91,18 @@ class TestExperiment:
         # every trial's loads overflow: run_experiment's ArithmeticError
         pytest.param(lambda n_in, n_res, rng: EsqnModel.random(n_in, n_res, rng, rate=1e-320),
                      "all 2 trials failed", id="firing_rate = 1e-320-all 2 trials failed"),
-        # a weight interval whose width overflows: the draw itself raises
+        # a weight interval whose width overflows: rejected, naming both
+        # bounds, before any draw
         pytest.param(lambda n_in, n_res, rng: EsnModel.random(
                          n_in, n_res, harness.ESN_DENSITY, harness.ESN_SPECTRAL_RADIUS, rng,
                          weight_lo=-1e308, weight_hi=1e308),
-                     "range exceeds valid bounds", id="esn interval width overflows"),
+                     "weight interval must have a finite width: weight_lo=-1e+308",
+                     id="esn interval width named"),
     ])
     def test_arithmetic_failure_is_one_error_line(self, workdir, capsys, monkeypatch,
                                                   build, message):
         # the config has no knob for these models, so the builder is swapped;
-        # the overflow itself is real and passes through np.errstate
+        # the firing-rate overflow is real and passes through np.errstate
         monkeypatch.setattr(harness, "build_model", lambda config, n_in, rng:
                             build(n_in, config.reservoir_size, rng))
         config = write_config(workdir)

@@ -92,6 +92,11 @@ class TestInit:
         (0.6, 0.5, "empty interval: weight_lo=0.6 > weight_hi=0.5"),
         # no spectral radius to rescale
         (0.0, 0.0, "all-zero interval: weight_lo = weight_hi = 0.0"),
+        # a NaN bound or an infinite width leaves nothing to draw from
+        (np.nan, 0.5, "weight interval must have a finite width: weight_lo=nan, weight_hi=0.5"),
+        (-0.5, np.inf, "weight interval must have a finite width: weight_lo=-0.5, weight_hi=inf"),
+        (-1e308, 1e308,
+         "weight interval must have a finite width: weight_lo=-1e+308, weight_hi=1e+308"),
     ])
     def test_bad_weight_interval_rejected_before_any_draw(self, lo, hi, message):
         rng = seeded_rng(0)
@@ -107,8 +112,15 @@ class TestInit:
                 EsnModel(w_in=np.zeros((1, 2)), w_res=np.zeros((1, 1)), state=[bad])
 
     def test_nan_target_radius_rejected(self):
-        with pytest.raises(ValueError, match="target_rho must be positive, got nan"):
+        with pytest.raises(ValueError, match="target_rho must be finite and positive, got nan"):
             EsnModel.random(2, 5, 0.5, float("nan"), seeded_rng(0))
+
+    def test_infinite_target_radius_rejected_before_any_draw(self):
+        rng = seeded_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="target_rho must be finite and positive, got inf"):
+            EsnModel.random(2, 3, 0.5, np.inf, rng)
+        assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("name", ["w_in", "w_res"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

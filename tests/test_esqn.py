@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from reservoirq.esqn import EsqnModel
 from reservoirq.numerics import seeded_rng, spectral_radius
-from reservoirq.randnn import RandnnSpec, solve_steady_state
+from reservoirq.randnn import _load_map, solve_steady_state
 
 
 def random_model(seed=0, n_in=3, n_res=25, **kwargs):
@@ -59,6 +61,15 @@ class TestInit:
     def test_inverted_interval_rejected(self):
         with pytest.raises(ValueError):
             random_model(weight_lo=0.3, weight_hi=0.1)
+
+    @pytest.mark.parametrize("lo, hi", [(np.nan, 0.2), (0.0, np.inf), (-1e308, 1e308)])
+    def test_unusable_interval_rejected_before_any_draw(self, lo, hi):
+        rng = seeded_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError,
+                           match=re.escape(f"finite width: weight_lo={lo}, weight_hi={hi}")):
+            EsqnModel.random(2, 5, rng, weight_lo=lo, weight_hi=hi)
+        assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("name", ["w_plus_in", "w_minus_in", "w_plus_res",
                                       "w_minus_res", "rates_in", "rates_res"])
@@ -249,14 +260,28 @@ class TestUpdate:
             model.run(a[None])
             if np.max(np.abs(model.state - previous)) < 1e-15:
                 break
-        x = a / model.rates_in
-        spec = RandnnSpec(lambda_plus=model.w_plus_in @ x,
-                          lambda_minus=model.w_minus_in @ x,
-                          w_plus=model.w_plus_res, w_minus=model.w_minus_res,
-                          rates=model.rates_res)
-        solution = solve_steady_state(spec)
+        solution = solve_steady_state(model.network(a))
         assert solution.stable
         np.testing.assert_allclose(model.state, solution.rho, atol=1e-9)
+
+    def test_each_step_is_one_load_map_of_the_held_network(self):
+        # run's batched step matrix and randnn's fixed-point map are two
+        # evaluators of one map: every step, overloaded ones included, is
+        # g(rho_{t-1}) of the network held at a_t
+        overloaded = unstable = 0
+        for seed in range(6):
+            # the shipped interval overloads; a tenth of it does not
+            model = random_model(seed=60 + seed, n_in=10, n_res=80,
+                                 weight_hi=0.2 if seed % 2 else 0.02)
+            inputs = seeded_rng(70 + seed).uniform(0.0, 1.0, (200, 10))
+            loads = np.hstack([model.state[:, None], run_states(model, inputs)])
+            for t, a in enumerate(inputs):
+                np.testing.assert_allclose(loads[:, t + 1],
+                                           _load_map(model.network(a), loads[:, t]),
+                                           rtol=1e-14, atol=0)
+            overloaded += model.overload_steps
+            unstable += not solve_steady_state(model.network(inputs.mean(axis=0))).stable
+        assert 0 < overloaded < 6 * 200 and unstable > 0
 
     def test_overload_counter(self):
         model = EsqnModel(w_plus_in=[[5.0]], w_minus_in=[[0.0]],

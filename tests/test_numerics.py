@@ -190,6 +190,10 @@ class TestRidgeSolveGrid:
         np.testing.assert_array_equal(z, z_before)
         np.testing.assert_array_equal(t, t_before)
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="penalty grid must be non-empty"):
+            ridge_solve_grid(np.eye(2), np.ones((1, 2)), [])
+
     def test_negative_penalty_anywhere_rejected(self):
         for bad in (-1.0, 0.0):
             with pytest.raises(ValueError, match="positive"):

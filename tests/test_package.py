@@ -2,10 +2,12 @@ import importlib
 import importlib.util
 import inspect
 import os
+import re
 
 import reservoirq
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "bench")
 
 
 def load_bench(module):
@@ -25,6 +27,18 @@ def test_star_import_binds_every_export():
 
 def test_all_has_no_duplicates():
     assert len(reservoirq.__all__) == len(set(reservoirq.__all__))
+
+
+def test_readme_export_list_is_all():
+    # every export is listed in the README's "The package root exports"
+    # list, and every listed name the package binds is exported (the list
+    # also quotes shapes and argument names)
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    start = text.index("\n\n", text.index("The package root exports")) + 2
+    named = set(re.findall(r"`([^`]+)`", text[start:text.index("\n\n", start)]))
+    assert set(reservoirq.__all__) <= named
+    assert {name for name in named if hasattr(reservoirq, name)} <= set(reservoirq.__all__)
 
 
 def test_bench_wrapped_names_are_bound():

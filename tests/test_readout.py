@@ -243,6 +243,11 @@ class TestSelectPenalty:
         assert len(set(scores.values())) == 1
         assert best == 1e-4
 
+    def test_empty_grid_rejected(self):
+        rng = seeded_rng(21)
+        with pytest.raises(ValueError, match="penalty grid must be non-empty"):
+            select_penalty(rng.normal(size=(3, 20)), rng.normal(size=(1, 20)), grid=())
+
     def test_deterministic(self):
         rng = seeded_rng(16)
         regressors = rng.normal(size=(4, 50))
