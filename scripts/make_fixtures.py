@@ -14,6 +14,7 @@ import os
 import shutil
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -21,7 +22,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(REPO, "src"), os.path.join(REPO, "tests")]
 
 from fixture_runner import FIXTURES, GOLDEN, GOLDENS, run_cli  # noqa: E402
-from reservoirq.data import save_series_csv  # noqa: E402
+from reservoirq.metrics import series_csv  # noqa: E402
 from reservoirq.randnn import RandnnSpec, save_spec  # noqa: E402
 
 
@@ -36,7 +37,7 @@ def make_series():
            + 0.45 * np.sin(2 * np.pi * t / 2016.0 + 0.7)
            + 0.2 * np.sin(2 * np.pi * t / 37.0)
            + 0.22 * rng.normal(size=n))
-    save_series_csv(os.path.join(FIXTURES, "isp_like.csv"), isp)
+    Path(FIXTURES, "isp_like.csv").write_text(series_csv(isp))
 
     # UKERNA shape: daily sampling, weekly cycle. 70 points -> 62 rows =
     # 47 train + 15 validation with offsets {0, 6, 7} and horizon 1.
@@ -46,14 +47,14 @@ def make_series():
     ukerna = (1.5 + 0.8 * np.sin(2 * np.pi * t / 7.0)
               + 0.25 * np.sin(2 * np.pi * t / 30.0 + 0.4)
               + 0.08 * rng.normal(size=n))
-    save_series_csv(os.path.join(FIXTURES, "ukerna_like.csv"), ukerna)
+    Path(FIXTURES, "ukerna_like.csv").write_text(series_csv(ukerna))
 
     # A sinusoid is exactly affine in two of its own lags, so a pipeline
     # with offsets {0, 1} must fit it to numerical precision.
     n = 400
     t = np.arange(n)
     sine = 0.5 + 0.45 * np.sin(2 * np.pi * t / 23.0)
-    save_series_csv(os.path.join(FIXTURES, "sine.csv"), sine)
+    Path(FIXTURES, "sine.csv").write_text(series_csv(sine))
 
 
 def make_randnn_specs():

@@ -1,7 +1,7 @@
 """reservoirq: echo state networks with tanh or queueing-load reservoirs,
 plus the forecasting benchmark harness that compares them."""
 
-from .data import Rescaler, generate_narma10, lag_paired_series, load_csv
+from .data import generate_narma10, lag_paired_series, load_csv, rescale
 from .esn import EsnModel
 from .esqn import EsqnModel
 from .harness import ExperimentConfig, reservoir_size_sweep, run_experiment
@@ -13,9 +13,9 @@ from .readout import collect_states, fit_readout, select_penalty
 __version__ = "0.1.0"
 
 __all__ = [
-    "EsnModel", "EsqnModel", "ExperimentConfig", "RandnnSpec", "Rescaler",
+    "EsnModel", "EsqnModel", "ExperimentConfig", "RandnnSpec",
     "collect_states", "fit_readout", "generate_narma10", "lag_paired_series",
-    "load_csv", "nmse", "reservoir_size_sweep", "ridge_solve",
+    "load_csv", "nmse", "rescale", "reservoir_size_sweep", "ridge_solve",
     "run_experiment", "seeded_rng", "select_penalty", "solve_steady_state",
     "spectral_radius", "summarize",
 ]

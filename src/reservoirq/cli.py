@@ -12,9 +12,9 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .data import generate_narma10, save_series_csv
+from .data import generate_narma10
 from .harness import ExperimentConfig, reservoir_size_sweep, run_experiment
-from .metrics import results_csv, summary_csv, sweep_csv, trace_csv
+from .metrics import results_csv, series_csv, summary_csv, sweep_csv, trace_csv
 from .numerics import seeded_rng
 from .randnn import load_spec, residual, solve_steady_state
 
@@ -86,8 +86,8 @@ def _summary_line(summary):
 
 def cmd_generate_narma(args):
     inputs, targets = generate_narma10(args.n, seeded_rng(args.seed))
-    save_series_csv(f"{args.out}_inputs.csv", inputs)
-    save_series_csv(f"{args.out}_targets.csv", targets)
+    Path(f"{args.out}_inputs.csv").write_text(series_csv(inputs))
+    Path(f"{args.out}_targets.csv").write_text(series_csv(targets))
     return 0
 
 

@@ -7,7 +7,6 @@ leaves every validation target after every training target.
 """
 
 import csv
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,33 +16,17 @@ NARMA_ATTEMPTS = 10
 NARMA_WARMUP = 200
 
 
-@dataclass
-class Rescaler:
-    """Affine map sending a reference segment's min to 0 and max to 1.
-
-    Values outside the reference range map outside [0, 1] and are clipped;
-    ``clip_count`` accumulates how many points were clipped.
-    """
-
-    lo: float
-    hi: float
-    clip_count: int = field(default=0)
-
-    @classmethod
-    def fit(cls, values):
-        values = np.asarray(values, dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("reference segment must be finite")
-        lo, hi = float(values.min()), float(values.max())
-        if not hi > lo:
-            raise ValueError("reference segment is constant; no scale exists")
-        return cls(lo=lo, hi=hi)
-
-    def apply(self, values):
-        y = (np.asarray(values, dtype=float) - self.lo) / (self.hi - self.lo)
-        clipped = int(np.count_nonzero((y < 0.0) | (y > 1.0)))
-        self.clip_count += clipped
-        return np.clip(y, 0.0, 1.0)
+def rescale(values, reference):
+    """Map values affinely, sending the reference segment's min to 0 and
+    its max to 1. Values outside the reference range map outside [0, 1];
+    nothing is clipped."""
+    reference = np.asarray(reference, dtype=float)
+    if not np.all(np.isfinite(reference)):
+        raise ValueError("reference segment must be finite")
+    lo, hi = float(reference.min()), float(reference.max())
+    if not hi > lo:
+        raise ValueError("reference segment is constant; no scale exists")
+    return (np.asarray(values, dtype=float) - lo) / (hi - lo)
 
 
 def narma10_response(drive):
@@ -150,15 +133,6 @@ def load_csv(path, column=0):
     if not values:
         raise ValueError(f"{path}: column {idx} is empty")
     return np.array(values)
-
-
-def save_series_csv(path, values):
-    """Write a series as a two-column CSV (t, value), repr-formatted."""
-    values = np.asarray(values, dtype=float)
-    lines = ["t,value"]
-    lines += [f"{t},{float(v)!r}" for t, v in enumerate(values)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def lag_paired_series(inputs_series, targets_series, offsets):

@@ -157,7 +157,8 @@ def _parse_value(field, raw):
 @dataclass(frozen=True)
 class PreparedData:
     """One run's rows in time order: (rows, n_in) inputs and (rows, 1)
-    targets for training, then for the validation rows that follow."""
+    targets for training, then for the validation rows that follow.
+    Inputs lie in [0, 1]; targets may leave it after the training rows."""
 
     train_inputs: np.ndarray
     train_targets: np.ndarray
@@ -176,6 +177,9 @@ class ExperimentOutcome:
 def prepare_data(config):
     """Build the rescaled, windowed dataset and split it in time order.
 
+    Each series takes the affine map sending the min and max of the
+    values the training rows touch to 0 and 1. Inputs, which an ESQN
+    reads as spike rates, are then clipped to [0, 1]; targets are not.
     The first train_size rows train and the validation_size rows after
     them validate. A csv request that does not fit the series raises
     ValueError naming both sizes and the row count; a narma series is
@@ -191,8 +195,8 @@ def prepare_data(config):
             total, substream_rng(config.seed, DATA_STREAM))
         # training rows touch s and b indices below max_off + train_size
         fit_end = max_off + train_size
-        inputs = datamod.Rescaler.fit(s[:fit_end]).apply(s)
-        targets = datamod.Rescaler.fit(b_next[:fit_end]).apply(b_next)
+        inputs = datamod.rescale(s, s[:fit_end])
+        targets = datamod.rescale(b_next, b_next[:fit_end])
     else:
         series = datamod.load_csv(config.csv_path, config.csv_column)
         n_rows = max(0, len(series) - max_off - 1)
@@ -206,9 +210,10 @@ def prepare_data(config):
                 f"train_size {train_size} and validation_size {val_size} do not fit "
                 f"the {n_rows} rows of {config.csv_path}; validation needs two rows")
         # training rows use series indices up to max_off + train_size
-        scaled = datamod.Rescaler.fit(series[:max_off + train_size + 1]).apply(series)
+        scaled = datamod.rescale(series, series[:max_off + train_size + 1])
         inputs, targets = scaled[:-1], scaled[1:]
     inputs, targets = datamod.lag_paired_series(inputs, targets, config.lag_offsets)
+    np.clip(inputs, 0.0, 1.0, out=inputs)
     end = train_size + val_size
     return PreparedData(inputs[:train_size], targets[:train_size],
                         inputs[train_size:end], targets[train_size:end])

@@ -142,6 +142,11 @@ def _csv(header, rows):
     return "\n".join([header, *lines]) + "\n"
 
 
+def series_csv(values):
+    """One line per (t, value) point of a series."""
+    return _csv("t,value", ((t, float(v)) for t, v in enumerate(values)))
+
+
 def results_csv(results):
     return _csv("series,model,trial,seed,nmse,lambda,reservoir_size",
                 ((r.series, r.model, r.trial, r.seed, r.nmse, r.ridge_lambda,

@@ -52,9 +52,7 @@ def rate_array(name, value, shape):
 class RandnnSpec:
     """Immutable description of one random neural network.
 
-    All rates are nonnegative, firing rates strictly positive, and at
-    least one external excitatory rate must be positive (otherwise no
-    neuron can ever become active).
+    All rates are nonnegative and firing rates strictly positive.
     """
 
     lambda_plus: np.ndarray
@@ -73,8 +71,6 @@ class RandnnSpec:
             object.__setattr__(self, name, rate_array(name, getattr(self, name), dims))
         if np.any(self.rates <= 0):
             raise ValueError("firing rates must be strictly positive")
-        if self.lambda_plus.sum() <= 0:
-            raise ValueError("at least one external excitatory rate must be positive")
 
     @property
     def n(self):

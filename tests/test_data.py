@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reservoirq.data import (Rescaler, generate_narma10, lag_paired_series,
-                             load_csv, narma10_response, save_series_csv)
+from reservoirq.data import (generate_narma10, lag_paired_series, load_csv,
+                             narma10_response, rescale)
 from reservoirq.harness import ExperimentConfig, prepare_data
+from reservoirq.metrics import series_csv
 from reservoirq.numerics import seeded_rng
 
 
@@ -22,7 +23,8 @@ def prepare_csv(series, **config):
     """prepare_data on a csv file holding ``series`` in its value column."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "series.csv")
-        save_series_csv(path, series)
+        with open(path, "w") as fh:
+            fh.write(series_csv(series))
         return prepare_data(ExperimentConfig(dataset="csv", csv_path=path,
                                              csv_column="value", **config))
 
@@ -80,28 +82,23 @@ class TestNarma:
             generate_narma10(0, seeded_rng(0))
 
 
-class TestRescaler:
+class TestRescale:
     def test_midpoint(self):
-        scaler = Rescaler.fit([2.0, 4.0])
-        assert scaler.apply([3.0])[0] == pytest.approx(0.5)
+        assert rescale([3.0], [2.0, 4.0])[0] == pytest.approx(0.5)
 
-    def test_clipping_counts_out_of_range_points(self):
-        scaler = Rescaler.fit([0.0, 1.0])
-        out = scaler.apply([-0.5, 0.25, 1.5, 2.0])
-        np.testing.assert_array_equal(out, [0.0, 0.25, 1.0, 1.0])
-        assert scaler.clip_count == 3
-        scaler.apply([5.0])
-        assert scaler.clip_count == 4
+    def test_values_outside_reference_stay_affine(self):
+        out = rescale([-1.0, 2.5, 5.0, 8.0], [2.0, 4.0])
+        np.testing.assert_array_equal(out, [-1.5, 0.25, 1.5, 3.0])
 
     def test_constant_segment_rejected(self):
         with pytest.raises(ValueError, match="reference segment is constant"):
-            Rescaler.fit([1.0, 1.0, 1.0])
+            rescale([1.0], [1.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("values", [[0.0, np.inf], [np.nan, 1.0], [-np.inf, 0.0]])
     def test_non_finite_reference_rejected(self, values):
         # an infinite bound maps every value to 0; a nan hides the range
         with pytest.raises(ValueError, match="reference segment must be finite"):
-            Rescaler.fit(values)
+            rescale([0.5], values)
 
 
 class TestLaggedDataset:
@@ -148,7 +145,8 @@ class TestLaggedDataset:
         # row k, at t = max(offsets) + k, has inputs x(t - o) and target
         # x(t + h); prepare_data's csv dataset holds exactly the rows of
         # h = 1, split in time order and rescaled by the min and max of
-        # the series values the default 2/3 training split touches
+        # the series values the default 2/3 training split touches, with
+        # only the inputs clipped to [0, 1]
         offsets = data.draw(st.lists(st.integers(0, 8), min_size=1, max_size=4),
                             label="offsets")
         horizon = data.draw(st.integers(1, 5), label="horizon")
@@ -167,12 +165,13 @@ class TestLaggedDataset:
         prepared = prepare_csv(x, lag_offsets=tuple(offsets))
         inputs, targets = forecast_rows(x, offsets)
         train_size = round(2 / 3 * len(targets))
-        expected = Rescaler.fit(x[:max_off + train_size + 1])
+        reference = x[:max_off + train_size + 1]
         np.testing.assert_array_equal(
-            np.vstack([prepared.train_inputs, prepared.val_inputs]), expected.apply(inputs))
+            np.vstack([prepared.train_inputs, prepared.val_inputs]),
+            np.clip(rescale(inputs, reference), 0.0, 1.0))
         np.testing.assert_array_equal(
             np.vstack([prepared.train_targets, prepared.val_targets]),
-            expected.apply(targets))
+            rescale(targets, reference))
 
 
 def unit_ramp(n):
@@ -218,6 +217,14 @@ class TestSplit:
         np.testing.assert_array_equal(prepared.train_targets[:, 0], x[1:train_size + 1])
         np.testing.assert_array_equal(prepared.val_targets[:, 0], x[train_size + 1:end + 1])
         assert not set(prepared.train_inputs[:, 0]) & set(prepared.val_inputs[:, 0])
+
+    def test_inputs_clipped_targets_affine(self):
+        # the training rows span [0, 1], so the rescale is the identity;
+        # the validation rows leave that range on both sides
+        x = np.array([0.0, 1.0, 0.5, 0.25, 0.75, 2.0, -1.0, 0.5])
+        prepared = prepare_csv(x, lag_offsets=(0,), train_size=4)
+        np.testing.assert_array_equal(prepared.val_inputs[:, 0], [0.75, 1.0, 0.0])
+        np.testing.assert_array_equal(prepared.val_targets[:, 0], [2.0, -1.0, 0.5])
 
     def test_oversized_request_rejected(self):
         with pytest.raises(ValueError, match="train_size 9 and validation_size 5 .* 9 rows"):
@@ -292,5 +299,5 @@ class TestCsv:
     def test_save_round_trip(self, tmp_path):
         values = seeded_rng(13).uniform(-2.0, 2.0, 25)
         path = tmp_path / "series.csv"
-        save_series_csv(path, values)
+        path.write_text(series_csv(values))
         np.testing.assert_array_equal(load_csv(path, column="value"), values)

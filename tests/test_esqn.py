@@ -264,6 +264,16 @@ class TestUpdate:
         assert solution.stable
         np.testing.assert_allclose(model.state, solution.rho, atol=1e-9)
 
+    def test_zero_input_network_rests_at_zero_loads(self):
+        # the reservoir held at zero input has no excitation, and driving
+        # it with zero rows decays its loads towards the same rest
+        model = random_model(seed=0, n_in=2, n_res=3)
+        solution = solve_steady_state(model.network(np.zeros(2)))
+        np.testing.assert_array_equal(solution.rho, 0.0)
+        assert solution.stable and solution.iterations == 0
+        model.run(np.zeros((200, 2)))
+        assert np.max(model.state) < 1e-100
+
     def test_each_step_is_one_load_map_of_the_held_network(self):
         # run's batched step matrix and randnn's fixed-point map are two
         # evaluators of one map: every step, overloaded ones included, is

@@ -12,7 +12,8 @@ from reservoirq import cli, harness
 from reservoirq.harness import (ExperimentConfig, prepare_data,
                                 reservoir_size_sweep, resolve_washout,
                                 run_experiment)
-from reservoirq.metrics import results_csv, summary_csv, trace_csv
+from reservoirq.metrics import nmse, results_csv, series_csv, summary_csv, trace_csv
+from reservoirq.numerics import seeded_rng
 
 
 def tiny_narma(**overrides):
@@ -271,6 +272,19 @@ class TestRunExperiment:
         outcome = run_experiment(tiny_narma())
         assert outcome.trace.shape == (50, 3)
         np.testing.assert_array_equal(outcome.trace[:, 0], np.arange(50.0))
+
+    def test_target_beyond_training_range_scored_affine(self, tmp_path):
+        # the training rows span [0, 1], so the rescale is the identity, and
+        # the validation target 1.5 is scored as 1.5, not clipped to 1
+        x = np.concatenate([[0.0, 1.0], seeded_rng(3).uniform(0.1, 0.9, 28)])
+        x[25] = 1.5
+        path = tmp_path / "series.csv"
+        path.write_text(series_csv(x))
+        outcome = run_experiment(ExperimentConfig(
+            dataset="csv", csv_path=str(path), csv_column="value", lag_offsets=(0,),
+            train_size=20, model="esn", reservoir_size=5, trials=1))
+        np.testing.assert_array_equal(outcome.trace[:, 1], x[21:])
+        assert outcome.summary.mean_nmse == nmse(outcome.trace[:, 1], outcome.trace[:, 2])
 
     def test_seed_changes_results(self):
         a = run_experiment(tiny_narma(seed=5))

@@ -155,9 +155,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             single_neuron(0.5, 0.0, 0.0)
 
-    def test_all_silent_inputs_rejected(self):
-        with pytest.raises(ValueError, match="excitatory"):
-            single_neuron(0.0, 0.1, 1.0)
+    def test_all_silent_inputs_rest_at_zero_loads(self):
+        # with no external excitation rho = 0 is a fixed point, however
+        # the neurons excite each other, and the solver starts there
+        spec = RandnnSpec(lambda_plus=[0.0, 0.0], lambda_minus=[0.1, 0.0],
+                          w_plus=[[0.0, 0.5], [0.5, 0.0]],
+                          w_minus=[[0.0, 0.0], [0.0, 0.0]], rates=[1.0, 1.0])
+        solution = solve_steady_state(spec)
+        np.testing.assert_array_equal(solution.rho, [0.0, 0.0])
+        assert solution.stable and solution.iterations == 0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"w_plus must have shape \(2, 2\)"):
