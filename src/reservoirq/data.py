@@ -135,6 +135,16 @@ def load_csv(path, column=0):
     return np.array(values)
 
 
+def check_lag_offsets(offsets):
+    """The offsets as ints, or ValueError unless non-empty, integral and >= 0."""
+    given = tuple(offsets)
+    lags = tuple(int(o) for o in given)
+    if not lags or lags != given or min(lags) < 0:
+        raise ValueError("lag_offsets must be a non-empty sequence of nonnegative "
+                         f"integers, got {given}")
+    return lags
+
+
 def lag_paired_series(inputs_series, targets_series, offsets):
     """Window pre-aligned (input(t), target(t)) pairs with input lags.
 
@@ -148,10 +158,7 @@ def lag_paired_series(inputs_series, targets_series, offsets):
     y = np.asarray(targets_series, dtype=float)
     if s.shape[0] != y.shape[0]:
         raise ValueError("input and target series must have equal length")
-    offsets = list(offsets)
-    lags = [int(o) for o in offsets]
-    if not lags or lags != offsets or min(lags) < 0:
-        raise ValueError(f"offsets must be non-empty nonnegative integers, got {offsets}")
+    lags = check_lag_offsets(offsets)
     max_off = max(lags)
     n_rows = s.shape[0] - max_off
     if n_rows < 1:

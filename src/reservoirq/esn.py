@@ -70,7 +70,7 @@ class EsnModel:
             raise ValueError(f"all-zero interval: weight_lo = weight_hi = {weight_hi}")
         nnz = round(density * n_res * n_res)
         if nnz < 1:
-            raise ValueError("density too small: no nonzero entries at this size")
+            raise ValueError(f"density {density} leaves no nonzero entry at n_res = {n_res}")
         for _ in range(RESAMPLE_ATTEMPTS):
             support = rng.choice(n_res * n_res, size=nnz, replace=False)
             values = rng.uniform(weight_lo, weight_hi, nnz)

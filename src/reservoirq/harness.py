@@ -10,6 +10,7 @@ end-of-training state since validation follows training in time.
 """
 
 import dataclasses
+import numbers
 import os
 import typing
 from dataclasses import dataclass
@@ -48,9 +49,7 @@ class ExperimentConfig:
     protocol is fixed: one-step targets, ``resolve_washout``, the ESN_*
     constants and the sampling defaults of both models' ``random``."""
 
-    dataset: str = "narma"            # "narma" | "csv"
-    name: str = ""                    # series label; defaults per dataset
-    csv_path: str | None = None
+    csv_path: str | None = None       # unset: the run's series is NARMA-10
     csv_column: int | str = 0
     lag_offsets: tuple[int, ...] = NARMA_DEFAULT_OFFSETS
     train_size: int | None = None
@@ -62,42 +61,36 @@ class ExperimentConfig:
     lambda_grid: tuple[float, ...] = LAMBDA_GRID
 
     def __post_init__(self):
-        if self.dataset not in ("narma", "csv"):
-            raise ValueError(f"unknown dataset kind {self.dataset!r}")
         if self.model not in ("esn", "esqn"):
             raise ValueError(f"unknown model kind {self.model!r}")
-        if self.dataset == "csv" and not self.csv_path:
-            raise ValueError("csv dataset needs csv_path")
+        if self.csv_path == "":
+            raise ValueError("csv_path is empty; leave it unset to run NARMA-10")
         for key, least in (("trials", 1), ("reservoir_size", 1), ("train_size", 1),
                            ("validation_size", 2), ("seed", 0)):
             value = getattr(self, key)
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
             if value is not None and value < least:
                 raise ValueError(f"{key} must be >= {least}, got {value}")
         if not isinstance(self.csv_column, str) and self.csv_column < 0:
             raise ValueError(f"csv_column must be >= 0, got {self.csv_column}")
-        if self.dataset == "narma":
-            for key, default in (("csv_path", None), ("csv_column", 0)):
-                if getattr(self, key) != default:
-                    raise ValueError(f"{key} applies to a csv dataset only, "
-                                     f"got {getattr(self, key)!r} with dataset narma")
-        offsets = tuple(int(o) for o in self.lag_offsets)
-        if not offsets or offsets != tuple(self.lag_offsets) or min(offsets) < 0:
-            raise ValueError(
-                "lag_offsets must be a non-empty tuple of nonnegative integers, "
-                f"got {self.lag_offsets}")
-        object.__setattr__(self, "lag_offsets", offsets)
+        if self.csv_path is None and self.csv_column != 0:
+            raise ValueError(f"csv_column {self.csv_column!r} needs a csv_path")
+        object.__setattr__(self, "lag_offsets", datamod.check_lag_offsets(self.lag_offsets))
         grid = tuple(float(l) for l in self.lambda_grid)
         if not grid or not all(np.isfinite(l) and l > 0 for l in grid):
             raise ValueError("lambda_grid must be a non-empty tuple of finite "
                              f"positive penalties, got {self.lambda_grid}")
         object.__setattr__(self, "lambda_grid", grid)
-        if not self.name:
-            default = "narma" if self.dataset == "narma" else \
-                os.path.splitext(os.path.basename(self.csv_path))[0]
-            object.__setattr__(self, "name", default)
         if any(c in self.name for c in ',"\r\n'):
-            raise ValueError("name must hold no comma, double quote or line break, "
-                             f"got {self.name!r}")
+            raise ValueError("series name (the csv_path stem) must hold no comma, "
+                             f"double quote or line break, got {self.name!r}")
+
+    @property
+    def name(self):
+        """The series label in outputs: narma, or the csv file's stem."""
+        return "narma" if self.csv_path is None else \
+            os.path.splitext(os.path.basename(self.csv_path))[0]
 
     @classmethod
     def from_file(cls, path):
@@ -186,7 +179,7 @@ def prepare_data(config):
     generated to fit.
     """
     max_off = max(config.lag_offsets)
-    if config.dataset == "narma":
+    if config.csv_path is None:
         train_size = NARMA_TRAIN_SIZE if config.train_size is None else config.train_size
         val_size = NARMA_VALIDATION_SIZE if config.validation_size is None \
             else config.validation_size
@@ -273,7 +266,7 @@ def run_trial(config, prepared, washout, trial_index):
 
 
 def run_experiment(config):
-    """Run all trials of one (dataset, model) experiment and aggregate.
+    """Run all trials of one (series, model) experiment and aggregate.
 
     Trials whose states or predictions go non-finite are excluded and
     counted in the summary's failure tally rather than aborting the run;

@@ -12,8 +12,6 @@ from reservoirq.esn import EsnModel
 from reservoirq.esqn import EsqnModel
 
 CONFIG_TEXT = """\
-dataset = narma
-name = narma
 train_size = 150
 validation_size = 50
 model = esqn
@@ -98,6 +96,11 @@ class TestExperiment:
                          weight_lo=-1e308, weight_hi=1e308),
                      "weight interval must have a finite width: weight_lo=-1e+308",
                      id="esn interval width named"),
+        # round(0.15 * 1**2) = 0: no recurrent weight at all, named before any draw
+        pytest.param(lambda n_in, n_res, rng: EsnModel.random(
+                         n_in, 1, harness.ESN_DENSITY, harness.ESN_SPECTRAL_RADIUS, rng),
+                     "density 0.15 leaves no nonzero entry at n_res = 1",
+                     id="1-unit esn density named"),
     ])
     def test_arithmetic_failure_is_one_error_line(self, workdir, capsys, monkeypatch,
                                                   build, message):

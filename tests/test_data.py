@@ -25,8 +25,7 @@ def prepare_csv(series, **config):
         path = os.path.join(tmp, "series.csv")
         with open(path, "w") as fh:
             fh.write(series_csv(series))
-        return prepare_data(ExperimentConfig(dataset="csv", csv_path=path,
-                                             csv_column="value", **config))
+        return prepare_data(ExperimentConfig(csv_path=path, csv_column="value", **config))
 
 
 class TestNarma:
@@ -143,7 +142,7 @@ class TestLaggedDataset:
     @settings(max_examples=40, deadline=None)
     def test_rows_pair_lags_with_future_target(self, data):
         # row k, at t = max(offsets) + k, has inputs x(t - o) and target
-        # x(t + h); prepare_data's csv dataset holds exactly the rows of
+        # x(t + h); prepare_data on a csv file holds exactly the rows of
         # h = 1, split in time order and rescaled by the min and max of
         # the series values the default 2/3 training split touches, with
         # only the inputs clipped to [0, 1]

@@ -65,7 +65,7 @@ class TestInit:
         assert np.linalg.norm(small_model().state) == 0.0
 
     def test_too_small_density_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"density 0\.05 .* n_res = 2"):
             EsnModel.random(1, 2, density=0.05, target_rho=0.9, rng=seeded_rng(0))
 
     def test_nilpotent_draws_eventually_error(self):

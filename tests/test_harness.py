@@ -17,7 +17,7 @@ from reservoirq.numerics import seeded_rng
 
 
 def tiny_narma(**overrides):
-    base = dict(dataset="narma", train_size=150, validation_size=50,
+    base = dict(train_size=150, validation_size=50,
                 reservoir_size=10, trials=2, seed=5, model="esqn")
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -26,13 +26,9 @@ def tiny_narma(**overrides):
 # One config-file line (plus any line the key needs to be valid) per
 # ExperimentConfig field, and the value it must parse to.
 FIELD_CASES = [
-    ("dataset = csv\ncsv_path = /data/traffic.csv", "dataset", "csv"),
-    ("name = isp", "name", "isp"),
-    ("csv_path = /data/traffic.csv\ndataset = csv", "csv_path", "/data/traffic.csv"),
-    ("csv_column = 3\ndataset = csv\ncsv_path = /data/traffic.csv",
-     "csv_column", 3),
-    ("csv_column = bytes\ndataset = csv\ncsv_path = /data/traffic.csv",
-     "csv_column", "bytes"),
+    ("csv_path = /data/traffic.csv", "csv_path", "/data/traffic.csv"),
+    ("csv_column = 3\ncsv_path = /data/traffic.csv", "csv_column", 3),
+    ("csv_column = bytes\ncsv_path = /data/traffic.csv", "csv_column", "bytes"),
     ("lag_offsets = 0, 6,7", "lag_offsets", (0, 6, 7)),
     ("train_size = 47", "train_size", 47),
     ("validation_size = 15", "validation_size", 15),
@@ -43,20 +39,22 @@ FIELD_CASES = [
     ("lambda_grid = 1e-6, 0.001,1", "lambda_grid", (1e-6, 1e-3, 1.0)),
 ]
 
-# Keys that earlier versions accepted, evaluation switches and then the
-# protocol's constants; a config that sets one must fail rather than run a
+# Keys that earlier versions accepted, evaluation switches, then the
+# protocol's constants, then the dataset kind and series label that
+# csv_path now decides; a config that sets one must fail rather than run a
 # protocol other than the one it names.
 REMOVED_KEYS = ["train_fraction", "bias_weights_fixed_to_one", "esqn_density",
                 "readout_inputs", "reset_state_before_validation",
                 "rescale_on_full_series", "nmse_on_original_units",
                 "horizon", "washout", "density", "spectral_radius", "esn_weight_lo",
-                "esn_weight_hi", "weight_lo", "weight_hi", "firing_rate"]
+                "esn_weight_hi", "weight_lo", "weight_hi", "firing_rate",
+                "dataset", "name"]
 
 
 class TestConfig:
     def test_defaults_follow_reference_protocol(self):
         config = ExperimentConfig()
-        assert config.dataset == "narma" and config.model == "esqn"
+        assert config.csv_path is None and config.model == "esqn"
         assert config.reservoir_size == 80 and config.trials == 20
         assert config.lag_offsets == tuple(range(10))
         assert config.lambda_grid == tuple(10.0 ** k for k in range(-8, 0))
@@ -64,7 +62,7 @@ class TestConfig:
 
     def test_from_file(self, config_dir):
         config = ExperimentConfig.from_file(os.path.join(config_dir, "ukerna_esqn.cfg"))
-        assert config.dataset == "csv"
+        assert config.name == "ukerna_like"
         assert config.lag_offsets == (0, 6, 7)
         assert config.train_size == 47 and config.validation_size == 15
         assert os.path.isabs(config.csv_path) and os.path.exists(config.csv_path)
@@ -72,7 +70,7 @@ class TestConfig:
     @pytest.mark.parametrize("key", ["wibble", *REMOVED_KEYS])
     def test_unknown_key_rejected(self, tmp_path, key):
         path = tmp_path / "bad.cfg"
-        path.write_text(f"dataset = narma\n{key} = 1\n")
+        path.write_text(f"trials = 2\n{key} = 1\n")
         with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
             ExperimentConfig.from_file(path)
 
@@ -85,7 +83,7 @@ class TestConfig:
     def test_types_parsed(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text(
-            "dataset = narma\ntrials = 3  # inline comment\nlambda_grid = 0.5\n"
+            "trials = 3  # inline comment\nlambda_grid = 0.5\n"
             "lag_offsets = 0, 2, 5\n# a comment\n\n")
         config = ExperimentConfig.from_file(path)
         assert config.trials == 3
@@ -123,10 +121,11 @@ class TestConfig:
             {f.name for f in dataclasses.fields(ExperimentConfig)}
 
     def test_empty_csv_path_is_missing(self, tmp_path):
-        # an empty value is not a relative path to the config's directory
+        # an empty value is neither a relative path to the config's
+        # directory nor a request for NARMA-10
         path = tmp_path / "bad.cfg"
-        path.write_text("dataset = csv\ncsv_path =\n")
-        with pytest.raises(ValueError, match="csv dataset needs csv_path"):
+        path.write_text("csv_path =\n")
+        with pytest.raises(ValueError, match="csv_path is empty"):
             ExperimentConfig.from_file(path)
 
     def test_readme_config_table_lists_every_field(self, fixture_root):
@@ -156,13 +155,11 @@ class TestConfig:
 
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(dataset="mystery")
-        with pytest.raises(ValueError):
             ExperimentConfig(model="perceptron")
         with pytest.raises(ValueError):
             ExperimentConfig(trials=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(dataset="csv")  # csv_path missing
+        with pytest.raises(ValueError, match="csv_path"):
+            ExperimentConfig(csv_path="")
 
     @pytest.mark.parametrize("overrides", [
         {"lag_offsets": (0, 1.5)},
@@ -177,10 +174,12 @@ class TestConfig:
         {"lambda_grid": (float("nan"),)},
         {"lambda_grid": (1e-3, float("inf"))},
         {"lambda_grid": (0.0, 1e-8)},
-        # keys that only a csv dataset reads; the default dataset is narma
-        {"csv_path": "nope.csv"},
+        # a column to read needs a file to read it from
         {"csv_column": 3},
         {"seed": -1},
+        # counts are integers, not floats that happen to be whole
+        {"trials": 1.5},
+        {"train_size": 150.0},
     ])
     def test_bad_lags_and_horizon_rejected(self, overrides):
         with pytest.raises(ValueError) as info:
@@ -189,12 +188,12 @@ class TestConfig:
             assert key in str(info.value) and str(value) in str(info.value)
 
     @pytest.mark.parametrize("overrides, name", [
-        ({"name": "a,b"}, "a,b"),
-        ({"name": 'say "hi"'}, 'say "hi"'),
-        ({"name": "two\nlines"}, "two\nlines"),
-        ({"name": "cr\r"}, "cr\r"),
-        # the default name is the csv file stem
-        ({"dataset": "csv", "csv_path": "/data/x,y.csv"}, "x,y"),
+        # the series name is the csv file stem
+        ({"csv_path": "/data/a,b.csv"}, "a,b"),
+        ({"csv_path": '/data/say "hi".csv'}, 'say "hi"'),
+        ({"csv_path": "/data/two\nlines.csv"}, "two\nlines"),
+        ({"csv_path": "/data/cr\r.csv"}, "cr\r"),
+        ({"csv_path": "/data/x,y.csv"}, "x,y"),
     ])
     def test_name_that_would_break_the_csvs_rejected(self, overrides, name):
         with pytest.raises(ValueError, match="name") as info:
@@ -203,7 +202,7 @@ class TestConfig:
 
     def test_negative_csv_column_rejected(self):
         with pytest.raises(ValueError, match="csv_column must be >= 0, got -2"):
-            ExperimentConfig(dataset="csv", csv_path="/data/x.csv", csv_column=-2)
+            ExperimentConfig(csv_path="/data/x.csv", csv_column=-2)
 
     def test_integral_offsets_normalised(self):
         assert ExperimentConfig(lag_offsets=(0, 6.0, 7)).lag_offsets == (0, 6, 7)
@@ -281,7 +280,7 @@ class TestRunExperiment:
         path = tmp_path / "series.csv"
         path.write_text(series_csv(x))
         outcome = run_experiment(ExperimentConfig(
-            dataset="csv", csv_path=str(path), csv_column="value", lag_offsets=(0,),
+            csv_path=str(path), csv_column="value", lag_offsets=(0,),
             train_size=20, model="esn", reservoir_size=5, trials=1))
         np.testing.assert_array_equal(outcome.trace[:, 1], x[21:])
         assert outcome.summary.mean_nmse == nmse(outcome.trace[:, 1], outcome.trace[:, 2])
@@ -369,7 +368,7 @@ class TestSweep:
 class TestOutputs:
     def test_files_written(self, tmp_path, monkeypatch):
         config_path = tmp_path / "tiny.cfg"
-        config_path.write_text("dataset = narma\ntrain_size = 150\n"
+        config_path.write_text("train_size = 150\n"
                                "validation_size = 50\nreservoir_size = 10\n"
                                "trials = 2\nseed = 5\nmodel = esqn\n")
         monkeypatch.chdir(tmp_path)

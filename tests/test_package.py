@@ -69,3 +69,18 @@ def test_traced_bench_runs_every_layer(monkeypatch):
         silent = [layer for layer in run.tracing.LAYERS
                   if not result[f"{layer}.calls"][0] > 0]
         assert not silent, (name, silent)
+
+
+def test_readme_python_blocks_run(monkeypatch, capsys):
+    # every ```python block of the README runs as written, from the repo
+    # root its paths are relative to, and the G-network block prints the
+    # verdicts the README states: unstable in all 20 trials
+    monkeypatch.chdir(ROOT)
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    assert len(blocks) == 3
+    printed = []
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+        printed.append(capsys.readouterr().out.splitlines())
+    assert [line.split() for line in printed[2]] == [[str(t), "False"] for t in range(20)]
