@@ -20,7 +20,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
 from reservoirq.harness import ExperimentConfig, run_experiment  # noqa: E402
-from reservoirq.metrics import TrialResult, summarize  # noqa: E402
+from reservoirq.metrics import t_interval  # noqa: E402
 
 SEEDS = range(1, 11)
 
@@ -38,16 +38,11 @@ def main():
     for model, rows in summaries.items():
         means = [s.mean_nmse for s in rows]
         print(f"{model}: per-series means {min(means):.4f} to {max(means):.4f}")
-    # one "trial" per series, scored by that series' ESQN - ESN gap
-    gaps = [TrialResult(series="narma", model="esqn-esn", trial=i, seed=seed,
-                        nmse=esqn.mean_nmse - esn.mean_nmse, ridge_lambda=0.0,
-                        reservoir_size=0)
-            for i, (seed, esqn, esn) in enumerate(zip(SEEDS, *summaries.values()))]
-    paired = summarize(gaps)
-    below = sum(g.nmse < 0 for g in gaps)
-    print(f"esqn - esn: {paired.mean_nmse:.4f} ±{paired.ci_halfwidth:.4f} "
-          f"(95% t, {paired.n_trials - 1} dof), esqn below esn on "
-          f"{below} of {paired.n_trials} series")
+    gaps = [esqn.mean_nmse - esn.mean_nmse for esqn, esn in zip(*summaries.values())]
+    mean, halfwidth = t_interval(gaps)
+    below = sum(g < 0 for g in gaps)
+    print(f"esqn - esn: {mean:.4f} ±{halfwidth:.4f} (95% t, {len(gaps) - 1} dof), "
+          f"esqn below esn on {below} of {len(gaps)} series")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,8 @@ import csv
 
 import numpy as np
 
+from .numerics import check_integer
+
 NARMA_ORDER = 10
 NARMA_DIVERGENCE_LIMIT = 10.0
 NARMA_ATTEMPTS = 10
@@ -61,9 +63,7 @@ def generate_narma10(n, rng):
     (|b| exceeding 10, possible for unlucky drives) are regenerated from
     the generator's following draws, at most NARMA_ATTEMPTS times.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = NARMA_WARMUP + n
+    total = NARMA_WARMUP + check_integer("n", n, 1)
     for _ in range(NARMA_ATTEMPTS):
         s = rng.uniform(0.0, 0.5, total)
         # divergent drives overflow before the check rejects them
@@ -107,9 +107,7 @@ def load_csv(path, column=0):
         except ValueError:
             raise ValueError(f"{path}: no column named {column!r}") from None
     else:
-        idx = int(column)
-        if idx < 0:
-            raise ValueError(f"{path}: column {idx} is negative; indices count from 0")
+        idx = check_integer(f"{path}: column", column, 0)
     data_rows = rows[1:] if has_header else rows
     first_line = 2 if has_header else 1
 

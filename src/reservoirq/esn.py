@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import check_weight_interval, drive, initial_state, spectral_radius
+from .numerics import (check_integer, check_weight_interval, drive, initial_state,
+                       spectral_radius)
 
 RESAMPLE_ATTEMPTS = 10
 
@@ -59,8 +60,8 @@ class EsnModel:
         interval (see ``check_weight_interval``), raises ValueError before
         any draw.
         """
-        if n_res < 1 or n_in < 0:
-            raise ValueError("n_res must be >= 1 and n_in >= 0")
+        check_integer("n_in", n_in, 0)
+        check_integer("n_res", n_res, 1)
         if not 0.0 < density <= 1.0:
             raise ValueError("density must lie in (0, 1]")
         if not (np.isfinite(target_rho) and target_rho > 0):

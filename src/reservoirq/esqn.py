@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import check_weight_interval, drive, initial_state
+from .numerics import check_integer, check_weight_interval, drive, initial_state
 from .randnn import RandnnSpec, rate_array
 
 
@@ -74,8 +74,8 @@ class EsqnModel:
         or non-finite weight drawn and a ``rate`` that is not finite and
         positive.
         """
-        if n_in < 1 or n_res < 1:
-            raise ValueError("n_in and n_res must be >= 1")
+        check_integer("n_in", n_in, 1)
+        check_integer("n_res", n_res, 1)
         check_weight_interval(weight_lo, weight_hi)
         w_plus_in = rng.uniform(weight_lo, weight_hi, (n_res, n_in))
         w_minus_in = rng.uniform(weight_lo, weight_hi, (n_res, n_in))

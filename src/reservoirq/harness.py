@@ -10,7 +10,6 @@ end-of-training state since validation follows training in time.
 """
 
 import dataclasses
-import numbers
 import os
 import typing
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from . import data as datamod
 from .esn import EsnModel
 from .esqn import EsqnModel
 from .metrics import Summary, TrialResult, nmse, summarize
-from .numerics import one_blas_thread, substream_rng, substream_seed
+from .numerics import check_integer, one_blas_thread, substream_rng, substream_seed
 from .readout import LAMBDA_GRID, collect_states, fit_readout, select_penalty
 
 # Substream tags under the master seed.
@@ -66,14 +65,11 @@ class ExperimentConfig:
         if self.csv_path == "":
             raise ValueError("csv_path is empty; leave it unset to run NARMA-10")
         for key, least in (("trials", 1), ("reservoir_size", 1), ("train_size", 1),
-                           ("validation_size", 2), ("seed", 0)):
+                           ("validation_size", 2), ("seed", 0), ("csv_column", 0)):
             value = getattr(self, key)
-            if value is not None and not isinstance(value, numbers.Integral):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-            if value is not None and value < least:
-                raise ValueError(f"{key} must be >= {least}, got {value}")
-        if not isinstance(self.csv_column, str) and self.csv_column < 0:
-            raise ValueError(f"csv_column must be >= 0, got {self.csv_column}")
+            # an unset split size takes its default; a str column is a header name
+            if value is not None and not (key == "csv_column" and isinstance(value, str)):
+                check_integer(key, value, least)
         if self.csv_path is None and self.csv_column != 0:
             raise ValueError(f"csv_column {self.csv_column!r} needs a csv_path")
         object.__setattr__(self, "lag_offsets", datamod.check_lag_offsets(self.lag_offsets))
@@ -232,11 +228,10 @@ def build_model(config, n_in, rng):
 def run_trial(config, prepared, washout, trial_index):
     """One independently seeded train-and-score pass.
 
-    Returns (TrialResult, trace) where trace stacks the validation row
-    index, target and prediction columns. Raises FloatingPointError,
-    naming the trial and the reason, if a non-finite training state,
-    validation state or prediction shows up, so the caller can exclude
-    the trial.
+    Returns (TrialResult, predictions), the latter the (rows, 1)
+    validation predictions. Raises FloatingPointError, naming the trial
+    and the reason, if a non-finite training state, validation state or
+    prediction shows up, so the caller can exclude the trial.
     """
     trial_seed = substream_seed(config.seed, TRIAL_STREAM, trial_index)
     rng = np.random.default_rng(trial_seed)
@@ -254,15 +249,11 @@ def run_trial(config, prepared, washout, trial_index):
     if not (np.all(np.isfinite(val_regressors)) and np.all(np.isfinite(predictions))):
         raise FloatingPointError(f"trial {trial_index}: non-finite state or prediction")
 
-    val_targets = prepared.val_targets
-    score = nmse(val_targets, predictions)
-
     result = TrialResult(series=config.name, model=config.model,
-                         trial=trial_index, seed=trial_seed, nmse=score,
+                         trial=trial_index, seed=trial_seed,
+                         nmse=nmse(prepared.val_targets, predictions),
                          ridge_lambda=lam, reservoir_size=config.reservoir_size)
-    trace = np.column_stack([np.arange(val_targets.shape[0], dtype=float),
-                             val_targets[:, 0], predictions[:, 0]])
-    return result, trace
+    return result, predictions
 
 
 def run_experiment(config):
@@ -281,31 +272,27 @@ def run_experiment(config):
         prepared = prepare_data(config)
         washout = resolve_washout(len(prepared.train_targets))
         results = []
-        trace = None
         failures = 0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for i in range(config.trials):
                 try:
-                    result, trial_trace = run_trial(config, prepared, washout, i)
+                    result, predictions = run_trial(config, prepared, washout, i)
                 except FloatingPointError:
                     failures += 1
                     continue
                 results.append(result)
-                trace = trial_trace
     if not results:
         raise ArithmeticError(f"all {config.trials} trials failed")
-    summary = summarize(results, failures=failures)
+    # a failed trial assigns nothing, so these are the last successful trial's
+    trace = np.column_stack([np.arange(len(predictions), dtype=float),
+                             prepared.val_targets[:, 0], predictions[:, 0]])
     return ExperimentOutcome(config=config, results=tuple(results),
-                             summary=summary, trace=trace)
+                             summary=summarize(results, failures=failures), trace=trace)
 
 
 def reservoir_size_sweep(config, sizes):
-    """run_experiment per reservoir size, sharing the master seed."""
-    sizes = [int(s) for s in sizes]
-    if not sizes:
+    """run_experiment per reservoir size (all checked first), sharing the master seed."""
+    sized = [dataclasses.replace(config, reservoir_size=size) for size in sizes]
+    if not sized:
         raise ValueError("sizes must be non-empty")
-    outcomes = []
-    for size in sizes:
-        sized = dataclasses.replace(config, reservoir_size=size)
-        outcomes.append((size, run_experiment(sized)))
-    return outcomes
+    return [(c.reservoir_size, run_experiment(c)) for c in sized]

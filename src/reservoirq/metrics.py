@@ -48,6 +48,16 @@ def t_quantile_975(dof):
         t += step
 
 
+def t_interval(values):
+    """Mean of non-empty ``values`` and the half-width t_{0.975, n-1} s / sqrt(n)
+    of its 95% Student-t interval (s with ddof=1), None for one value."""
+    values = np.array(values, dtype=float)
+    n = len(values)
+    if n < 2:
+        return float(values.mean()), None
+    return float(values.mean()), float(t_quantile_975(n - 1) * values.std(ddof=1) / np.sqrt(n))
+
+
 def nmse(targets, predictions):
     """Normalized mean square error.
 
@@ -95,12 +105,11 @@ class TrialResult:
 class Summary:
     """Mean NMSE over trials with a 95% confidence half-width.
 
-    The half-width is t_{0.975, n-1} * s / sqrt(n), where s is the sample
-    standard deviation (ddof=1) of the trial scores, as the Student-t
-    interval requires; it is None for a single trial, where no interval
-    can be formed. ``ridge_lambda`` is the most
-    frequently selected penalty (smallest on ties) and ``failures``
-    counts trials excluded for non-finite states or predictions.
+    The half-width is that of ``t_interval`` over the trial scores; it is
+    None for a single trial, where no interval can be formed.
+    ``ridge_lambda`` is the most frequently selected penalty (smallest on
+    ties) and ``failures`` counts trials excluded for non-finite states or
+    predictions.
     """
 
     series: str
@@ -120,18 +129,12 @@ def summarize(results, failures=0):
     groups = {(r.series, r.model) for r in results}
     if len(groups) != 1:
         raise ValueError(f"mixed groups cannot be summarized: {sorted(groups)}")
-    scores = np.array([r.nmse for r in results], dtype=float)
-    n = len(scores)
-    mean = float(scores.mean())
-    if n >= 2:
-        halfwidth = float(t_quantile_975(n - 1) * scores.std(ddof=1) / np.sqrt(n))
-    else:
-        halfwidth = None
+    mean, halfwidth = t_interval([r.nmse for r in results])
     counts = Counter(r.ridge_lambda for r in results)
     top = max(counts.values())
     modal_lambda = min(lam for lam, c in counts.items() if c == top)
     return Summary(series=results[0].series, model=results[0].model,
-                   n_trials=n, mean_nmse=mean, ci_halfwidth=halfwidth,
+                   n_trials=len(results), mean_nmse=mean, ci_halfwidth=halfwidth,
                    ridge_lambda=modal_lambda, failures=int(failures))
 
 

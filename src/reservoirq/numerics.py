@@ -1,5 +1,5 @@
 """Seeded randomness, spectral radius, the ridge solver, the reservoirs'
-step loop, state and weight-interval checks, and the BLAS thread pin.
+step loop, the integer, state and weight-interval checks, and the BLAS thread pin.
 
 All experiment randomness flows through numpy's PCG64 generator (a
 permuted-congruential generator with published constants and
@@ -17,6 +17,7 @@ every thread of the process run on one thread.
 
 import ctypes
 import functools
+import numbers
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -88,6 +89,16 @@ def drive(inputs, state, step, ufunc):
         dot(window, out=r)
         apply(out=x)
     return buf[1:].T, buf[-1, lead:].copy()
+
+
+def check_integer(name, value, least):
+    """Return ``value`` if it is an integer (numpy's pass, a bool does not)
+    of at least ``least``; else raise ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def initial_state(state, n_res):

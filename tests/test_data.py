@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -79,6 +80,15 @@ class TestNarma:
     def test_bad_count_rejected(self):
         with pytest.raises(ValueError):
             generate_narma10(0, seeded_rng(0))
+
+    def test_boolean_count_rejected(self):
+        # True used to pass as 1 and return one pair
+        with pytest.raises(ValueError, match="n must be an integer, got True"):
+            generate_narma10(True, seeded_rng(0))
+
+    def test_numpy_count_accepted(self):
+        s, b_next = generate_narma10(np.int64(5), seeded_rng(0))
+        assert s.shape == b_next.shape == (5,)
 
 
 class TestRescale:
@@ -286,8 +296,22 @@ class TestCsv:
     def test_negative_column_rejected(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("t,value\n0,1.0\n1,2.0\n")
-        with pytest.raises(ValueError, match="column -2 is negative"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: column must be >= 0, got -2")):
             load_csv(path, column=-2)
+
+    @pytest.mark.parametrize("column", [0.9, True])
+    def test_non_integer_column_rejected(self, tmp_path, column):
+        # 0.9 used to read column 0, and True column 1
+        path = tmp_path / "series.csv"
+        path.write_text("t,value\n0,1.0\n1,2.0\n")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: column must be an integer, got {column}")):
+            load_csv(path, column=column)
+
+    def test_numpy_column_accepted(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("t,value\n0,1.0\n1,2.0\n")
+        np.testing.assert_array_equal(load_csv(path, column=np.int64(1)), [1.0, 2.0])
 
     def test_empty_column(self, tmp_path):
         path = tmp_path / "series.csv"

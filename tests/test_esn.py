@@ -64,6 +64,25 @@ class TestInit:
     def test_state_starts_at_zero(self):
         assert np.linalg.norm(small_model().state) == 0.0
 
+    @pytest.mark.parametrize("n_in, n_res, message", [
+        (1, 20.0, "n_res must be an integer, got 20.0"),
+        (1, True, "n_res must be an integer, got True"),
+        (0.5, 5, "n_in must be an integer, got 0.5"),
+        (-1, 5, "n_in must be >= 0, got -1"),
+        (1, 0, "n_res must be >= 1, got 0"),
+    ])
+    def test_bad_sizes_rejected_before_any_draw(self, n_in, n_res, message):
+        rng = seeded_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError) as info:
+            EsnModel.random(n_in, n_res, 0.15, 0.95, rng)
+        assert str(info.value) == message
+        assert rng.bit_generator.state == before
+
+    def test_numpy_sizes_accepted(self):
+        model = EsnModel.random(np.int64(2), np.int64(5), 0.5, 0.9, seeded_rng(0))
+        assert (model.n_in, model.n_res) == (2, 5)
+
     def test_too_small_density_rejected(self):
         with pytest.raises(ValueError, match=r"density 0\.05 .* n_res = 2"):
             EsnModel.random(1, 2, density=0.05, target_rho=0.9, rng=seeded_rng(0))

@@ -58,6 +58,25 @@ class TestInit:
         with pytest.raises(ValueError, match="rate"):
             random_model(rate=0.0)
 
+    @pytest.mark.parametrize("n_in, n_res, message", [
+        (3, True, "n_res must be an integer, got True"),
+        (3, 4.0, "n_res must be an integer, got 4.0"),
+        (2.0, 5, "n_in must be an integer, got 2.0"),
+        (0, 5, "n_in must be >= 1, got 0"),
+        (3, 0, "n_res must be >= 1, got 0"),
+    ])
+    def test_bad_sizes_rejected_before_any_draw(self, n_in, n_res, message):
+        rng = seeded_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError) as info:
+            EsqnModel.random(n_in, n_res, rng)
+        assert str(info.value) == message
+        assert rng.bit_generator.state == before
+
+    def test_numpy_sizes_accepted(self):
+        model = EsqnModel.random(np.int64(2), np.int64(5), seeded_rng(0))
+        assert (model.n_in, model.n_res) == (2, 5)
+
     def test_inverted_interval_rejected(self):
         with pytest.raises(ValueError):
             random_model(weight_lo=0.3, weight_hi=0.1)

@@ -200,6 +200,27 @@ class TestConfig:
             ExperimentConfig(**overrides)
         assert repr(name) in str(info.value)
 
+    @pytest.mark.parametrize("overrides", [
+        # each of these used to run something else: one trial, seed 0,
+        # column 0 and column 1
+        {"trials": True},
+        {"seed": False},
+        {"csv_column": 0.9, "csv_path": "/data/x.csv"},
+        {"csv_column": True, "csv_path": "/data/x.csv"},
+    ])
+    def test_non_integer_counts_rejected(self, overrides):
+        key, value = next(iter(overrides.items()))
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig(**overrides)
+        assert str(info.value) == f"{key} must be an integer, got {value!r}"
+
+    def test_numpy_integer_counts_accepted(self):
+        config = ExperimentConfig(csv_path="/data/x.csv", csv_column=np.int64(1),
+                                  train_size=np.int64(40), validation_size=np.int64(9),
+                                  reservoir_size=np.int64(5), trials=np.int64(2),
+                                  seed=np.uint32(3))
+        assert (config.csv_column, config.trials, config.seed) == (1, 2, 3)
+
     def test_negative_csv_column_rejected(self):
         with pytest.raises(ValueError, match="csv_column must be >= 0, got -2"):
             ExperimentConfig(csv_path="/data/x.csv", csv_column=-2)
@@ -338,6 +359,19 @@ class TestRunExperiment:
                            match="trial 1: non-finite training state"):
             harness.run_trial(config, prepared, washout, 1)
 
+    def test_trace_is_the_last_successful_trials(self, monkeypatch):
+        real_run_trial = harness.run_trial
+
+        def last_fails(config, prepared, washout, trial_index):
+            if trial_index == 2:
+                raise FloatingPointError("forced failure")
+            return real_run_trial(config, prepared, washout, trial_index)
+
+        monkeypatch.setattr(harness, "run_trial", last_fails)
+        outcome = run_experiment(tiny_narma(trials=3))
+        assert [r.trial for r in outcome.results] == [0, 1]
+        np.testing.assert_array_equal(outcome.trace, run_experiment(tiny_narma()).trace)
+
     def test_all_trials_failing_raises(self, monkeypatch):
         def doomed(config, prepared, washout, trial_index):
             raise FloatingPointError("forced failure")
@@ -363,6 +397,21 @@ class TestSweep:
     def test_empty_sizes_rejected(self):
         with pytest.raises(ValueError):
             reservoir_size_sweep(tiny_narma(), [])
+
+    def test_numpy_size_accepted(self):
+        [(size, outcome)] = reservoir_size_sweep(tiny_narma(reservoir_size=20),
+                                                 [np.int64(10)])
+        assert size == 10
+        assert outcome.summary == run_experiment(tiny_narma()).summary
+
+    @pytest.mark.parametrize("sizes, bad", [([10.7], 10.7), ([True], True),
+                                            ([10, 10.7], 10.7)])
+    def test_non_integer_size_rejected_before_any_run(self, monkeypatch, sizes, bad):
+        # 10.7 used to run and be reported as size 10
+        monkeypatch.setattr(harness, "run_experiment", None)
+        with pytest.raises(ValueError) as info:
+            reservoir_size_sweep(tiny_narma(), sizes)
+        assert str(info.value) == f"reservoir_size must be an integer, got {bad!r}"
 
 
 class TestOutputs:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reservoirq.metrics import (Summary, TrialResult, nmse, results_csv,
-                                summarize, summary_csv, sweep_csv,
+                                summarize, summary_csv, sweep_csv, t_interval,
                                 t_quantile_975, trace_csv)
 from reservoirq.numerics import seeded_rng
 
@@ -93,6 +93,22 @@ class TestTQuantiles:
     def test_zero_dof_rejected(self):
         with pytest.raises(ValueError):
             t_quantile_975(0)
+
+
+class TestTInterval:
+    def test_two_point_hand_value(self):
+        # the sample standard deviation of {0, 2} is sqrt(2)
+        mean, halfwidth = t_interval([0.0, 2.0])
+        assert mean == 1.0
+        assert halfwidth == pytest.approx(math.tan(0.475 * math.pi), abs=1e-12)
+
+    def test_single_value_has_no_interval(self):
+        assert t_interval([0.4]) == (0.4, None)
+
+    def test_summarize_reports_the_interval_of_its_scores(self):
+        scores = seeded_rng(4).uniform(0.0, 1.0, 7).tolist()
+        summary = summarize([trial(v, index=i) for i, v in enumerate(scores)])
+        assert (summary.mean_nmse, summary.ci_halfwidth) == t_interval(scores)
 
 
 class TestSummarize:

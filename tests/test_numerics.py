@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reservoirq import numerics
-from reservoirq.numerics import (drive, one_blas_thread, ridge_solve, ridge_solve_grid,
-                                 seeded_rng, spectral_radius, substream_rng,
-                                 substream_seed)
+from reservoirq.numerics import (check_integer, drive, one_blas_thread, ridge_solve,
+                                 ridge_solve_grid, seeded_rng, spectral_radius,
+                                 substream_rng, substream_seed)
 
 # Spectral radius of the seed-20260809 5x5 uniform matrix, computed
 # independently before the build: characteristic polynomial by
@@ -243,6 +243,23 @@ class TestDrive:
         assert regressors.shape == (4, 0)
         np.testing.assert_array_equal(last, state)
         assert last is not state
+
+
+class TestCheckInteger:
+    @pytest.mark.parametrize("value", [3, 7, np.int64(3), np.uint8(3)])
+    def test_integers_at_the_bound_or_above_pass_through(self, value):
+        assert check_integer("k", value, 3) is value
+
+    @pytest.mark.parametrize("value", [True, np.True_, 3.0, 0.9, "3", None])
+    def test_non_integers_rejected_naming_the_argument(self, value):
+        with pytest.raises(ValueError) as info:
+            check_integer("k", value, 0)
+        assert str(info.value) == f"k must be an integer, got {value!r}"
+
+    def test_below_the_bound_rejected(self):
+        with pytest.raises(ValueError) as info:
+            check_integer("k", np.int64(-2), 0)
+        assert str(info.value) == "k must be >= 0, got -2"
 
 
 class TestRng:
