@@ -6,13 +6,20 @@ network fading memory: states forget their initial condition under a
 common input drive. Only the readout (elsewhere) is ever trained.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (check_integer, check_weight_interval, drive, initial_state,
-                       spectral_radius)
+from .numerics import check_integer, drive, initial_state, spectral_radius
 
+# The sampling law of every ESN reservoir: the nonzero fraction of w_res,
+# its spectral radius after rescaling, and the interval of every weight.
+DENSITY = 0.15
+SPECTRAL_RADIUS = 0.95
+WEIGHT_LO, WEIGHT_HI = -0.5, 0.5
+# The fewest units at which DENSITY leaves a nonzero recurrent weight.
+MIN_SIZE = next(n for n in itertools.count(1) if round(DENSITY * n * n) >= 1)
 RESAMPLE_ATTEMPTS = 10
 
 
@@ -47,34 +54,25 @@ class EsnModel:
         return self.w_in.shape[1] - 1
 
     @classmethod
-    def random(cls, n_in, n_res, density, target_rho, rng,
-               weight_lo=-0.5, weight_hi=0.5):
-        """Sample a reservoir at the given density and spectral radius.
+    def random(cls, n_in, n_res, rng):
+        """Sample a reservoir by the module's sampling law.
 
-        Exactly round(density * n_res^2) entries of w_res are nonzero,
+        Exactly round(DENSITY * n_res^2) entries of w_res are nonzero,
         placed uniformly at random, with values drawn uniformly from
-        [weight_lo, weight_hi] and then rescaled so the spectral radius
-        equals target_rho. Draws that land on a nilpotent support (radius
-        zero, possible at tiny densities) are resampled a few times. A
-        target_rho that is not finite and positive, or a bad or all-zero
-        interval (see ``check_weight_interval``), raises ValueError before
-        any draw.
+        [WEIGHT_LO, WEIGHT_HI] and then rescaled so the spectral radius
+        equals SPECTRAL_RADIUS; w_in is drawn from the same interval.
+        Draws that land on a nilpotent support (radius zero, likely at a
+        few units) are resampled a few times. An ``n_in`` below 0, or an
+        ``n_res`` below 1 or below MIN_SIZE, raises ValueError before any draw.
         """
         check_integer("n_in", n_in, 0)
         check_integer("n_res", n_res, 1)
-        if not 0.0 < density <= 1.0:
-            raise ValueError("density must lie in (0, 1]")
-        if not (np.isfinite(target_rho) and target_rho > 0):
-            raise ValueError(f"target_rho must be finite and positive, got {target_rho}")
-        check_weight_interval(weight_lo, weight_hi)
-        if weight_lo == weight_hi == 0:
-            raise ValueError(f"all-zero interval: weight_lo = weight_hi = {weight_hi}")
-        nnz = round(density * n_res * n_res)
-        if nnz < 1:
-            raise ValueError(f"density {density} leaves no nonzero entry at n_res = {n_res}")
+        if n_res < MIN_SIZE:
+            raise ValueError(f"density {DENSITY} leaves no nonzero entry at n_res = {n_res}")
+        nnz = round(DENSITY * n_res * n_res)
         for _ in range(RESAMPLE_ATTEMPTS):
             support = rng.choice(n_res * n_res, size=nnz, replace=False)
-            values = rng.uniform(weight_lo, weight_hi, nnz)
+            values = rng.uniform(WEIGHT_LO, WEIGHT_HI, nnz)
             w_res = np.zeros(n_res * n_res)
             w_res[support] = values
             w_res = w_res.reshape(n_res, n_res)
@@ -84,8 +82,8 @@ class EsnModel:
         else:
             raise RuntimeError(
                 f"sampled reservoir had zero spectral radius {RESAMPLE_ATTEMPTS} times")
-        w_res *= target_rho / rho
-        w_in = rng.uniform(weight_lo, weight_hi, (n_res, 1 + n_in))
+        w_res *= SPECTRAL_RADIUS / rho
+        w_in = rng.uniform(WEIGHT_LO, WEIGHT_HI, (n_res, 1 + n_in))
         return cls(w_in=w_in, w_res=w_res)
 
     def run(self, inputs):

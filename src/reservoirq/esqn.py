@@ -23,8 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import check_integer, check_weight_interval, drive, initial_state
+from .numerics import check_integer, drive, initial_state
 from .randnn import RandnnSpec, rate_array
+
+# The sampling law of every ESQN reservoir: the interval of all four
+# weight blocks, and every firing rate.
+WEIGHT_LO, WEIGHT_HI = 0.0, 0.2
+FIRING_RATE = 1.0
 
 
 @dataclass
@@ -64,28 +69,25 @@ class EsqnModel:
         return self.w_plus_in.shape[1]
 
     @classmethod
-    def random(cls, n_in, n_res, rng, weight_lo=0.0, weight_hi=0.2, rate=1.0):
-        """Draw all four weight blocks uniformly from [weight_lo, weight_hi].
+    def random(cls, n_in, n_res, rng):
+        """Draw all four weight blocks uniformly from [WEIGHT_LO, WEIGHT_HI].
 
         The initial load vector is uniform on [0, 1] and every firing rate
-        is ``rate``. Blocks are drawn in a fixed order (excitatory input,
+        is FIRING_RATE. Blocks are drawn in a fixed order (excitatory input,
         inhibitory input, excitatory recurrent, inhibitory recurrent, then
-        state) so a seed pins the model. The constructor rejects any negative
-        or non-finite weight drawn and a ``rate`` that is not finite and
-        positive.
+        state) so a seed pins the model.
         """
         check_integer("n_in", n_in, 1)
         check_integer("n_res", n_res, 1)
-        check_weight_interval(weight_lo, weight_hi)
-        w_plus_in = rng.uniform(weight_lo, weight_hi, (n_res, n_in))
-        w_minus_in = rng.uniform(weight_lo, weight_hi, (n_res, n_in))
-        w_plus_res = rng.uniform(weight_lo, weight_hi, (n_res, n_res))
-        w_minus_res = rng.uniform(weight_lo, weight_hi, (n_res, n_res))
+        w_plus_in = rng.uniform(WEIGHT_LO, WEIGHT_HI, (n_res, n_in))
+        w_minus_in = rng.uniform(WEIGHT_LO, WEIGHT_HI, (n_res, n_in))
+        w_plus_res = rng.uniform(WEIGHT_LO, WEIGHT_HI, (n_res, n_res))
+        w_minus_res = rng.uniform(WEIGHT_LO, WEIGHT_HI, (n_res, n_res))
         state = rng.uniform(0.0, 1.0, n_res)
         return cls(w_plus_in=w_plus_in, w_minus_in=w_minus_in,
                    w_plus_res=w_plus_res, w_minus_res=w_minus_res,
-                   rates_in=np.full(n_in, float(rate)),
-                   rates_res=np.full(n_res, float(rate)),
+                   rates_in=np.full(n_in, FIRING_RATE),
+                   rates_res=np.full(n_res, FIRING_RATE),
                    state=state)
 
     def network(self, a):

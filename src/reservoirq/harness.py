@@ -10,6 +10,8 @@ end-of-training state since validation follows training in time.
 """
 
 import dataclasses
+import math
+import numbers
 import os
 import typing
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as datamod
-from .esn import EsnModel
+from .esn import MIN_SIZE as ESN_MIN_SIZE, EsnModel
 from .esqn import EsqnModel
 from .metrics import Summary, TrialResult, nmse, summarize
 from .numerics import check_integer, one_blas_thread, substream_rng, substream_seed
@@ -37,16 +39,15 @@ NARMA_TRAIN_SIZE = 1990
 NARMA_VALIDATION_SIZE = 390
 # A csv config without train_size trains on this share of the rows.
 CSV_TRAIN_FRACTION = 2 / 3
-# The ESN reservoir's nonzero fraction and target spectral radius.
-ESN_DENSITY = 0.15
-ESN_SPECTRAL_RADIUS = 0.95
+# The config's model kinds; each samples its reservoir by its module's law.
+MODELS = {"esn": EsnModel, "esqn": EsqnModel}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """What a run varies; see README for the file keys. The rest of the
-    protocol is fixed: one-step targets, ``resolve_washout``, the ESN_*
-    constants and the sampling defaults of both models' ``random``."""
+    protocol is fixed: one-step targets, ``resolve_washout``, and the
+    sampling constants of ``esn`` and ``esqn``."""
 
     csv_path: str | None = None       # unset: the run's series is NARMA-10
     csv_column: int | str = 0
@@ -60,11 +61,12 @@ class ExperimentConfig:
     lambda_grid: tuple[float, ...] = LAMBDA_GRID
 
     def __post_init__(self):
-        if self.model not in ("esn", "esqn"):
+        if self.model not in MODELS:
             raise ValueError(f"unknown model kind {self.model!r}")
         if self.csv_path == "":
             raise ValueError("csv_path is empty; leave it unset to run NARMA-10")
-        for key, least in (("trials", 1), ("reservoir_size", 1), ("train_size", 1),
+        least_size = ESN_MIN_SIZE if self.model == "esn" else 1
+        for key, least in (("trials", 1), ("reservoir_size", least_size), ("train_size", 1),
                            ("validation_size", 2), ("seed", 0), ("csv_column", 0)):
             value = getattr(self, key)
             # an unset split size takes its default; a str column is a header name
@@ -73,11 +75,12 @@ class ExperimentConfig:
         if self.csv_path is None and self.csv_column != 0:
             raise ValueError(f"csv_column {self.csv_column!r} needs a csv_path")
         object.__setattr__(self, "lag_offsets", datamod.check_lag_offsets(self.lag_offsets))
-        grid = tuple(float(l) for l in self.lambda_grid)
-        if not grid or not all(np.isfinite(l) and l > 0 for l in grid):
+        grid = tuple(self.lambda_grid)
+        if not grid or not all(isinstance(l, numbers.Real) and not isinstance(l, bool)
+                               and math.isfinite(l) and l > 0 for l in grid):
             raise ValueError("lambda_grid must be a non-empty tuple of finite "
                              f"positive penalties, got {self.lambda_grid}")
-        object.__setattr__(self, "lambda_grid", grid)
+        object.__setattr__(self, "lambda_grid", tuple(map(float, grid)))
         if any(c in self.name for c in ',"\r\n'):
             raise ValueError("series name (the csv_path stem) must hold no comma, "
                              f"double quote or line break, got {self.name!r}")
@@ -219,10 +222,7 @@ def resolve_washout(train_rows):
 
 
 def build_model(config, n_in, rng):
-    if config.model == "esn":
-        return EsnModel.random(n_in, config.reservoir_size, ESN_DENSITY,
-                               ESN_SPECTRAL_RADIUS, rng)
-    return EsqnModel.random(n_in, config.reservoir_size, rng)
+    return MODELS[config.model].random(n_in, config.reservoir_size, rng)
 
 
 def run_trial(config, prepared, washout, trial_index):

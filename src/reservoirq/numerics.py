@@ -1,5 +1,5 @@
 """Seeded randomness, spectral radius, the ridge solver, the reservoirs'
-step loop, the integer, state and weight-interval checks, and the BLAS thread pin.
+step loop, the integer and state checks, and the BLAS thread pin.
 
 All experiment randomness flows through numpy's PCG64 generator (a
 permuted-congruential generator with published constants and
@@ -112,17 +112,6 @@ def initial_state(state, n_res):
     if not np.all(np.isfinite(state)):
         raise ValueError("state must be finite")
     return state
-
-
-def check_weight_interval(weight_lo, weight_hi):
-    """Raise ValueError, naming both bounds, unless a reservoir can draw its
-    weights uniformly from [weight_lo, weight_hi]: not inverted, no NaN
-    bound and a finite width."""
-    if weight_lo > weight_hi:
-        raise ValueError(f"empty interval: weight_lo={weight_lo} > weight_hi={weight_hi}")
-    if not np.isfinite(float(weight_hi) - float(weight_lo)):
-        raise ValueError("weight interval must have a finite width: "
-                         f"weight_lo={weight_lo}, weight_hi={weight_hi}")
 
 
 @functools.cache

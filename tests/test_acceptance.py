@@ -2,14 +2,13 @@
 verdict line with the measured values (run pytest -s to see them all)."""
 
 import dataclasses
-import inspect
 import os
 import time
 
 import numpy as np
 import pytest
 
-from reservoirq import cli, harness
+from reservoirq import cli, esn, esqn, harness
 from reservoirq.esn import EsnModel
 from reservoirq.esqn import EsqnModel
 from reservoirq.harness import (ExperimentConfig, prepare_data,
@@ -22,11 +21,6 @@ from reservoirq.readout import fit_readout
 
 def _report(number, title, detail):
     print(f"[criterion {number:02d}] PASS {title}: {detail}")
-
-
-def _defaults(function):
-    return {name: p.default for name, p in inspect.signature(function).parameters.items()
-            if p.default is not inspect.Parameter.empty}
 
 
 def _run_config(config_dir, name):
@@ -51,7 +45,7 @@ def test_01_narma_esqn_reproduction(narma_esqn):
     config = outcome.config
     assert config.trials == 20 and config.reservoir_size == 80
     # the sampling law: all four blocks from U[0, 0.2], unit firing rates
-    assert _defaults(EsqnModel.random) == {"weight_lo": 0.0, "weight_hi": 0.2, "rate": 1.0}
+    assert (esqn.WEIGHT_LO, esqn.WEIGHT_HI, esqn.FIRING_RATE) == (0.0, 0.2, 1.0)
     model = harness.build_model(config, 10, seeded_rng(0))
     assert model.w_plus_res.min() >= 0.0 and model.w_minus_in.max() <= 0.2
     assert np.all(model.rates_in == 1.0) and np.all(model.rates_res == 1.0)
@@ -69,8 +63,8 @@ def test_02_narma_esn_reproduction(narma_esn):
     config = outcome.config
     assert config.trials == 20 and config.reservoir_size == 80
     # the sampling law: density 0.15, radius 0.95, weights from U[-0.5, 0.5]
-    assert (harness.ESN_DENSITY, harness.ESN_SPECTRAL_RADIUS) == (0.15, 0.95)
-    assert _defaults(EsnModel.random) == {"weight_lo": -0.5, "weight_hi": 0.5}
+    assert (esn.DENSITY, esn.SPECTRAL_RADIUS) == (0.15, 0.95)
+    assert (esn.WEIGHT_LO, esn.WEIGHT_HI) == (-0.5, 0.5)
     model = harness.build_model(config, 10, seeded_rng(0))
     assert np.count_nonzero(model.w_res) == round(0.15 * 80 * 80)
     assert spectral_radius(model.w_res) == pytest.approx(0.95)
@@ -264,8 +258,7 @@ def test_09_rerun_byte_identical(config_dir, tmp_path, monkeypatch):
 
 
 def test_10_esn_fading_memory():
-    model_a = EsnModel.random(1, 40, density=0.15, target_rho=0.95,
-                              rng=seeded_rng(314))
+    model_a = EsnModel.random(1, 40, rng=seeded_rng(314))
     model_b = EsnModel(w_in=model_a.w_in, w_res=model_a.w_res)
     init = seeded_rng(315)
     model_a.state = init.uniform(-1.0, 1.0, 40)

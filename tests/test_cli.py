@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -87,18 +88,12 @@ class TestExperiment:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("build, message", [
         # every trial's loads overflow: run_experiment's ArithmeticError
-        pytest.param(lambda n_in, n_res, rng: EsqnModel.random(n_in, n_res, rng, rate=1e-320),
+        pytest.param(lambda n_in, n_res, rng: dataclasses.replace(
+                         EsqnModel.random(n_in, n_res, rng),
+                         rates_in=np.full(n_in, 1e-320), rates_res=np.full(n_res, 1e-320)),
                      "all 2 trials failed", id="firing_rate = 1e-320-all 2 trials failed"),
-        # a weight interval whose width overflows: rejected, naming both
-        # bounds, before any draw
-        pytest.param(lambda n_in, n_res, rng: EsnModel.random(
-                         n_in, n_res, harness.ESN_DENSITY, harness.ESN_SPECTRAL_RADIUS, rng,
-                         weight_lo=-1e308, weight_hi=1e308),
-                     "weight interval must have a finite width: weight_lo=-1e+308",
-                     id="esn interval width named"),
         # round(0.15 * 1**2) = 0: no recurrent weight at all, named before any draw
-        pytest.param(lambda n_in, n_res, rng: EsnModel.random(
-                         n_in, 1, harness.ESN_DENSITY, harness.ESN_SPECTRAL_RADIUS, rng),
+        pytest.param(lambda n_in, n_res, rng: EsnModel.random(n_in, 1, rng),
                      "density 0.15 leaves no nonzero entry at n_res = 1",
                      id="1-unit esn density named"),
     ])

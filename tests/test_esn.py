@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from reservoirq.esn import EsnModel
+from reservoirq.esn import DENSITY, MIN_SIZE, EsnModel
 from reservoirq.numerics import seeded_rng, spectral_radius
 
 
-def small_model(seed=0, n_in=1, n_res=40, density=0.15, rho=0.95):
-    return EsnModel.random(n_in, n_res, density=density, target_rho=rho,
-                           rng=seeded_rng(seed))
+def small_model(seed=0, n_in=1, n_res=40):
+    return EsnModel.random(n_in, n_res, rng=seeded_rng(seed))
 
 
 def run_states(model, inputs):
@@ -18,18 +17,6 @@ def run_states(model, inputs):
 
 
 class TestInit:
-    def test_one_by_one_forces_target_radius(self):
-        for seed in range(6):
-            model = EsnModel.random(1, 1, density=1.0, target_rho=0.95,
-                                    rng=seeded_rng(seed))
-            # the single weight is the raw draw rescaled, so it lands on
-            # the target radius with the draw's sign
-            probe = seeded_rng(seed)
-            probe.choice(1, size=1, replace=False)
-            raw = probe.uniform(-0.5, 0.5, 1)[0]
-            expected = math.copysign(0.95, raw)
-            assert model.w_res[0, 0] == pytest.approx(expected, abs=1e-12)
-
     def test_spectral_radius_hits_target(self):
         model = small_model(seed=3, n_res=100)
         assert spectral_radius(model.w_res) == pytest.approx(0.95, abs=1e-6)
@@ -38,7 +25,7 @@ class TestInit:
     def test_wide_reservoir_hits_target(self, seed):
         # an iterative estimate of the radius misses the target on these
         # draws by 1e-3; the oracle is numpy's dense eigensolve
-        model = EsnModel.random(10, 600, 0.15, 0.95, np.random.default_rng(seed))
+        model = EsnModel.random(10, 600, np.random.default_rng(seed))
         rho = float(np.max(np.abs(np.linalg.eigvals(model.w_res))))
         assert rho == pytest.approx(0.95, rel=1e-9)
 
@@ -51,9 +38,9 @@ class TestInit:
         assert 1400 <= nnz <= 1600
 
     def test_density_fraction_invariant(self):
-        model = small_model(seed=2, n_res=30, density=0.2)
+        model = small_model(seed=2, n_res=30)
         fraction = np.count_nonzero(model.w_res) / model.n_res ** 2
-        assert abs(fraction - 0.2) <= 1.0 / model.n_res ** 2
+        assert abs(fraction - DENSITY) <= 1.0 / model.n_res ** 2
 
     def test_same_seed_same_model(self):
         a = small_model(seed=9)
@@ -75,17 +62,23 @@ class TestInit:
         rng = seeded_rng(0)
         before = rng.bit_generator.state
         with pytest.raises(ValueError) as info:
-            EsnModel.random(n_in, n_res, 0.15, 0.95, rng)
+            EsnModel.random(n_in, n_res, rng)
         assert str(info.value) == message
         assert rng.bit_generator.state == before
 
     def test_numpy_sizes_accepted(self):
-        model = EsnModel.random(np.int64(2), np.int64(5), 0.5, 0.9, seeded_rng(0))
+        model = EsnModel.random(np.int64(2), np.int64(5), seeded_rng(0))
         assert (model.n_in, model.n_res) == (2, 5)
 
     def test_too_small_density_rejected(self):
-        with pytest.raises(ValueError, match=r"density 0\.05 .* n_res = 2"):
-            EsnModel.random(1, 2, density=0.05, target_rho=0.9, rng=seeded_rng(0))
+        # round(0.15 * 1^2) = 0 leaves no recurrent weight; round(0.15 * 2^2) = 1
+        assert MIN_SIZE == 2
+        rng = seeded_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"density 0\.15 .* n_res = 1"):
+            EsnModel.random(1, 1, rng)
+        assert rng.bit_generator.state == before
+        assert np.count_nonzero(EsnModel.random(1, MIN_SIZE, rng).w_res) == 1
 
     def test_nilpotent_draws_eventually_error(self):
         class OffDiagonalRng:
@@ -103,43 +96,14 @@ class TestInit:
 
         rng = OffDiagonalRng()
         with pytest.raises(RuntimeError, match="zero spectral radius 10 times"):
-            EsnModel.random(1, 2, density=0.25, target_rho=0.9, rng=rng)
+            EsnModel.random(1, 2, rng=rng)
         assert rng.choice_calls == 10
 
-
-    @pytest.mark.parametrize("lo, hi, message", [
-        (0.6, 0.5, "empty interval: weight_lo=0.6 > weight_hi=0.5"),
-        # no spectral radius to rescale
-        (0.0, 0.0, "all-zero interval: weight_lo = weight_hi = 0.0"),
-        # a NaN bound or an infinite width leaves nothing to draw from
-        (np.nan, 0.5, "weight interval must have a finite width: weight_lo=nan, weight_hi=0.5"),
-        (-0.5, np.inf, "weight interval must have a finite width: weight_lo=-0.5, weight_hi=inf"),
-        (-1e308, 1e308,
-         "weight interval must have a finite width: weight_lo=-1e+308, weight_hi=1e+308"),
-    ])
-    def test_bad_weight_interval_rejected_before_any_draw(self, lo, hi, message):
-        rng = seeded_rng(0)
-        before = rng.bit_generator.state
-        with pytest.raises(ValueError) as info:
-            EsnModel.random(1, 10, 0.5, 0.9, rng, weight_lo=lo, weight_hi=hi)
-        assert str(info.value) == message
-        assert rng.bit_generator.state == before
 
     def test_non_finite_state_rejected(self):
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError, match="state must be finite"):
                 EsnModel(w_in=np.zeros((1, 2)), w_res=np.zeros((1, 1)), state=[bad])
-
-    def test_nan_target_radius_rejected(self):
-        with pytest.raises(ValueError, match="target_rho must be finite and positive, got nan"):
-            EsnModel.random(2, 5, 0.5, float("nan"), seeded_rng(0))
-
-    def test_infinite_target_radius_rejected_before_any_draw(self):
-        rng = seeded_rng(0)
-        before = rng.bit_generator.state
-        with pytest.raises(ValueError, match="target_rho must be finite and positive, got inf"):
-            EsnModel.random(2, 3, 0.5, np.inf, rng)
-        assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("name", ["w_in", "w_res"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -174,6 +174,9 @@ class TestConfig:
         {"lambda_grid": (float("nan"),)},
         {"lambda_grid": (1e-3, float("inf"))},
         {"lambda_grid": (0.0, 1e-8)},
+        # a bool or a string is not a penalty, though float() takes both
+        {"lambda_grid": (True, 1e-3)},
+        {"lambda_grid": ("1e-3",)},
         # a column to read needs a file to read it from
         {"csv_column": 3},
         {"seed": -1},
@@ -220,6 +223,11 @@ class TestConfig:
                                   reservoir_size=np.int64(5), trials=np.int64(2),
                                   seed=np.uint32(3))
         assert (config.csv_column, config.trials, config.seed) == (1, 2, 3)
+
+    def test_numpy_and_integer_penalties_accepted(self):
+        config = ExperimentConfig(lambda_grid=(np.float64(1e-3), np.float32(0.5), 2))
+        assert config.lambda_grid == (1e-3, 0.5, 2.0)
+        assert all(type(l) is float for l in config.lambda_grid)
 
     def test_negative_csv_column_rejected(self):
         with pytest.raises(ValueError, match="csv_column must be >= 0, got -2"):
@@ -412,6 +420,15 @@ class TestSweep:
         with pytest.raises(ValueError) as info:
             reservoir_size_sweep(tiny_narma(), sizes)
         assert str(info.value) == f"reservoir_size must be an integer, got {bad!r}"
+
+    def test_one_unit_esn_rejected_before_any_run(self, monkeypatch):
+        # size 10 used to run in full before size 1 failed in build_model
+        monkeypatch.setattr(harness, "run_experiment", None)
+        with pytest.raises(ValueError) as info:
+            reservoir_size_sweep(tiny_narma(model="esn"), [10, 1])
+        assert str(info.value) == "reservoir_size must be >= 2, got 1"
+        # an ESQN of one unit is a valid reservoir
+        assert tiny_narma(reservoir_size=1).reservoir_size == 1
 
 
 class TestOutputs:

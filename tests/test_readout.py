@@ -16,7 +16,7 @@ def esqn(seed=0, n_in=1, n_res=5):
 
 
 def esn(seed=0, n_in=1, n_res=5):
-    return EsnModel.random(n_in, n_res, density=0.2, target_rho=0.95, rng=seeded_rng(seed))
+    return EsnModel.random(n_in, n_res, rng=seeded_rng(seed))
 
 
 def narma_lag_inputs(steps, seed, lags=10):
@@ -63,8 +63,10 @@ class TestCollectStates:
                                       np.concatenate(([1.0], [0.4], expected_state)))
 
     def test_zero_weight_reservoir_gives_zero_state_block(self):
-        model = EsqnModel.random(1, 4, rng=seeded_rng(2),
-                                 weight_lo=0.0, weight_hi=0.0)
+        model = EsqnModel(w_plus_in=np.zeros((4, 1)), w_minus_in=np.zeros((4, 1)),
+                          w_plus_res=np.zeros((4, 4)), w_minus_res=np.zeros((4, 4)),
+                          rates_in=[1.0], rates_res=np.ones(4),
+                          state=seeded_rng(2).uniform(0.0, 1.0, 4))
         inputs = seeded_rng(3).uniform(0.0, 1.0, (6, 1))
         out = collect_states(model, inputs, washout=0)
         np.testing.assert_array_equal(out[2:, :], 0.0)
@@ -86,8 +88,7 @@ class TestCollectStates:
 
     def test_esn_matches_manual_drive_on_narma_inputs(self):
         inputs = narma_lag_inputs(300, seed=6)
-        model = EsnModel.random(10, 80, density=0.15, target_rho=0.95,
-                                rng=seeded_rng(7))
+        model = EsnModel.random(10, 80, rng=seeded_rng(7))
         states = esn_reference(model, inputs)
         collected = collect_states(model, inputs, washout=20)
         np.testing.assert_array_equal(collected[1:11], inputs[20:].T)
