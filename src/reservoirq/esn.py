@@ -3,7 +3,8 @@
 The reservoir matrix is sampled at a fixed density and rescaled so its
 spectral radius hits a target below one, which empirically gives the
 network fading memory: states forget their initial condition under a
-common input drive. Only the readout (elsewhere) is ever trained.
+common input drive. A draw with radius 0 cannot be rescaled, and fails.
+Only the readout (elsewhere) is ever trained.
 """
 
 import itertools
@@ -20,7 +21,6 @@ SPECTRAL_RADIUS = 0.95
 WEIGHT_LO, WEIGHT_HI = -0.5, 0.5
 # The fewest units at which DENSITY leaves a nonzero recurrent weight.
 MIN_SIZE = next(n for n in itertools.count(1) if round(DENSITY * n * n) >= 1)
-RESAMPLE_ATTEMPTS = 10
 
 
 @dataclass
@@ -61,27 +61,22 @@ class EsnModel:
         placed uniformly at random, with values drawn uniformly from
         [WEIGHT_LO, WEIGHT_HI] and then rescaled so the spectral radius
         equals SPECTRAL_RADIUS; w_in is drawn from the same interval.
-        Draws that land on a nilpotent support (radius zero, likely at a
-        few units) are resampled a few times. An ``n_in`` below 0, or an
-        ``n_res`` below 1 or below MIN_SIZE, raises ValueError before any draw.
+        A nilpotent draw (radius 0, likely at a few units) is not redrawn:
+        it raises FloatingPointError. An ``n_in`` below 0, or an ``n_res``
+        below 1 or below MIN_SIZE, raises ValueError before any draw.
         """
         check_integer("n_in", n_in, 0)
         check_integer("n_res", n_res, 1)
         if n_res < MIN_SIZE:
             raise ValueError(f"density {DENSITY} leaves no nonzero entry at n_res = {n_res}")
         nnz = round(DENSITY * n_res * n_res)
-        for _ in range(RESAMPLE_ATTEMPTS):
-            support = rng.choice(n_res * n_res, size=nnz, replace=False)
-            values = rng.uniform(WEIGHT_LO, WEIGHT_HI, nnz)
-            w_res = np.zeros(n_res * n_res)
-            w_res[support] = values
-            w_res = w_res.reshape(n_res, n_res)
-            rho = spectral_radius(w_res)
-            if rho > 0.0:
-                break
-        else:
-            raise RuntimeError(
-                f"sampled reservoir had zero spectral radius {RESAMPLE_ATTEMPTS} times")
+        support = rng.choice(n_res * n_res, size=nnz, replace=False)
+        values = rng.uniform(WEIGHT_LO, WEIGHT_HI, nnz)
+        w_res = np.zeros((n_res, n_res))
+        w_res.flat[support] = values
+        rho = spectral_radius(w_res)
+        if rho == 0.0:
+            raise FloatingPointError(f"{n_res}-unit reservoir drawn with spectral radius 0")
         w_res *= SPECTRAL_RADIUS / rho
         w_in = rng.uniform(WEIGHT_LO, WEIGHT_HI, (n_res, 1 + n_in))
         return cls(w_in=w_in, w_res=w_res)

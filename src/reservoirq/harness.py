@@ -229,13 +229,17 @@ def run_trial(config, prepared, washout, trial_index):
     """One independently seeded train-and-score pass.
 
     Returns (TrialResult, predictions), the latter the (rows, 1)
-    validation predictions. Raises FloatingPointError, naming the trial
-    and the reason, if a non-finite training state, validation state or
-    prediction shows up, so the caller can exclude the trial.
+    validation predictions. A trial fails one way, so the caller can
+    exclude it: FloatingPointError, naming the trial and the reason, for
+    an ESN draw of spectral radius 0 or a non-finite training state,
+    validation state or prediction.
     """
     trial_seed = substream_seed(config.seed, TRIAL_STREAM, trial_index)
     rng = np.random.default_rng(trial_seed)
-    model = build_model(config, prepared.train_inputs.shape[1], rng)
+    try:
+        model = build_model(config, prepared.train_inputs.shape[1], rng)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"trial {trial_index}: {exc}") from None
 
     regressors = collect_states(model, prepared.train_inputs, washout)
     if not np.all(np.isfinite(regressors)):
@@ -259,10 +263,10 @@ def run_trial(config, prepared, washout, trial_index):
 def run_experiment(config):
     """Run all trials of one (series, model) experiment and aggregate.
 
-    Trials whose states or predictions go non-finite are excluded and
-    counted in the summary's failure tally rather than aborting the run;
-    numpy's overflow and invalid-value warnings are silenced while the
-    trials run, since the tally already reports them.
+    Trials that fail (``run_trial``'s FloatingPointError) are excluded and
+    counted in the summary's failure tally rather than aborting the run,
+    unless all fail (ArithmeticError, naming the last); numpy's overflow
+    and invalid-value warnings are silenced while the trials run.
     The run holds numpy's OpenBLAS to one thread (``one_blas_thread``),
     which halves its CPU time and makes its bytes independent of the core
     count; the pin is process-wide while the run lasts, and the old thread
@@ -272,22 +276,22 @@ def run_experiment(config):
         prepared = prepare_data(config)
         washout = resolve_washout(len(prepared.train_targets))
         results = []
-        failures = 0
+        failures = []  # each failed trial's reason
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for i in range(config.trials):
                 try:
                     result, predictions = run_trial(config, prepared, washout, i)
-                except FloatingPointError:
-                    failures += 1
+                except FloatingPointError as exc:
+                    failures.append(str(exc))
                     continue
                 results.append(result)
     if not results:
-        raise ArithmeticError(f"all {config.trials} trials failed")
+        raise ArithmeticError(f"all {config.trials} trials failed; last, {failures[-1]}")
     # a failed trial assigns nothing, so these are the last successful trial's
     trace = np.column_stack([np.arange(len(predictions), dtype=float),
                              prepared.val_targets[:, 0], predictions[:, 0]])
     return ExperimentOutcome(config=config, results=tuple(results),
-                             summary=summarize(results, failures=failures), trace=trace)
+                             summary=summarize(results, failures=len(failures)), trace=trace)
 
 
 def reservoir_size_sweep(config, sizes):

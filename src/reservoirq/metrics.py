@@ -108,8 +108,8 @@ class Summary:
     The half-width is that of ``t_interval`` over the trial scores; it is
     None for a single trial, where no interval can be formed.
     ``ridge_lambda`` is the most frequently selected penalty (smallest on
-    ties) and ``failures`` counts trials excluded for non-finite states or
-    predictions.
+    ties) and ``failures`` counts the trials that failed (see
+    ``harness.run_trial``) and were excluded.
     """
 
     series: str

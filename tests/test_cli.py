@@ -87,11 +87,13 @@ class TestExperiment:
     # escaped a failing trial; as an error it fails the run instead
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("build, message", [
-        # every trial's loads overflow: run_experiment's ArithmeticError
+        # every trial's loads overflow: run_experiment's ArithmeticError,
+        # naming the last failed trial and its reason
         pytest.param(lambda n_in, n_res, rng: dataclasses.replace(
                          EsqnModel.random(n_in, n_res, rng),
                          rates_in=np.full(n_in, 1e-320), rates_res=np.full(n_res, 1e-320)),
-                     "all 2 trials failed", id="firing_rate = 1e-320-all 2 trials failed"),
+                     "all 2 trials failed; last, trial 1: non-finite training state",
+                     id="firing_rate = 1e-320-all 2 trials failed"),
         # round(0.15 * 1**2) = 0: no recurrent weight at all, named before any draw
         pytest.param(lambda n_in, n_res, rng: EsnModel.random(n_in, 1, rng),
                      "density 0.15 leaves no nonzero entry at n_res = 1",

@@ -382,11 +382,26 @@ class TestRunExperiment:
 
     def test_all_trials_failing_raises(self, monkeypatch):
         def doomed(config, prepared, washout, trial_index):
-            raise FloatingPointError("forced failure")
+            raise FloatingPointError(f"trial {trial_index}: forced failure")
 
         monkeypatch.setattr(harness, "run_trial", doomed)
-        with pytest.raises(ArithmeticError, match="all 2 trials failed"):
+        # the last failure's message, which names its trial once
+        with pytest.raises(ArithmeticError,
+                           match=r"^all 2 trials failed; last, trial 1: forced failure$"):
             run_experiment(tiny_narma())
+
+    def test_nilpotent_esn_draws_fail_only_their_trials(self):
+        # 13 of this run's 20 draws have spectral radius 0; each must fail
+        # its own trial, named, and leave the other 7 to run
+        config = tiny_narma(model="esn", reservoir_size=3, trials=20, seed=1)
+        outcome = run_experiment(config)
+        assert (outcome.summary.failures, outcome.summary.n_trials) == (13, 7)
+        failed = sorted(set(range(20)) - {r.trial for r in outcome.results})
+        prepared = prepare_data(config)
+        washout = resolve_washout(len(prepared.train_targets))
+        with pytest.raises(FloatingPointError, match=rf"^trial {failed[-1]}: 3-unit reservoir "
+                                                     "drawn with spectral radius 0$"):
+            harness.run_trial(config, prepared, washout, failed[-1])
 
     def test_esn_variant_runs(self):
         outcome = run_experiment(tiny_narma(model="esn", reservoir_size=20))
