@@ -2,9 +2,11 @@
 
 Subcommands: generate-narma, experiment, sweep, solve-randnn. Results go
 to CSV files in the current directory; stdout carries one machine-
-parseable line per result row. A failing command prints one ``error:``
-line to stderr and exits 1 (argparse exits 2 on a usage error);
-solve-randnn also reports its iteration count and residual on stderr.
+parseable line per result row. The command line only parses: argparse
+exits 2 on text that does not parse, and the library judges every value,
+so a failing command, an out-of-range number included, prints one
+``error:`` line to stderr and exits 1. solve-randnn also reports its
+iteration count and residual on stderr.
 """
 
 import argparse
@@ -19,23 +21,11 @@ from .numerics import seeded_rng
 from .randnn import load_spec, residual, solve_steady_state
 
 
-def _int_at_least(least):
-    def int_at_least(text):
-        value = int(text)
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be >= {least}")
-        return value
-    return int_at_least
-
-
 def _size_list(text):
     try:
-        sizes = [int(part) for part in text.split(",") if part.strip()]
+        return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"malformed size list {text!r}") from None
-    if not sizes or any(s < 1 for s in sizes):
-        raise argparse.ArgumentTypeError(f"malformed size list {text!r}")
-    return sizes
 
 
 def build_parser():
@@ -46,16 +36,17 @@ def build_parser():
 
     gen = sub.add_parser("generate-narma",
                          help="generate a NARMA-10 input/target series pair")
-    gen.add_argument("--n", type=_int_at_least(1), required=True,
-                     help="number of (input, target) pairs")
-    gen.add_argument("--seed", type=_int_at_least(0), default=0, help="generator seed")
+    gen.add_argument("--n", type=int, required=True, help="number of (input, target) pairs")
+    gen.add_argument("--seed", type=int, default=0, help="generator seed")
     gen.add_argument("--out", required=True,
                      help="output prefix; writes <out>_inputs.csv and <out>_targets.csv")
+    gen.set_defaults(run=cmd_generate_narma)
 
     exp = sub.add_parser("experiment", help="run a configured experiment")
     exp.add_argument("--config", required=True, help="key=value config file")
     exp.add_argument("--seed", type=int, default=None,
                      help="override the config's master seed")
+    exp.set_defaults(run=cmd_experiment)
 
     swp = sub.add_parser("sweep", help="repeat an experiment over reservoir sizes")
     swp.add_argument("--config", required=True, help="key=value config file")
@@ -63,10 +54,12 @@ def build_parser():
                      help="comma-separated reservoir sizes, e.g. 10,40,80")
     swp.add_argument("--seed", type=int, default=None,
                      help="override the config's master seed")
+    swp.set_defaults(run=cmd_sweep)
 
     slv = sub.add_parser("solve-randnn",
                          help="solve a random-neural-network spec file for its loads")
     slv.add_argument("--spec", required=True, help="plain-text spec file")
+    slv.set_defaults(run=cmd_solve_randnn)
     return parser
 
 
@@ -120,19 +113,11 @@ def cmd_solve_randnn(args):
     return 0
 
 
-_COMMANDS = {
-    "generate-narma": cmd_generate_narma,
-    "experiment": cmd_experiment,
-    "sweep": cmd_sweep,
-    "solve-randnn": cmd_solve_randnn,
-}
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, RuntimeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -134,10 +134,14 @@ def load_csv(path, column=0):
 
 
 def check_lag_offsets(offsets):
-    """The offsets as ints, or ValueError unless non-empty, integral and >= 0."""
+    """The offsets as a tuple, or ValueError naming them unless they are
+    non-empty and each passes ``check_integer`` with a bound of 0."""
     given = tuple(offsets)
-    lags = tuple(int(o) for o in given)
-    if not lags or lags != given or min(lags) < 0:
+    try:
+        lags = tuple(check_integer("lag offset", o, 0) for o in given)
+    except ValueError:
+        lags = ()
+    if not lags:
         raise ValueError("lag_offsets must be a non-empty sequence of nonnegative "
                          f"integers, got {given}")
     return lags

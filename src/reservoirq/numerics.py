@@ -28,8 +28,8 @@ STACK_DOUBLES = 2 ** 17
 
 
 def seeded_rng(seed):
-    """Return a PCG64 generator seeded with ``seed``."""
-    return np.random.default_rng(seed)
+    """Return a PCG64 generator seeded with ``seed``, an integer >= 0."""
+    return np.random.default_rng(check_integer("seed", seed, 0))
 
 
 def substream_rng(master_seed, *path):
@@ -39,12 +39,12 @@ def substream_rng(master_seed, *path):
     statistically independent streams and the same path always gives the
     same stream.
     """
-    return np.random.default_rng(np.random.SeedSequence([int(master_seed), *map(int, path)]))
+    return np.random.default_rng(np.random.SeedSequence([master_seed, *path]))
 
 
 def substream_seed(master_seed, *path):
     """Collapse (master_seed, *path) to a single reproducible 64-bit seed."""
-    ss = np.random.SeedSequence([int(master_seed), *map(int, path)])
+    ss = np.random.SeedSequence([master_seed, *path])
     return int(ss.generate_state(1, np.uint64)[0])
 
 

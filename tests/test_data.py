@@ -143,7 +143,7 @@ class TestLaggedDataset:
         np.testing.assert_array_equal(inputs[0], [2.0, 0.0])
         np.testing.assert_array_equal(targets[:, 0], y[2:])
 
-    @pytest.mark.parametrize("offsets", [[0, -1], [0, 1.5], []])
+    @pytest.mark.parametrize("offsets", [[0, -1], [0, 1.5], [], [False, True], [0, 6.0, 7]])
     def test_bad_offsets_rejected(self, offsets):
         with pytest.raises(ValueError, match="nonnegative"):
             forecast_rows(np.arange(10.0), offsets)

@@ -183,6 +183,9 @@ class TestConfig:
         # counts are integers, not floats that happen to be whole
         {"trials": 1.5},
         {"train_size": 150.0},
+        # offsets follow the same integer rule: no bool, no whole float
+        {"lag_offsets": (False, True)},
+        {"lag_offsets": (0, 6.0, 7)},
     ])
     def test_bad_lags_and_horizon_rejected(self, overrides):
         with pytest.raises(ValueError) as info:
@@ -221,8 +224,9 @@ class TestConfig:
         config = ExperimentConfig(csv_path="/data/x.csv", csv_column=np.int64(1),
                                   train_size=np.int64(40), validation_size=np.int64(9),
                                   reservoir_size=np.int64(5), trials=np.int64(2),
-                                  seed=np.uint32(3))
+                                  seed=np.uint32(3), lag_offsets=(np.int64(0), np.uint8(2)))
         assert (config.csv_column, config.trials, config.seed) == (1, 2, 3)
+        assert config.lag_offsets == (0, 2)
 
     def test_numpy_and_integer_penalties_accepted(self):
         config = ExperimentConfig(lambda_grid=(np.float64(1e-3), np.float32(0.5), 2))
@@ -232,9 +236,6 @@ class TestConfig:
     def test_negative_csv_column_rejected(self):
         with pytest.raises(ValueError, match="csv_column must be >= 0, got -2"):
             ExperimentConfig(csv_path="/data/x.csv", csv_column=-2)
-
-    def test_integral_offsets_normalised(self):
-        assert ExperimentConfig(lag_offsets=(0, 6.0, 7)).lag_offsets == (0, 6, 7)
 
 
 class TestPrepareData:

@@ -274,6 +274,19 @@ class TestRng:
         assert substream_seed(7, 1, 3) == substream_seed(7, 1, 3)
         assert substream_seed(7, 1, 3) != substream_seed(7, 1, 4)
 
+    @pytest.mark.parametrize("seed", [True, 2.0, -1])
+    def test_seeded_rng_takes_only_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="^seed must be"):
+            seeded_rng(seed)
+
+    def test_substreams_take_numpy_integers_and_no_float(self):
+        assert substream_seed(np.int64(1), 1, np.uint8(0)) == substream_seed(1, 1, 0)
+        # a float is not truncated to the stream of its integer part
+        with pytest.raises(TypeError):
+            substream_seed(1.5, 1, 0)
+        with pytest.raises(TypeError):
+            substream_rng(1, 1.5)
+
 
 @pytest.fixture
 def blas_threads():
