@@ -1,10 +1,10 @@
 """Echo state network: sparse random reservoir with tanh units.
 
 The reservoir matrix is sampled at a fixed density and rescaled so its
-spectral radius hits a target below one, which empirically gives the
-network fading memory: states forget their initial condition under a
-common input drive. A draw with radius 0 cannot be rescaled, and fails.
-Only the readout (elsewhere) is ever trained.
+spectral radius (``spectral_radius``, a dense eigensolve) hits a target
+below one, which empirically gives the network fading memory: states
+forget their initial condition under a common input drive. A radius-0
+draw cannot be rescaled, and fails. Only the readout is ever trained.
 """
 
 import itertools
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import check_integer, drive, initial_state, spectral_radius
+from .numerics import check_integer, drive, initial_state
 
 # The sampling law of every ESN reservoir: the nonzero fraction of w_res,
 # its spectral radius after rescaling, and the interval of every weight.
@@ -91,3 +91,17 @@ class EsnModel:
         regressors, self.state = drive(inputs, self.state,
                                        np.hstack((self.w_res, self.w_in)), np.tanh)
         return regressors
+
+
+def spectral_radius(m):
+    """Largest eigenvalue magnitude of a square matrix, by dense eigensolve.
+
+    Accurate to rounding at every size, complex dominant pairs included,
+    so a reservoir rescaled by it lands on its target radius.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    return float(np.max(np.abs(np.linalg.eigvals(m))))

@@ -1,5 +1,4 @@
-"""Seeded randomness, spectral radius, the ridge solver, the reservoirs'
-step loop, the integer and state checks, and the BLAS thread pin.
+"""Seeded streams, the reservoirs' step loop, input checks, the BLAS pin.
 
 All experiment randomness flows through numpy's PCG64 generator (a
 permuted-congruential generator with published constants and
@@ -23,9 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-# Most float64 entries in one stack of shifted Gram matrices (1 MiB).
-STACK_DOUBLES = 2 ** 17
-
 
 def seeded_rng(seed):
     """Return a PCG64 generator seeded with ``seed``, an integer >= 0."""
@@ -35,17 +31,21 @@ def seeded_rng(seed):
 def substream_rng(master_seed, *path):
     """Return an independent generator for (master_seed, *path).
 
-    The path is hashed through numpy's SeedSequence, so distinct paths give
-    statistically independent streams and the same path always gives the
-    same stream.
+    The key is hashed through numpy's SeedSequence, so distinct keys give
+    statistically independent streams and the same key always gives the
+    same stream. Each key entry must pass ``check_integer`` at 0, so no
+    bool, string or float aliases an integer's stream.
     """
-    return np.random.default_rng(np.random.SeedSequence([master_seed, *path]))
+    return np.random.default_rng(_seed_sequence(master_seed, *path))
 
 
 def substream_seed(master_seed, *path):
     """Collapse (master_seed, *path) to a single reproducible 64-bit seed."""
-    ss = np.random.SeedSequence([master_seed, *path])
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(master_seed, *path).generate_state(1, np.uint64)[0])
+
+
+def _seed_sequence(*key):
+    return np.random.SeedSequence([check_integer("stream key", k, 0) for k in key])
 
 
 def drive(inputs, state, step, ufunc):
@@ -152,85 +152,3 @@ def one_blas_thread():
         yield True
     finally:
         put(before)
-
-
-def spectral_radius(m):
-    """Largest eigenvalue magnitude of a square matrix, by dense eigensolve.
-
-    Accurate to rounding at every size, complex dominant pairs included,
-    so a reservoir rescaled by it lands on its target radius.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return float(np.max(np.abs(np.linalg.eigvals(m))))
-
-
-def ridge_solve(regressors, targets, lam):
-    """Solve min_W sum_k ||t_k - W z_k||^2 + lam ||W||_F^2.
-
-    ``regressors`` is D x K (one column per sample), ``targets`` is
-    N_b x K; the result W is N_b x D, i.e. W = T Z' (Z Z' + lam I)^-1.
-    This is ``ridge_solve_grid`` with a one-penalty grid.
-    """
-    return ridge_solve_grid(regressors, targets, (lam,))[0]
-
-
-def ridge_solve_grid(regressors, targets, lams):
-    """Ridge weights W = T Z' (Z Z' + lam I)^-1 for each penalty in ``lams``.
-
-    Returns an (L, N_b, D) array, one N_b x D matrix per penalty in the
-    order given. The grid must be non-empty and every penalty positive
-    (ValueError), so each shifted Gram matrix is positive definite
-    whatever the rank of Z. The inputs are checked and the smaller of the
-    D x D and K x K Gram matrices is formed once. Copies of it, each with
-    one penalty added to its diagonal, are stacked and solved by one
-    ``numpy.linalg.solve`` call; LAPACK factors each system of the stack
-    exactly as it would a lone one, so a weight does not depend on the
-    grid around it. Where the whole stack would hold more than
-    STACK_DOUBLES entries, each penalty is solved in turn on the Gram
-    matrix itself, its diagonal shifted in place, so no copy is made.
-    """
-    Z = np.asarray(regressors, dtype=float)
-    T = np.asarray(targets, dtype=float)
-    if Z.ndim != 2 or T.ndim != 2:
-        raise ValueError("regressors and targets must be 2-d matrices")
-    if T.shape[1] != Z.shape[1]:
-        raise ValueError(
-            f"sample counts differ: regressors K={Z.shape[1]}, targets K={T.shape[1]}")
-    if Z.shape[1] < 1:
-        raise ValueError("need at least one sample column")
-    if not (np.all(np.isfinite(Z)) and np.all(np.isfinite(T))):
-        raise ValueError("regressors and targets must be finite")
-    lams = np.array(lams, dtype=float)
-    if lams.size == 0:
-        raise ValueError("penalty grid must be non-empty")
-    if not np.all(lams > 0):
-        raise ValueError(f"lambda must be positive, got {lams.tolist()}")
-
-    primal = Z.shape[0] <= Z.shape[1]
-    if primal:
-        gram = Z @ Z.T
-        rhs = (T @ Z.T).T
-    else:
-        gram = Z.T @ Z
-        rhs = T.T
-    m = gram.shape[0]
-    per_call = len(lams) if len(lams) * m * m <= STACK_DOUBLES else 1
-    stack = gram[None] if per_call == 1 else np.repeat(gram[None], per_call, axis=0)
-    diag = gram.diagonal().copy()
-    on_diag = np.arange(m)
-    solved = np.empty((len(lams), m, T.shape[0]))
-    for start in range(0, len(lams), per_call):
-        part = lams[start:start + per_call]
-        # np.linalg.solve factors copies, so only the diagonals are ever
-        # rewritten
-        stack[:, on_diag, on_diag] = diag + part[:, None]
-        solved[start:start + per_call] = np.linalg.solve(stack, rhs)
-    weights = solved.transpose(0, 2, 1)
-    if not primal:
-        # W = T (Z'Z + lam I)^-1 Z'
-        weights = weights @ Z.T
-    return weights

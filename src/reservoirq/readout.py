@@ -1,20 +1,20 @@
-"""The trained output layer: regressor collection and ridge fit.
+"""The trained output layer: regressors, penalty selection, ridge solver.
 
 The readout is the only trained object: a single weight matrix w_out
 that maps the concatenated regressor [1; a(t); x(t)] (bias, current
 input, reservoir state) to the outputs, y = w_out z, fitted offline by
-ridge regression.
+ridge regression. Everything that fits it lives here.
 """
 
 import numpy as np
 
 from .metrics import nmse
-from .numerics import ridge_solve, ridge_solve_grid
 
 # Default penalty grid searched when fitting; chosen per dataset on a
 # held-out tail of the training split.
 LAMBDA_GRID = tuple(10.0 ** k for k in range(-8, 0))
 HOLDOUT_FRACTION = 0.2
+STACK_DOUBLES = 2 ** 17  # most float64 entries in one stack of shifted Grams (1 MiB)
 
 
 def collect_states(model, inputs, washout):
@@ -62,3 +62,71 @@ def select_penalty(regressors, targets, grid=LAMBDA_GRID,
     scores = nmse(targets[:, n_fit:].T, predictions.transpose(0, 2, 1))
     # the first minimum over the ascending grid, so ties keep the smaller
     return lams[int(np.argmin(scores))], dict(zip(lams, scores.tolist()))
+
+
+def ridge_solve(regressors, targets, lam):
+    """Solve min_W sum_k ||t_k - W z_k||^2 + lam ||W||_F^2.
+
+    ``regressors`` is D x K (one column per sample), ``targets`` is
+    N_b x K; the result W is N_b x D, i.e. W = T Z' (Z Z' + lam I)^-1.
+    This is ``ridge_solve_grid`` with a one-penalty grid.
+    """
+    return ridge_solve_grid(regressors, targets, (lam,))[0]
+
+
+def ridge_solve_grid(regressors, targets, lams):
+    """Ridge weights W = T Z' (Z Z' + lam I)^-1 for each penalty in ``lams``.
+
+    Returns an (L, N_b, D) array, one N_b x D matrix per penalty in the
+    order given. The grid must be non-empty and every penalty positive
+    (ValueError), so each shifted Gram matrix is positive definite
+    whatever the rank of Z. The inputs are checked and the smaller of the
+    D x D and K x K Gram matrices is formed once. Copies of it, each with
+    one penalty added to its diagonal, are stacked and solved by one
+    ``numpy.linalg.solve`` call; LAPACK factors each system of the stack
+    exactly as it would a lone one, so a weight does not depend on the
+    grid around it. Where the whole stack would hold more than
+    STACK_DOUBLES entries, each penalty is solved in turn on the Gram
+    matrix itself, its diagonal shifted in place, so no copy is made.
+    """
+    Z = np.asarray(regressors, dtype=float)
+    T = np.asarray(targets, dtype=float)
+    if Z.ndim != 2 or T.ndim != 2:
+        raise ValueError("regressors and targets must be 2-d matrices")
+    if T.shape[1] != Z.shape[1]:
+        raise ValueError(
+            f"sample counts differ: regressors K={Z.shape[1]}, targets K={T.shape[1]}")
+    if Z.shape[1] < 1:
+        raise ValueError("need at least one sample column")
+    if not (np.all(np.isfinite(Z)) and np.all(np.isfinite(T))):
+        raise ValueError("regressors and targets must be finite")
+    lams = np.array(lams, dtype=float)
+    if lams.size == 0:
+        raise ValueError("penalty grid must be non-empty")
+    if not np.all(lams > 0):
+        raise ValueError(f"lambda must be positive, got {lams.tolist()}")
+
+    primal = Z.shape[0] <= Z.shape[1]
+    if primal:
+        gram = Z @ Z.T
+        rhs = (T @ Z.T).T
+    else:
+        gram = Z.T @ Z
+        rhs = T.T
+    m = gram.shape[0]
+    per_call = len(lams) if len(lams) * m * m <= STACK_DOUBLES else 1
+    stack = gram[None] if per_call == 1 else np.repeat(gram[None], per_call, axis=0)
+    diag = gram.diagonal().copy()
+    on_diag = np.arange(m)
+    solved = np.empty((len(lams), m, T.shape[0]))
+    for start in range(0, len(lams), per_call):
+        part = lams[start:start + per_call]
+        # np.linalg.solve factors copies, so only the diagonals are ever
+        # rewritten
+        stack[:, on_diag, on_diag] = diag + part[:, None]
+        solved[start:start + per_call] = np.linalg.solve(stack, rhs)
+    weights = solved.transpose(0, 2, 1)
+    if not primal:
+        # W = T (Z'Z + lam I)^-1 Z'
+        weights = weights @ Z.T
+    return weights

@@ -8,13 +8,13 @@ import time
 import numpy as np
 import pytest
 
-from reservoirq import cli, esn, esqn, harness
+from reservoirq import cli, esn, esqn, harness, ridge_solve, spectral_radius
 from reservoirq.esn import EsnModel
 from reservoirq.esqn import EsqnModel
 from reservoirq.harness import (ExperimentConfig, prepare_data,
                                 reservoir_size_sweep, run_experiment)
 from reservoirq.metrics import nmse, results_csv, summary_csv
-from reservoirq.numerics import ridge_solve, seeded_rng, spectral_radius
+from reservoirq.numerics import seeded_rng
 from reservoirq.randnn import RandnnSpec, residual, solve_steady_state
 from reservoirq.readout import fit_readout
 

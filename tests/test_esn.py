@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from reservoirq import spectral_radius
 from reservoirq.esn import DENSITY, MIN_SIZE, EsnModel
-from reservoirq.numerics import seeded_rng, spectral_radius
+from reservoirq.numerics import seeded_rng
 
 
 def small_model(seed=0, n_in=1, n_res=40):

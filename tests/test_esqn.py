@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from reservoirq import spectral_radius
 from reservoirq.esqn import EsqnModel
-from reservoirq.numerics import seeded_rng, spectral_radius
+from reservoirq.numerics import seeded_rng
 from reservoirq.randnn import _load_map, solve_steady_state
 
 

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reservoirq import numerics
-from reservoirq.numerics import (check_integer, drive, one_blas_thread, ridge_solve,
-                                 ridge_solve_grid, seeded_rng, spectral_radius,
+from reservoirq import numerics, readout
+from reservoirq.esn import spectral_radius
+from reservoirq.numerics import (check_integer, drive, one_blas_thread, seeded_rng,
                                  substream_rng, substream_seed)
+from reservoirq.readout import ridge_solve, ridge_solve_grid
 
 # Spectral radius of the seed-20260809 5x5 uniform matrix, computed
 # independently before the build: characteristic polynomial by
@@ -205,7 +206,7 @@ class TestRidgeSolveGrid:
         # 209 x 209 systems do not, so each penalty is solved in place on
         # the Gram matrix; either way each fit must equal the one-penalty
         # solve bit for bit
-        assert 8 * 91 ** 2 <= numerics.STACK_DOUBLES < 8 * 209 ** 2
+        assert 8 * 91 ** 2 <= readout.STACK_DOUBLES < 8 * 209 ** 2
         rng = seeded_rng(23)
         z = rng.normal(size=shape)
         t = rng.normal(size=(2, shape[1]))
@@ -282,10 +283,17 @@ class TestRng:
     def test_substreams_take_numpy_integers_and_no_float(self):
         assert substream_seed(np.int64(1), 1, np.uint8(0)) == substream_seed(1, 1, 0)
         # a float is not truncated to the stream of its integer part
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             substream_seed(1.5, 1, 0)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             substream_rng(1, 1.5)
+
+    @pytest.mark.parametrize("key", [True, "1", -1])
+    def test_substream_keys_pass_the_integer_rule(self, key):
+        # numpy's SeedSequence would read True and "1" as the stream of 1
+        for call in (lambda: substream_seed(key, 1, 0), lambda: substream_rng(1, key)):
+            with pytest.raises(ValueError, match="^stream key must be"):
+                call()
 
 
 @pytest.fixture
