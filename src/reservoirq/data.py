@@ -81,13 +81,17 @@ def load_csv(path, column=0):
     ``column`` is a zero-based index or, when the file starts with a
     header row, a column name. Rows keep file order. Problems, a
     non-finite value among them, raise ValueError naming the offending
-    row and column (rows are 1-based file line numbers).
+    row and column (rows are 1-based file line numbers); a file that
+    cannot be read, decoded or parsed as CSV raises ValueError naming it.
     """
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
+            reader = csv.reader(fh)
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: file is empty")
 

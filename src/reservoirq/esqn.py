@@ -43,7 +43,7 @@ class EsqnModel:
     rates_in: np.ndarray     # (n_in,) input-neuron firing rates
     rates_res: np.ndarray    # (n_res,) reservoir firing rates
     state: np.ndarray = field(default=None)
-    overload_steps: int = 0  # steps in which some load exceeded 1
+    overload_steps: int = field(default=0, init=False)  # steps in which some load exceeded 1
 
     def __post_init__(self):
         shape = np.shape(self.w_plus_in)

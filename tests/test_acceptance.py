@@ -18,6 +18,8 @@ from reservoirq.numerics import seeded_rng
 from reservoirq.randnn import RandnnSpec, residual, solve_steady_state
 from reservoirq.readout import fit_readout
 
+from test_randnn import random_stable_specs
+
 
 def _report(number, title, detail):
     print(f"[criterion {number:02d}] PASS {title}: {detail}")
@@ -103,30 +105,8 @@ def test_03_traffic_shaped_stand_ins(config_dir):
             "finite NMSE < 1 and per-seed deterministic: " + ", ".join(details))
 
 
-def _random_stable_specs(seed, count, n=5):
-    rng = np.random.default_rng(seed)
-    specs = []
-    while len(specs) < count:
-        rates = rng.uniform(0.5, 2.0, n)
-        departure = rng.uniform(0.2, 0.6, n)
-        w_plus = np.zeros((n, n))
-        w_minus = np.zeros((n, n))
-        for v in range(n):
-            shares = rng.dirichlet(np.ones(2 * n))
-            budget = rates[v] * (1.0 - departure[v])
-            w_plus[:, v] = shares[:n] * budget
-            w_minus[:, v] = shares[n:] * budget
-        spec = RandnnSpec(lambda_plus=rng.uniform(0.1, 0.6, n),
-                          lambda_minus=rng.uniform(0.0, 0.3, n),
-                          w_plus=w_plus, w_minus=w_minus, rates=rates)
-        solution = solve_steady_state(spec)
-        if solution.stable:
-            specs.append((spec, solution))
-    return specs
-
-
 def test_04_randnn_solver_properties():
-    specs = _random_stable_specs(seed=20240, count=50)
+    specs = random_stable_specs(seed=20240, count=50)
     worst_residual = 0.0
     for spec, solution in specs:
         worst_residual = max(worst_residual, residual(spec, solution.rho))

@@ -281,6 +281,19 @@ class TestCsv:
         with pytest.raises(ValueError, match="cannot read"):
             load_csv(tmp_path / "nope.csv")
 
+    def test_oversized_field_names_file_and_line(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("value\n1.0\n" + "9" * 140_000 + "\n")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: line 3: field larger than field limit")):
+            load_csv(path, column="value")
+
+    def test_undecodable_file_is_named(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_bytes(b"value\n1.0\n\xff\n")
+        with pytest.raises(ValueError, match=re.escape(f"cannot read {path}: ")):
+            load_csv(path, column="value")
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("t,value\n0,1.0\n")

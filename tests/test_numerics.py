@@ -1,88 +1,14 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reservoirq import numerics, readout
-from reservoirq.esn import spectral_radius
+from reservoirq.esn import EsnModel
+from reservoirq.esqn import EsqnModel
 from reservoirq.numerics import (check_integer, drive, one_blas_thread, seeded_rng,
                                  substream_rng, substream_seed)
 from reservoirq.readout import ridge_solve, ridge_solve_grid
-
-# Spectral radius of the seed-20260809 5x5 uniform matrix, computed
-# independently before the build: characteristic polynomial by
-# Faddeev-LeVerrier over exact Fractions, roots via the companion matrix
-# of the polynomial (never eigvals of the original matrix). The dominant
-# eigenvalue is a complex pair, which exercises magnitude handling.
-FIVE_BY_FIVE_SEED = 20260809
-FIVE_BY_FIVE_RHO = 1.460332203003714
-
-
-def charpoly_roots_radius(m):
-    """Independent oracle: max |root| of the characteristic polynomial."""
-    n = m.shape[0]
-    F = [[Fraction(x) for x in row] for row in m]
-
-    def matmul(A, B):
-        return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)]
-
-    def trace(A):
-        return sum(A[i][i] for i in range(n))
-
-    coeffs = [Fraction(1)]
-    M = [row[:] for row in F]
-    c = -trace(M)
-    coeffs.append(c)
-    for _ in range(2, n + 1):
-        for i in range(n):
-            M[i][i] += c
-        M = matmul(F, M)
-        c = -trace(M) / Fraction(len(coeffs))
-        coeffs.append(c)
-    roots = np.roots([float(c) for c in coeffs])
-    return float(max(abs(r) for r in roots))
-
-
-class TestSpectralRadius:
-    def test_permutation_matrix(self):
-        assert spectral_radius(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(1.0)
-
-    def test_diagonal_matrix(self):
-        assert spectral_radius(np.array([[2.0, 0.0], [0.0, 1.0]])) == pytest.approx(2.0)
-
-    def test_seeded_5x5_matches_charpoly_oracle(self):
-        m = seeded_rng(FIVE_BY_FIVE_SEED).uniform(-1.0, 1.0, (5, 5))
-        got = spectral_radius(m)
-        assert got == pytest.approx(FIVE_BY_FIVE_RHO, abs=1e-10)
-        assert charpoly_roots_radius(m) == pytest.approx(FIVE_BY_FIVE_RHO, abs=1e-9)
-
-    def test_zero_matrix(self):
-        assert spectral_radius(np.zeros((3, 3))) == 0.0
-
-    def test_scaling_homogeneity(self):
-        tol = 1e-10
-        for seed in range(10):
-            m = seeded_rng(seed).normal(size=(8, 8))
-            base = spectral_radius(m)
-            for c in (-3.0, 0.25, 7.5):
-                assert spectral_radius(c * m) == pytest.approx(
-                    abs(c) * base, abs=2 * tol + 1e-12 * abs(c) * base)
-
-    def test_deterministic(self):
-        m = seeded_rng(3).normal(size=(12, 12))
-        assert spectral_radius(m) == spectral_radius(m.copy())
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="non-empty square matrix"):
-            spectral_radius(np.ones((2, 3)))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_radius(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
 
 class TestRidgeSolve:
     def test_identity_regressors(self):
@@ -217,6 +143,12 @@ class TestRidgeSolveGrid:
             np.testing.assert_array_equal(w, ridge_solve_grid(z, t, [lam])[0])
 
 
+# each reservoir kind, with its input and reservoir sizes
+BOTH_MODELS = pytest.mark.parametrize("cls, n_in, n_res",
+                                      [(EsnModel, 2, 40), (EsqnModel, 3, 25)],
+                                      ids=["esn", "esqn"])
+
+
 class TestDrive:
     def test_columns_equal_a_literal_step_loop(self):
         rng = seeded_rng(12)
@@ -244,6 +176,31 @@ class TestDrive:
         assert regressors.shape == (4, 0)
         np.testing.assert_array_equal(last, state)
         assert last is not state
+
+    @BOTH_MODELS
+    def test_split_run_equals_whole_run(self, cls, n_in, n_res):
+        # validation drives the model on from where training left it
+        rng = seeded_rng(40)
+        first, second = rng.uniform(0.0, 1.0, (12, n_in)), rng.uniform(0.0, 1.0, (30, n_in))
+        split, whole = (cls.random(n_in, n_res, seeded_rng(41)) for _ in range(2))
+        pieces = np.hstack([split.run(first), split.run(second)])
+        joined = whole.run(np.vstack([first, second]))
+        np.testing.assert_allclose(pieces, joined, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(split.state, whole.state)
+        if cls is EsqnModel:
+            assert split.overload_steps == whole.overload_steps
+
+    @BOTH_MODELS
+    def test_state_does_not_alias_the_output(self, cls, n_in, n_res):
+        rng = seeded_rng(47)
+        first, second = rng.uniform(0.0, 1.0, (9, n_in)), rng.uniform(0.0, 1.0, (11, n_in))
+        model, whole = (cls.random(n_in, n_res, seeded_rng(48)) for _ in range(2))
+        states = model.run(first)[1 + n_in:]
+        last = states[:, -1].copy()
+        states[:] = 3.0  # writing into the returned matrix leaves the model alone
+        np.testing.assert_array_equal(model.state, last)
+        joined = whole.run(np.vstack([first, second]))
+        np.testing.assert_allclose(model.run(second), joined[:, 9:], rtol=0, atol=1e-15)
 
 
 class TestCheckInteger:

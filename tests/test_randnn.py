@@ -89,41 +89,6 @@ class TestSolveSteadyState:
         assert info.value.best is not None
         assert info.value.best.shape == (2,)
 
-    def test_stable_residual_below_tol(self):
-        for spec, solution in random_stable_specs(seed=2024, count=20):
-            assert residual(spec, solution.rho) < 1e-12
-            assert np.all(solution.rho < 1.0)
-
-    def test_monotone_in_external_excitation(self):
-        rng = np.random.default_rng(99)
-        for spec, solution in random_stable_specs(seed=77, count=10):
-            u = int(rng.integers(0, spec.n))
-            lam = spec.lambda_plus.copy()
-            lam[u] += 0.05
-            bumped = RandnnSpec(lambda_plus=lam, lambda_minus=spec.lambda_minus,
-                                w_plus=spec.w_plus, w_minus=spec.w_minus,
-                                rates=spec.rates)
-            bumped_solution = solve_steady_state(bumped)
-            assert bumped_solution.rho[u] >= solution.rho[u] - 1e-12
-
-    def test_feedforward_matches_forward_substitution(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            n = 5
-            rates = rng.uniform(0.5, 2.0, n)
-            w_plus = np.tril(rng.uniform(0.0, 0.3, (n, n)), -1)
-            w_minus = np.tril(rng.uniform(0.0, 0.2, (n, n)), -1)
-            lam_plus = rng.uniform(0.1, 0.5, n)
-            lam_minus = rng.uniform(0.0, 0.2, n)
-            spec = RandnnSpec(lambda_plus=lam_plus, lambda_minus=lam_minus,
-                              w_plus=w_plus, w_minus=w_minus, rates=rates)
-            rho_ff = np.zeros(n)
-            for u in range(n):
-                rho_ff[u] = (lam_plus[u] + w_plus[u] @ rho_ff) / \
-                    (rates[u] + lam_minus[u] + w_minus[u] @ rho_ff)
-            solution = solve_steady_state(spec)
-            np.testing.assert_allclose(solution.rho, rho_ff, atol=1e-12)
-
 
 class TestResidual:
     def test_zero_at_fixed_point(self):

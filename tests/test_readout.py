@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reservoirq.data import generate_narma10
+from reservoirq.data import generate_narma10, lag_paired_series
 from reservoirq.esn import EsnModel
 from reservoirq.esqn import EsqnModel
 from reservoirq.metrics import nmse
@@ -17,13 +17,6 @@ def esqn(seed=0, n_in=1, n_res=5):
 
 def esn(seed=0, n_in=1, n_res=5):
     return EsnModel.random(n_in, n_res, rng=seeded_rng(seed))
-
-
-def narma_lag_inputs(steps, seed, lags=10):
-    """Rows of `lags` consecutive NARMA-10 drive values, as the shipped
-    NARMA configs feed the reservoir."""
-    s, _ = generate_narma10(steps + lags - 1, seeded_rng(seed))
-    return np.lib.stride_tricks.sliding_window_view(s, lags).copy()
 
 
 def esqn_reference(model, inputs):
@@ -43,25 +36,32 @@ def esqn_reference(model, inputs):
 
 
 def esn_reference(model, inputs):
-    """x <- tanh(W_in [1; a] + W_res x) evaluated literally, one step at a time."""
+    """x <- tanh(W_in [1; a] + W_res x) evaluated literally, one step at a time.
+    Returns the (n_res, K) states and None: an ESN tallies no overloads."""
     x = model.state.copy()
     columns = []
     for a in inputs:
         x = np.tanh(model.w_in @ np.concatenate(([1.0], a)) + model.w_res @ x)
         columns.append(x)
-    return np.reshape(columns, (len(inputs), model.n_res)).T
+    return np.reshape(columns, (len(inputs), model.n_res)).T, None
+
+
+def literal_cases():
+    """Random drives of 0, 1 and 300 rows for each reservoir, then the
+    10-lag NARMA-10 drive of the shipped configs for each model kind."""
+    kinds = [
+        # with no inputs the ESN's window is only the state and the bias
+        ("esn-no-input", esn, esn_reference, 0),
+        ("esn", esn, esn_reference, 4),
+        ("esqn", esqn, esqn_reference, 4),
+    ]
+    return [pytest.param(make, reference, n_in, steps, id=f"{name}-{steps}")
+            for name, make, reference, n_in in kinds for steps in (0, 1, 300)] + \
+        [pytest.param(make, reference, 10, "narma10", id=f"{name}-narma10")
+         for name, make, reference, _ in kinds[1:]]
 
 
 class TestCollectStates:
-    def test_single_column(self):
-        model = esqn(seed=1)
-        twin = esqn(seed=1)
-        out = collect_states(model, np.array([[0.4]]), washout=0)
-        assert out.shape == (1 + 1 + 5, 1)
-        expected_state = twin.run([[0.4]])[2:, 0]
-        np.testing.assert_array_equal(out[:, 0],
-                                      np.concatenate(([1.0], [0.4], expected_state)))
-
     def test_zero_weight_reservoir_gives_zero_state_block(self):
         model = EsqnModel(w_plus_in=np.zeros((4, 1)), w_minus_in=np.zeros((4, 1)),
                           w_plus_res=np.zeros((4, 4)), w_minus_res=np.zeros((4, 4)),
@@ -72,51 +72,32 @@ class TestCollectStates:
         np.testing.assert_array_equal(out[2:, :], 0.0)
         np.testing.assert_array_equal(out[1, :], inputs[:, 0])
 
-    def test_matches_manual_drive_on_narma_inputs(self):
-        inputs = narma_lag_inputs(300, seed=4)
-        model = EsqnModel.random(10, 80, rng=seeded_rng(5))
-        states, overloads = esqn_reference(model, inputs)
-        collected = collect_states(model, inputs, washout=20)
-        assert collected.shape == (1 + 10 + 80, 280)
-        np.testing.assert_array_equal(collected[0], 1.0)
-        np.testing.assert_array_equal(collected[1:11], inputs[20:].T)
-        np.testing.assert_allclose(collected[11:], states[:, 20:], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(model.state, states[:, -1], rtol=0, atol=1e-12)
-        # the reference drive overloads, so the tally comparison is not vacuous
-        assert overloads > 0
-        assert model.overload_steps == overloads
-
-    def test_esn_matches_manual_drive_on_narma_inputs(self):
-        inputs = narma_lag_inputs(300, seed=6)
-        model = EsnModel.random(10, 80, rng=seeded_rng(7))
-        states = esn_reference(model, inputs)
-        collected = collect_states(model, inputs, washout=20)
-        np.testing.assert_array_equal(collected[1:11], inputs[20:].T)
-        np.testing.assert_allclose(collected[11:], states[:, 20:], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(model.state, states[:, -1], rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("steps", [0, 1, 300])
-    @pytest.mark.parametrize("make, reference, n_in", [
-        # with no inputs the ESN's window is only the state and the bias
-        (esn, esn_reference, 0),
-        (esn, esn_reference, 4),
-        (esqn, lambda model, inputs: esqn_reference(model, inputs)[0], 4),
-    ], ids=["esn-no-input", "esn", "esqn"])
+    @pytest.mark.parametrize("make, reference, n_in, steps", literal_cases())
     def test_run_returns_regressors_of_the_literal_steps(self, make, reference,
                                                          n_in, steps):
-        model = make(seed=9, n_in=n_in, n_res=30)
+        if steps == "narma10":
+            # N = 80 as shipped; collect_states drops the first 20 columns
+            s, b = generate_narma10(309, seeded_rng(4))
+            inputs, n_res, washout = lag_paired_series(s, b, range(10))[0], 80, 20
+        else:
+            inputs, n_res, washout = seeded_rng(8).uniform(0.0, 1.0, (steps, n_in)), 30, 0
+        model = make(seed=9, n_in=n_in, n_res=n_res)
         start = model.state.copy()
-        inputs = seeded_rng(8).uniform(0.0, 1.0, (steps, n_in))
-        states = reference(model, inputs)
-        regressors = model.run(inputs)
-        assert regressors.shape == (1 + n_in + 30, steps)
+        states, overloads = reference(model, inputs)
+        regressors = collect_states(model, inputs, washout) if washout else model.run(inputs)
+        assert regressors.shape == (1 + n_in + n_res, len(inputs) - washout)
         # sample-major: column t is contiguous
         assert regressors.T.flags.c_contiguous
         np.testing.assert_array_equal(regressors[0], 1.0)
-        np.testing.assert_array_equal(regressors[1:1 + n_in], inputs.T)
-        np.testing.assert_allclose(regressors[1 + n_in:], states, rtol=0, atol=1e-12)
-        last = states[:, -1] if steps else start
+        np.testing.assert_array_equal(regressors[1:1 + n_in], inputs[washout:].T)
+        np.testing.assert_allclose(regressors[1 + n_in:], states[:, washout:],
+                                   rtol=0, atol=1e-12)
+        last = states[:, -1] if len(inputs) else start
         np.testing.assert_allclose(model.state, last, rtol=0, atol=1e-12)
+        if overloads is not None:
+            assert model.overload_steps == overloads
+            # the NARMA-10 drive overloads, so there the tally is not vacuous
+            assert overloads > 0 or steps != "narma10"
 
     def test_washout_drops_leading_columns(self):
         inputs = seeded_rng(6).uniform(0.0, 1.0, (20, 1))
