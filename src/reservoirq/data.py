@@ -1,5 +1,5 @@
-"""Dataset construction: NARMA-10 generation, CSV ingestion, rescaling
-and lagged windowing.
+"""Dataset construction: NARMA-10 generation, file reading and CSV
+ingestion, rescaling and lagged windowing.
 
 Everything here is deterministic given its inputs; windowing keeps time
 order, so the chronological split that ``harness.prepare_data`` takes
@@ -75,6 +75,16 @@ def generate_narma10(n, rng):
         f"NARMA-10 diverged on {NARMA_ATTEMPTS} consecutive attempts")
 
 
+def read_lines(path):
+    """A text file's lines, endings kept (newline="", as csv needs); a file
+    that cannot be opened or decoded raises ValueError naming it."""
+    try:
+        with open(path, newline="") as fh:
+            return fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
 def load_csv(path, column=0):
     """Read one column of a CSV file as a finite 1-d float array.
 
@@ -84,12 +94,9 @@ def load_csv(path, column=0):
     row and column (rows are 1-based file line numbers); a file that
     cannot be read, decoded or parsed as CSV raises ValueError naming it.
     """
+    reader = csv.reader(read_lines(path))
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
+        rows = list(reader)
     except csv.Error as exc:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:

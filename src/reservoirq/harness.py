@@ -10,8 +10,6 @@ end-of-training state since validation follows training in time.
 """
 
 import dataclasses
-import math
-import numbers
 import os
 import typing
 from dataclasses import dataclass
@@ -23,7 +21,7 @@ from .esn import MIN_SIZE as ESN_MIN_SIZE, EsnModel
 from .esqn import EsqnModel
 from .metrics import Summary, TrialResult, nmse, summarize
 from .numerics import check_integer, one_blas_thread, substream_rng, substream_seed
-from .readout import LAMBDA_GRID, collect_states, fit_readout, select_penalty
+from .readout import LAMBDA_GRID, check_penalties, collect_states, fit_readout, select_penalty
 
 # Substream tags under the master seed.
 DATA_STREAM = 0
@@ -75,12 +73,8 @@ class ExperimentConfig:
         if self.csv_path is None and self.csv_column != 0:
             raise ValueError(f"csv_column {self.csv_column!r} needs a csv_path")
         object.__setattr__(self, "lag_offsets", datamod.check_lag_offsets(self.lag_offsets))
-        grid = tuple(self.lambda_grid)
-        if not grid or not all(isinstance(l, numbers.Real) and not isinstance(l, bool)
-                               and math.isfinite(l) and l > 0 for l in grid):
-            raise ValueError("lambda_grid must be a non-empty tuple of finite "
-                             f"positive penalties, got {self.lambda_grid}")
-        object.__setattr__(self, "lambda_grid", tuple(map(float, grid)))
+        object.__setattr__(self, "lambda_grid",
+                           check_penalties("lambda_grid", self.lambda_grid))
         if any(c in self.name for c in ',"\r\n'):
             raise ValueError("series name (the csv_path stem) must hold no comma, "
                              f"double quote or line break, got {self.name!r}")
@@ -95,35 +89,30 @@ class ExperimentConfig:
     def from_file(cls, path):
         """Parse a plain-text key=value config file ('#' starts a comment).
 
-        Each value is cast to its field's annotated type. A non-empty
-        relative csv_path is resolved against the config file's own
-        directory, so configs can ship next to their data.
+        Each line is checked as it is read: no '=', an unknown or repeated key,
+        or a value that does not cast to its field's type raises ValueError
+        naming path:line. A relative csv_path resolves against the file's directory.
         """
-        mapping = {}
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key=value")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key in mapping:
-                    raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-                mapping[key] = value
-        if mapping.get("csv_path") and not os.path.isabs(mapping["csv_path"]):
-            mapping["csv_path"] = os.path.normpath(
-                os.path.join(os.path.dirname(os.path.abspath(path)),
-                             mapping["csv_path"]))
         fields = {f.name: f for f in dataclasses.fields(cls)}
         kwargs = {}
-        for key, raw in mapping.items():
+        for lineno, raw in enumerate(datamod.read_lines(path), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value")
+            key, value = (part.strip() for part in line.split("=", 1))
             if key not in fields:
-                raise ValueError(f"unknown config key {key!r}")
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in kwargs:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            if key == "csv_path" and value and not os.path.isabs(value):
+                value = os.path.normpath(
+                    os.path.join(os.path.dirname(os.path.abspath(path)), value))
             try:
-                kwargs[key] = _parse_value(fields[key], raw)
+                kwargs[key] = _parse_value(fields[key], value)
             except ValueError as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from exc
+                raise ValueError(f"{path}:{lineno}: config key {key!r}: {exc}") from exc
         return cls(**kwargs)
 
 

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import read_lines
+
 ALPHA_FLOOR = 2.0 ** -20
 # the solve stops once the largest load moves less than TOL in one map
 TOL = 1e-12
@@ -141,36 +143,36 @@ def save_spec(spec, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_rows(lines, n, first_lineno):
-    """An array of whitespace-separated rows of n numbers each."""
+def _parse_rows(path, lines, n):
+    """An array of (line number, text) rows of n numbers each."""
     rows = []
-    for lineno, line in enumerate(lines, start=first_lineno):
+    for lineno, line in lines:
         parts = line.split()
         if len(parts) != n:
-            raise ValueError(f"line {lineno}: expected {n} values, got {len(parts)}")
+            raise ValueError(f"{path}: line {lineno}: expected {n} values, got {len(parts)}")
         try:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: unparseable number ({exc})") from None
+            raise ValueError(f"{path}: line {lineno}: unparseable number ({exc})") from None
     return np.array(rows)
 
 
 def load_spec(path):
-    """Parse the plain-text spec format written by save_spec."""
-    with open(path) as fh:
-        lines = [ln for ln in (raw.strip() for raw in fh) if ln]
+    """Parse the spec format save_spec writes; errors name the file and line."""
+    lines = [(lineno, line.strip()) for lineno, line in
+             enumerate(read_lines(path), start=1) if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty spec file")
     try:
-        n = int(lines[0])
+        n = int(lines[0][1])
     except ValueError:
-        raise ValueError(f"{path}: line 1: expected the neuron count") from None
+        raise ValueError(f"{path}: line {lines[0][0]}: expected the neuron count") from None
     if n < 1:
         raise ValueError(f"{path}: neuron count must be >= 1")
     if len(lines) != 1 + 3 + 2 * n:
         raise ValueError(f"{path}: expected {1 + 3 + 2 * n} lines for N={n}, got {len(lines)}")
-    lam_plus, lam_minus, rates = _parse_rows(lines[1:4], n, 2)
-    w_plus = _parse_rows(lines[4:4 + n], n, 5)
-    w_minus = _parse_rows(lines[4 + n:], n, 5 + n)
+    lam_plus, lam_minus, rates = _parse_rows(path, lines[1:4], n)
+    w_plus = _parse_rows(path, lines[4:4 + n], n)
+    w_minus = _parse_rows(path, lines[4 + n:], n)
     return RandnnSpec(lambda_plus=lam_plus, lambda_minus=lam_minus,
                       w_plus=w_plus, w_minus=w_minus, rates=rates)

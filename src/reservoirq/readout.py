@@ -6,6 +6,9 @@ input, reservoir state) to the outputs, y = w_out z, fitted offline by
 ridge regression. Everything that fits it lives here.
 """
 
+import math
+import numbers
+
 import numpy as np
 
 from .metrics import nmse
@@ -15,6 +18,19 @@ from .metrics import nmse
 LAMBDA_GRID = tuple(10.0 ** k for k in range(-8, 0))
 HOLDOUT_FRACTION = 0.2
 STACK_DOUBLES = 2 ** 17  # most float64 entries in one stack of shifted Grams (1 MiB)
+
+
+def check_penalties(name, grid):
+    """Return ``grid`` as a tuple of floats, in its order, if it is non-empty
+    and each entry is a finite, positive real number (numpy's pass, a bool
+    or a string does not); else raise ValueError naming ``name``."""
+    given = tuple(grid)
+    if not given:
+        raise ValueError(f"{name} must be non-empty, got {given}")
+    if not all(isinstance(lam, numbers.Real) and not isinstance(lam, bool)
+               and 0 < lam < math.inf for lam in given):
+        raise ValueError(f"{name} must hold finite, positive real penalties, got {given}")
+    return tuple(map(float, given))
 
 
 def collect_states(model, inputs, washout):
@@ -45,8 +61,8 @@ def select_penalty(regressors, targets, grid=LAMBDA_GRID,
     Fits on the leading 1 - holdout_fraction of the columns for every
     penalty in the grid (one stacked solve, see ``ridge_solve_grid``),
     predicts the remaining tail for all of them with one product, scores
-    the predictions with one NMSE reduction, and returns
-    (best penalty, {penalty: score}). Ties go to the smaller penalty.
+    the predictions with one NMSE reduction, and returns (best penalty,
+    {penalty: score}), penalties as floats. Ties go to the smaller penalty.
     """
     regressors = np.asarray(regressors, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -56,7 +72,7 @@ def select_penalty(regressors, targets, grid=LAMBDA_GRID,
     n_fit = k - n_hold
     if n_fit < 1:
         raise ValueError("not enough samples to hold out a validation tail")
-    lams = sorted(grid)
+    lams = sorted(check_penalties("penalty grid", grid))
     fits = ridge_solve_grid(regressors[:, :n_fit], targets[:, :n_fit], lams)
     predictions = fits @ regressors[:, n_fit:]
     scores = nmse(targets[:, n_fit:].T, predictions.transpose(0, 2, 1))
@@ -78,16 +94,16 @@ def ridge_solve_grid(regressors, targets, lams):
     """Ridge weights W = T Z' (Z Z' + lam I)^-1 for each penalty in ``lams``.
 
     Returns an (L, N_b, D) array, one N_b x D matrix per penalty in the
-    order given. The grid must be non-empty and every penalty positive
-    (ValueError), so each shifted Gram matrix is positive definite
-    whatever the rank of Z. The inputs are checked and the smaller of the
-    D x D and K x K Gram matrices is formed once. Copies of it, each with
-    one penalty added to its diagonal, are stacked and solved by one
-    ``numpy.linalg.solve`` call; LAPACK factors each system of the stack
-    exactly as it would a lone one, so a weight does not depend on the
-    grid around it. Where the whole stack would hold more than
-    STACK_DOUBLES entries, each penalty is solved in turn on the Gram
-    matrix itself, its diagonal shifted in place, so no copy is made.
+    order given. The penalties must pass ``check_penalties``, the rule the
+    config admits its ``lambda_grid`` by, so each shifted Gram matrix is
+    positive definite whatever the rank of Z. The inputs are checked and
+    the smaller of the D x D and K x K Gram matrices is formed once.
+    Copies of it, each with one penalty added to its diagonal, are stacked
+    and solved by one ``numpy.linalg.solve`` call; LAPACK factors each
+    system of the stack exactly as it would a lone one, so a weight does
+    not depend on the grid around it. Where the whole stack would hold
+    more than STACK_DOUBLES entries, each penalty is solved in turn on the
+    Gram matrix itself, its diagonal shifted in place, so no copy is made.
     """
     Z = np.asarray(regressors, dtype=float)
     T = np.asarray(targets, dtype=float)
@@ -100,11 +116,7 @@ def ridge_solve_grid(regressors, targets, lams):
         raise ValueError("need at least one sample column")
     if not (np.all(np.isfinite(Z)) and np.all(np.isfinite(T))):
         raise ValueError("regressors and targets must be finite")
-    lams = np.array(lams, dtype=float)
-    if lams.size == 0:
-        raise ValueError("penalty grid must be non-empty")
-    if not np.all(lams > 0):
-        raise ValueError(f"lambda must be positive, got {lams.tolist()}")
+    lams = np.array(check_penalties("penalty grid", lams))
 
     primal = Z.shape[0] <= Z.shape[1]
     if primal:

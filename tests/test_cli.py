@@ -222,6 +222,14 @@ class TestUsage:
         assert one_error_line(["experiment", "--config", config, "--seed", "-1"],
                               capsys) == err
 
+    @pytest.mark.parametrize("argv", [["experiment", "--config", "bad.txt"],
+                                      ["solve-randnn", "--spec", "bad.txt"]],
+                             ids=["config", "spec"])
+    def test_undecodable_file_is_one_error_line(self, workdir, capsys, argv):
+        (workdir / "bad.txt").write_bytes(b"trials = 2\n\xff\n")
+        err = one_error_line(argv, capsys)
+        assert err.startswith("error: cannot read bad.txt: ")
+
     def test_unknown_subcommand_rejected(self, workdir):
         with pytest.raises(SystemExit) as info:
             cli.main(["dance"])

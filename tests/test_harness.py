@@ -146,6 +146,9 @@ class TestConfig:
         ("trials = 2.5", "int"),
         ("validation_size = none", "int"),
         ("lag_offsets = 0, 1.5", "int"),
+        # an unknown key and a failed cast name the file and the real line
+        ("trials = 2\nwibble = 1", r"bad\.cfg:2: unknown config key 'wibble'"),
+        ("# a comment\n\ntrials = 2.5", r"bad\.cfg:3: config key 'trials'.*int"),
     ])
     def test_malformed_value_rejected(self, tmp_path, line, match):
         path = tmp_path / "bad.cfg"

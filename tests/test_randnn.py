@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,16 @@ class TestSpecFiles:
         path = tmp_path / "broken.txt"
         path.write_text("1\n1.0\nx\n1.0\n0.0\n0.0\n")
         with pytest.raises(ValueError, match="line 3"):
+            load_spec(path)
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("1\n\n0.5\n0\n1\nx\n0\n", 6),   # the w+ row, after a blank line
+        ("\nx\n", 2),                       # the neuron count
+    ])
+    def test_error_names_the_file_and_the_real_line(self, tmp_path, text, lineno):
+        path = tmp_path / "broken.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line {lineno}: ")):
             load_spec(path)
 
 

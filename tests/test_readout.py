@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reservoirq import readout
 from reservoirq.data import generate_narma10, lag_paired_series
 from reservoirq.esn import EsnModel
 from reservoirq.esqn import EsqnModel
 from reservoirq.metrics import nmse
 from reservoirq.numerics import seeded_rng
-from reservoirq.readout import LAMBDA_GRID, collect_states, fit_readout, select_penalty
+from reservoirq.readout import (LAMBDA_GRID, collect_states, fit_readout, ridge_solve,
+                                ridge_solve_grid, select_penalty)
 
 
 def esqn(seed=0, n_in=1, n_res=5):
@@ -230,6 +232,13 @@ class TestSelectPenalty:
         with pytest.raises(ValueError, match="penalty grid must be non-empty"):
             select_penalty(rng.normal(size=(3, 20)), rng.normal(size=(1, 20)), grid=())
 
+    def test_penalties_come_back_as_floats(self):
+        rng = seeded_rng(26)
+        best, scores = select_penalty(rng.normal(size=(3, 20)), rng.normal(size=(1, 20)),
+                                      grid=(np.float32(0.5), 2))
+        assert type(best) is float
+        assert [type(lam) for lam in scores] == [float, float]
+
     def test_deterministic(self):
         rng = seeded_rng(16)
         regressors = rng.normal(size=(4, 50))
@@ -255,3 +264,151 @@ class TestSelectPenalty:
         targets[:, :16] = seeded_rng(24).normal(size=(1, 16))
         with pytest.raises(ValueError, match="targets are constant"):
             select_penalty(regressors, targets)
+
+
+class TestRidgeSolve:
+    def test_identity_regressors(self):
+        w = ridge_solve(np.eye(3), np.array([[1.0, 2.0, 3.0]]), 1e-14)
+        np.testing.assert_allclose(w, [[1.0, 2.0, 3.0]], atol=1e-12)
+
+    def test_zero_targets(self):
+        z = seeded_rng(0).normal(size=(4, 9))
+        w = ridge_solve(z, np.zeros((2, 9)), 0.5)
+        np.testing.assert_allclose(w, 0.0, atol=1e-14)
+
+    def test_hand_solved_2x2(self):
+        # (Z Z' + 0.1 I) is [[2.1, 1], [1, 1.1]] with det 1.31 and
+        # T Z' = [4, 3]; elimination gives W = [140/131, 230/131].
+        z = np.array([[1.0, 1.0], [0.0, 1.0]])
+        t = np.array([[1.0, 3.0]])
+        w = ridge_solve(z, t, 0.1)
+        np.testing.assert_allclose(w, [[140.0 / 131.0, 230.0 / 131.0]], rtol=1e-12)
+
+    def test_full_rank_interpolation(self):
+        rng = seeded_rng(5)
+        z = rng.normal(size=(6, 6))
+        t = rng.normal(size=(2, 6))
+        w = ridge_solve(z, t, 1e-14)
+        assert np.linalg.norm(w @ z - t) / np.linalg.norm(t) < 1e-8
+
+    def test_residual_monotone_in_lambda(self):
+        rng = seeded_rng(11)
+        z = rng.normal(size=(5, 30))
+        t = rng.normal(size=(1, 30))
+        residuals = []
+        for lam in (1e-9, 1e-6, 1e-3, 1e-1):
+            w = ridge_solve(z, t, lam)
+            residuals.append(np.linalg.norm(t - w @ z))
+        assert all(b >= a - 1e-12 for a, b in zip(residuals, residuals[1:]))
+
+    def test_wide_problem_uses_dual_identity(self):
+        # K < D: result must still satisfy W (Z Z' + lam I) = T Z'
+        rng = seeded_rng(7)
+        z = rng.normal(size=(10, 4))
+        t = rng.normal(size=(3, 4))
+        lam = 0.01
+        w = ridge_solve(z, t, lam)
+        lhs = w @ (z @ z.T + lam * np.eye(10))
+        np.testing.assert_allclose(lhs, t @ z.T, rtol=1e-9, atol=1e-12)
+
+    def test_singular_gram_solved_with_a_small_penalty(self):
+        # Z Z' = [[2, 2], [2, 2]] has rank one; the penalty alone makes the
+        # system solvable, and the weights split evenly by symmetry
+        z = np.array([[1.0, 1.0], [1.0, 1.0]])
+        t = np.array([[1.0, 2.0]])
+        lam = 1e-8
+        w = ridge_solve(z, t, lam)
+        np.testing.assert_allclose(w @ (z @ z.T + lam * np.eye(2)), t @ z.T, rtol=1e-9)
+        np.testing.assert_allclose(w, [[0.75, 0.75]], rtol=1e-8)
+
+    def test_negative_lambda_rejected(self):
+        for lam in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="positive"):
+                ridge_solve(np.eye(2), np.ones((1, 2)), lam)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="sample counts differ"):
+            ridge_solve(np.eye(2), np.ones((1, 3)), 0.1)
+
+
+class TestRidgeSolveGrid:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_each_penalty_matches_normal_equations(self, data):
+        # primal (D <= K) and dual (D > K) shapes alike must give
+        # W = T Z' (Z Z' + lam I)^-1
+        d = data.draw(st.integers(min_value=1, max_value=12), label="D")
+        k = data.draw(st.integers(min_value=1, max_value=12), label="K")
+        n_out = data.draw(st.integers(min_value=1, max_value=3), label="N_b")
+        lams = data.draw(st.lists(st.floats(min_value=1e-3, max_value=10.0),
+                                  min_size=1, max_size=5), label="grid")
+        rng = seeded_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        z = rng.normal(size=(d, k))
+        t = rng.normal(size=(n_out, k))
+        weights = ridge_solve_grid(z, t, lams)
+        assert len(weights) == len(lams)
+        for lam, w in zip(lams, weights):
+            oracle = np.linalg.solve(z @ z.T + lam * np.eye(d), z @ t.T).T
+            np.testing.assert_allclose(w, oracle, rtol=1e-8, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(4, 30), (30, 4)])
+    def test_grid_position_does_not_change_a_fit(self, shape):
+        # a diagonal shift that accumulated across penalties, instead of
+        # being restored, would make the second fit differ
+        rng = seeded_rng(21)
+        z = rng.normal(size=shape)
+        t = rng.normal(size=(2, shape[1]))
+        np.testing.assert_array_equal(ridge_solve_grid(z, t, [0.5, 1e-3])[1],
+                                      ridge_solve_grid(z, t, [1e-3])[0])
+        np.testing.assert_array_equal(ridge_solve_grid(z, t, [1e-3, 0.5])[1],
+                                      ridge_solve_grid(z, t, [0.5])[0])
+
+    @pytest.mark.parametrize("shape", [(4, 30), (30, 4)])
+    def test_inputs_not_mutated(self, shape):
+        rng = seeded_rng(22)
+        z = rng.normal(size=shape)
+        t = rng.normal(size=(1, shape[1]))
+        z_before, t_before = z.copy(), t.copy()
+        ridge_solve_grid(z, t, [1e-8, 1e-2, 1.0])
+        np.testing.assert_array_equal(z, z_before)
+        np.testing.assert_array_equal(t, t_before)
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="penalty grid must be non-empty"):
+            ridge_solve_grid(np.eye(2), np.ones((1, 2)), [])
+
+    def test_negative_penalty_anywhere_rejected(self):
+        for bad in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="positive"):
+                ridge_solve_grid(np.eye(2), np.ones((1, 2)), [0.1, bad, 1.0])
+
+    @pytest.mark.parametrize("shape", [(209, 300), (300, 209), (91, 300), (300, 91)])
+    def test_grid_spanning_several_stacks_matches_lone_solves(self, shape):
+        # eight 91 x 91 systems (primal, then dual) fit in one stack; eight
+        # 209 x 209 systems do not, so each penalty is solved in place on
+        # the Gram matrix; either way each fit must equal the one-penalty
+        # solve bit for bit
+        assert 8 * 91 ** 2 <= readout.STACK_DOUBLES < 8 * 209 ** 2
+        rng = seeded_rng(23)
+        z = rng.normal(size=shape)
+        t = rng.normal(size=(2, shape[1]))
+        lams = [10.0 ** k for k in range(-8, 0)]
+        weights = ridge_solve_grid(z, t, lams)
+        assert weights.shape == (8, 2, shape[0])
+        for lam, w in zip(lams, weights):
+            np.testing.assert_array_equal(w, ridge_solve_grid(z, t, [lam])[0])
+
+
+class TestCheckPenalties:
+    @pytest.mark.parametrize("solve", [
+        lambda z, t, lam: ridge_solve(z, t, lam),
+        lambda z, t, lam: ridge_solve_grid(z, t, [0.1, lam]),
+        lambda z, t, lam: select_penalty(z, t, grid=(0.1, lam)),
+    ], ids=["ridge_solve", "ridge_solve_grid", "select_penalty"])
+    @pytest.mark.parametrize("lam", [float("inf"), True, "1e-3"])
+    def test_every_solver_admits_penalties_by_the_configs_rule(self, solve, lam):
+        # values the config rejects for lambda_grid, though float() takes each
+        rng = seeded_rng(25)
+        with pytest.raises(ValueError, match="penalty grid .*positive") as info:
+            solve(rng.normal(size=(3, 20)), rng.normal(size=(1, 20)), lam)
+        assert repr(lam) in str(info.value)
