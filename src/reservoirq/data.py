@@ -76,10 +76,11 @@ def generate_narma10(n, rng):
 
 
 def read_lines(path):
-    """A text file's lines, endings kept (newline="", as csv needs); a file
+    """A text file's lines, endings kept (newline="", as csv needs), read as
+    UTF-8 whatever the locale, a leading byte-order mark skipped; a file
     that cannot be opened or decoded raises ValueError naming it."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc

@@ -9,9 +9,13 @@ keeps trial results independent of how many other trials run.
 
 OpenBLAS splits a product across its worker threads in a way that depends
 on the thread count, so the last bits of a trial's result would depend on
-the machine's core count. ``one_blas_thread`` runs a block on one OpenBLAS
-thread. The count is process-wide: while the block runs, BLAS calls from
-every thread of the process run on one thread.
+the machine's core count; and a second thread spins through the per-step
+loop for no speed-up, doubling the CPU time. ``one_blas_thread`` runs a
+block on one OpenBLAS thread. The count is process-wide: while the block
+runs, BLAS calls from every thread of the process run on one thread. The
+package does its linear algebra with ``numpy.linalg`` only and loads no
+scipy module: scipy bundles its own OpenBLAS, whose thread pool this pin
+would not reach and which would compete with numpy's for the same cores.
 """
 
 import ctypes

@@ -100,10 +100,11 @@ def ridge_solve_grid(regressors, targets, lams):
     the smaller of the D x D and K x K Gram matrices is formed once.
     Copies of it, each with one penalty added to its diagonal, are stacked
     and solved by one ``numpy.linalg.solve`` call; LAPACK factors each
-    system of the stack exactly as it would a lone one, so a weight does
-    not depend on the grid around it. Where the whole stack would hold
-    more than STACK_DOUBLES entries, each penalty is solved in turn on the
-    Gram matrix itself, its diagonal shifted in place, so no copy is made.
+    system of the stack exactly as it would a lone one, so each fit is
+    bit-identical to a lone solve of its penalty, whatever the grid around
+    it. Where the whole stack would hold more than STACK_DOUBLES entries
+    (1 MiB), each penalty is solved in turn on the Gram matrix itself, its
+    diagonal shifted in place, so no copy is made.
     """
     Z = np.asarray(regressors, dtype=float)
     T = np.asarray(targets, dtype=float)

@@ -1,12 +1,16 @@
 """The golden fixtures: CLI invocations whose outputs are pinned.
 
-A golden fixture's outputs are compared with the committed copies under
-fixtures/goldens, number by number within its tolerance. A rerun
-fixture runs its command twice in fresh directories and requires
-identical bytes, which pins determinism without committing
+A golden fixture's outputs, its saved stdout included, are compared with
+the committed copies under fixtures/goldens: equal line counts, equal
+token counts per line (commas count as spaces), words equal, and numbers
+within the fixture's tolerance, relative above magnitude 1; a missing
+golden fails. A rerun fixture runs its command twice in fresh directories
+and requires identical bytes, which pins determinism without committing
 platform-tied floats. tests/test_fixtures.py checks both kinds, and
-scripts/make_fixtures.py rewrites the goldens from the same table, so
-this module imports no pytest.
+scripts/make_fixtures.py rewrites the goldens from the same table (it
+reads the configs and never writes them), so this module imports no
+pytest. The goldens do not regenerate byte for byte: the sine,esqn NMSE
+is ridge rounding on a near-perfect fit.
 """
 
 import contextlib

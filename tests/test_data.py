@@ -264,6 +264,11 @@ class TestCsv:
         np.testing.assert_array_equal(load_csv(path, column="value"), [10.0, 11.5])
         np.testing.assert_array_equal(load_csv(path, column=1), [10.0, 11.5])
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_bytes(b"\xef\xbb\xbfvalue\n10.0\n11.5\n")
+        np.testing.assert_array_equal(load_csv(path, column="value"), [10.0, 11.5])
+
     def test_malformed_row_is_located(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("value\n1.0\nbroken\n3.0\n")

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis.extra import numpy as hnp
 
 from reservoirq import spectral_radius
 from reservoirq.esqn import EsqnModel
-from reservoirq.numerics import seeded_rng
+from reservoirq.harness import (TRIAL_STREAM, ExperimentConfig, build_model,
+                                prepare_data)
+from reservoirq.numerics import seeded_rng, substream_seed
 from reservoirq.randnn import _load_map, solve_steady_state
 
 
@@ -254,3 +257,29 @@ class TestUpdate:
             overloaded += model.overload_steps
             unstable += not solve_steady_state(model.network(inputs.mean(axis=0))).stable
         assert 0 < overloaded < 6 * 200 and unstable > 0
+
+
+def test_shipped_reservoirs_are_not_g_network_routing(config_dir):
+    # the README's G-network figures for narma_esqn.cfg's 20 trials,
+    # each driven through the training rows, then the validation rows
+    config = ExperimentConfig.from_file(os.path.join(config_dir, "narma_esqn.cfg"))
+    data = prepare_data(config)
+    held = data.train_inputs.mean(axis=0)
+    steps = overloaded_steps = 0
+    unit_fractions, peaks, routing = [], [], []
+    for trial in range(config.trials):
+        rng = np.random.default_rng(substream_seed(config.seed, TRIAL_STREAM, trial))
+        model = build_model(config, data.train_inputs.shape[1], rng)
+        steady = solve_steady_state(model.network(held))
+        assert not steady.stable
+        peaks.append(steady.rho.max())
+        routing.append((model.w_plus_res + model.w_minus_res).sum(axis=0).mean())
+        loads = np.hstack([run_states(model, data.train_inputs),
+                           run_states(model, data.val_inputs)])
+        steps += loads.shape[1]
+        overloaded_steps += model.overload_steps
+        unit_fractions.append(np.mean(loads > 1.0))
+    assert (overloaded_steps, steps) == (47_578, 47_600)
+    assert [round(100 * f(unit_fractions), 1) for f in (min, max, np.mean)] == [2.2, 9.2, 5.6]
+    assert [round(f(peaks), 3) for f in (min, max)] == [1.014, 1.193]
+    assert round(np.mean(routing), 2) == 15.98

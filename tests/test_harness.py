@@ -37,6 +37,7 @@ FIELD_CASES = [
     ("trials = 3", "trials", 3),
     ("seed = 7", "seed", 7),
     ("lambda_grid = 1e-6, 0.001,1", "lambda_grid", (1e-6, 1e-3, 1.0)),
+    ("\ufefftrials = 2", "trials", 2),  # a UTF-8 byte-order mark is skipped
 ]
 
 # Keys that earlier versions accepted, evaluation switches, then the
@@ -95,7 +96,7 @@ class TestConfig:
                                   for text, _, _ in FIELD_CASES])
     def test_every_field_parsed_from_text(self, tmp_path, text, key, expected):
         path = tmp_path / "field.cfg"
-        path.write_text(text + "\n")
+        path.write_text(text + "\n", encoding="utf-8")
         value = getattr(ExperimentConfig.from_file(path), key)
         assert value == expected
         assert type(value) is type(expected)

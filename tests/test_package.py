@@ -41,6 +41,26 @@ def test_readme_export_list_is_all():
     assert {name for name in named if hasattr(reservoirq, name)} <= set(reservoirq.__all__)
 
 
+def test_readme_rule_owners_resolve():
+    # each owner in the README's "Input rules" table names a function or a
+    # constant of reservoirq by its module path, so a rename or a prune
+    # cannot leave the table pointing at nothing
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        section = fh.read().split("## Input rules", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[2] for line in section.splitlines()
+            if line.startswith("| ") and not line.startswith(("| input", "| ---"))]
+    assert rows
+    for cell in rows:
+        owners = re.findall(r"`([^`]+)`", cell)
+        assert owners, cell
+        for owner in owners:
+            module, *attrs = owner.split(".")
+            obj = importlib.import_module(f"reservoirq.{module}")
+            for attr in attrs:
+                obj = getattr(obj, attr)
+            assert callable(obj) or isinstance(obj, (int, float)), owner
+
+
 def test_bench_wrapped_names_are_bound():
     # bench/tracing.py times each layer by replacing these module
     # attributes and reads the listed parameters by name; a prune that

@@ -170,10 +170,11 @@ class TestSpecFiles:
     @pytest.mark.parametrize("text, lineno", [
         ("1\n\n0.5\n0\n1\nx\n0\n", 6),   # the w+ row, after a blank line
         ("\nx\n", 2),                       # the neuron count
+        ("\ufeff1\n0.5\n0\n1\nx\n0\n", 5),   # a byte-order mark before the count
     ])
     def test_error_names_the_file_and_the_real_line(self, tmp_path, text, lineno):
         path = tmp_path / "broken.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}: line {lineno}: ")):
             load_spec(path)
 
