@@ -10,7 +10,7 @@ import csv
 
 import numpy as np
 
-from .numerics import check_integer
+from .numerics import check_array, check_integer
 
 NARMA_ORDER = 10
 NARMA_DIVERGENCE_LIMIT = 10.0
@@ -22,9 +22,7 @@ def rescale(values, reference):
     """Map values affinely, sending the reference segment's min to 0 and
     its max to 1. Values outside the reference range map outside [0, 1];
     nothing is clipped."""
-    reference = np.asarray(reference, dtype=float)
-    if not np.all(np.isfinite(reference)):
-        raise ValueError("reference segment must be finite")
+    reference = check_array("reference", reference, (None,))
     lo, hi = float(reference.min()), float(reference.max())
     if not hi > lo:
         raise ValueError("reference segment is constant; no scale exists")
@@ -168,10 +166,8 @@ def lag_paired_series(inputs_series, targets_series, offsets):
     max(offsets) pairs are consumed by the lag window. A forecast of x
     h steps ahead pairs s = x[:-h] with y = x[h:].
     """
-    s = np.asarray(inputs_series, dtype=float)
-    y = np.asarray(targets_series, dtype=float)
-    if s.shape[0] != y.shape[0]:
-        raise ValueError("input and target series must have equal length")
+    s = check_array("inputs_series", inputs_series, (None,))
+    y = check_array("targets_series", targets_series, s.shape)
     lags = check_lag_offsets(offsets)
     max_off = max(lags)
     n_rows = s.shape[0] - max_off

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import check_integer, drive, initial_state
+from .numerics import check_array, check_integer, drive, initial_state
 
 # The sampling law of every ESN reservoir: the nonzero fraction of w_res,
 # its spectral radius after rescaling, and the interval of every weight.
@@ -32,17 +32,11 @@ class EsnModel:
     state: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        self.w_in = np.asarray(self.w_in, dtype=float)
-        self.w_res = np.asarray(self.w_res, dtype=float)
-        if self.w_res.ndim != 2 or self.w_res.shape[0] != self.w_res.shape[1]:
-            raise ValueError("w_res must be square")
-        if self.w_in.ndim != 2 or self.w_in.shape[0] != self.w_res.shape[0]:
-            raise ValueError("w_in must have one row per reservoir unit")
+        n = len(check_array("w_res", self.w_res, (None, None)))
+        self.w_res = check_array("w_res", self.w_res, (n, n))
+        self.w_in = check_array("w_in", self.w_in, (self.n_res, None))
         if self.w_in.shape[1] < 1:
             raise ValueError("w_in needs at least the bias column")
-        for name in ("w_in", "w_res"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
         self.state = initial_state(self.state, self.n_res)
 
     @property
@@ -94,14 +88,14 @@ class EsnModel:
 
 
 def spectral_radius(m):
-    """Largest eigenvalue magnitude of a square matrix, by dense eigensolve.
+    """Largest eigenvalue magnitude of a non-empty square matrix, by dense
+    eigensolve.
 
     Accurate to rounding at every size, complex dominant pairs included,
     so a reservoir rescaled by it lands on its target radius.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+    n = len(check_array("m", m, (None, None)))
+    m = check_array("m", m, (n, n))
+    if not n:
+        raise ValueError("m must be non-empty, got shape (0, 0)")
     return float(np.max(np.abs(np.linalg.eigvals(m))))

@@ -46,10 +46,7 @@ class EsqnModel:
     overload_steps: int = field(default=0, init=False)  # steps in which some load exceeded 1
 
     def __post_init__(self):
-        shape = np.shape(self.w_plus_in)
-        if len(shape) != 2:
-            raise ValueError("w_plus_in must be 2-d")
-        n_res, n_in = shape
+        n_res, n_in = shape = rate_array("w_plus_in", self.w_plus_in, (None, None)).shape
         for name, dims in (("w_plus_in", shape), ("w_minus_in", shape),
                            ("w_plus_res", (n_res, n_res)), ("w_minus_res", (n_res, n_res)),
                            ("rates_in", (n_in,)), ("rates_res", (n_res,))):
@@ -92,7 +89,7 @@ class EsqnModel:
 
     def network(self, a):
         """The ``RandnnSpec`` of the reservoir held at ``a``: lambda± = w±_in a / r_in."""
-        x = np.asarray(a, dtype=float) / self.rates_in
+        x = rate_array("a", a, (self.n_in,)) / self.rates_in
         return RandnnSpec(self.w_plus_in @ x, self.w_minus_in @ x,
                           self.w_plus_res, self.w_minus_res, self.rates_res)
 
@@ -102,13 +99,11 @@ class EsqnModel:
         Returns the (1 + n_in + n_res, K) regressor matrix whose column t
         is [1; a_t; rho_t] (see ``numerics.drive``) and leaves the model
         holding the last loads. Each step is simultaneous across units:
-        the right-hand side reads only the previous load vector. Negative
-        inputs raise ValueError; each step with some load above 1 adds one
-        to ``overload_steps``.
+        the right-hand side reads only the previous load vector. The inputs
+        are spike rates, so they pass ``rate_array``; each step with some
+        load above 1 adds one to ``overload_steps``.
         """
-        inputs = np.asarray(inputs, dtype=float)
-        if np.any(inputs < 0):
-            raise ValueError("inputs are spike rates and must be nonnegative")
+        inputs = rate_array("inputs", inputs, (None, self.n_in))
         n = self.n_res
         plus_in, minus_in = self.w_plus_in / self.rates_in, self.w_minus_in / self.rates_in
         step = np.vstack((np.hstack((self.w_plus_res, np.zeros((n, 1)), plus_in)),

@@ -234,7 +234,7 @@ def run_trial(config, prepared, washout, trial_index):
     if not np.all(np.isfinite(regressors)):
         raise FloatingPointError(f"trial {trial_index}: non-finite training state")
     targets = prepared.train_targets[washout:].T
-    lam, _ = select_penalty(regressors, targets, grid=config.lambda_grid)
+    lam, scores = select_penalty(regressors, targets, grid=config.lambda_grid)
     w_out = fit_readout(regressors, targets, lam)
 
     val_regressors = collect_states(model, prepared.val_inputs, 0)
@@ -245,7 +245,8 @@ def run_trial(config, prepared, washout, trial_index):
     result = TrialResult(series=config.name, model=config.model,
                          trial=trial_index, seed=trial_seed,
                          nmse=nmse(prepared.val_targets, predictions),
-                         ridge_lambda=lam, reservoir_size=config.reservoir_size)
+                         ridge_lambda=lam, reservoir_size=config.reservoir_size,
+                         holdout_nmse=tuple(scores.items()))
     return result, predictions
 
 

@@ -90,7 +90,9 @@ def nmse(targets, predictions):
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Outcome of one independently seeded training run."""
+    """Outcome of one independently seeded training run; ``holdout_nmse``
+    holds the (penalty, hold-out NMSE) pairs of penalty selection in
+    ascending penalty order."""
 
     series: str
     model: str
@@ -99,6 +101,7 @@ class TrialResult:
     nmse: float
     ridge_lambda: float
     reservoir_size: int
+    holdout_nmse: tuple[tuple[float, float], ...] = ()
 
 
 @dataclass(frozen=True)

@@ -58,8 +58,8 @@ def drive(inputs, state, step, ufunc):
     ``state`` is the (n,) start state and ``step`` the (ufunc.nin * n, D)
     step matrix, D = 1 + n_in + n, whose columns multiply the window
     [x_{t-1}; 1; a_t]; x_t is ``ufunc`` over the ufunc.nin equal parts of
-    that product. The inputs are checked once: a shape other than
-    (K, n_in), or a non-finite entry, raises ValueError.
+    that product. The inputs pass ``check_array`` once, as a (K, n_in)
+    matrix.
 
     Returns the (D, K) regressor matrix, whose column t is [1; a_t; x_t],
     and a copy of the last state (of ``state`` when K = 0). The matrix is
@@ -72,12 +72,8 @@ def drive(inputs, state, step, ufunc):
     into one scratch vector and ``ufunc`` from it into x_t, and allocates
     no array.
     """
-    a = np.asarray(inputs, dtype=float)
     lead = step.shape[1] - state.shape[0]
-    if a.ndim != 2 or a.shape[1] != lead - 1:
-        raise ValueError(f"expected a K x {lead - 1} input matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("inputs must be finite")
+    a = check_array("inputs", inputs, (None, lead - 1))
     buf = np.empty((a.shape[0] + 1, step.shape[1]))
     buf[0, lead:] = state
     buf[1:, 0] = 1.0
@@ -105,17 +101,25 @@ def check_integer(name, value, least):
     return value
 
 
+def check_array(name, value, shape):
+    """Return ``value`` as a float array whose shape matches ``shape`` (None
+    matches any length) and whose entries are all finite. Otherwise raise
+    ValueError naming ``name``; a wrong shape is named with the wanted one."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a float array: {exc}") from None
+    if arr.ndim != len(shape) or any(w not in (None, g) for w, g in zip(shape, arr.shape)):
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 def initial_state(state, n_res):
-    """A reservoir's start state: zeros for None, else a copy checked to
-    have shape (n_res,) and finite entries (else ValueError)."""
-    if state is None:
-        return np.zeros(n_res)
-    state = np.array(state, dtype=float)
-    if state.shape != (n_res,):
-        raise ValueError(f"state must have shape ({n_res},)")
-    if not np.all(np.isfinite(state)):
-        raise ValueError("state must be finite")
-    return state
+    """A reservoir's start state: zeros for None, else a copy of ``state``
+    admitted by ``check_array`` as an (n_res,) vector."""
+    return np.zeros(n_res) if state is None else check_array("state", state, (n_res,)).copy()
 
 
 @functools.cache

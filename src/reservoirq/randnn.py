@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import read_lines
+from .numerics import check_array
 
 ALPHA_FLOOR = 2.0 ** -20
 # the solve stops once the largest load moves less than TOL in one map
@@ -39,14 +40,12 @@ class ConvergenceError(RuntimeError):
 
 
 def rate_array(name, value, shape):
-    """``value`` as a float array of ``shape`` whose entries are finite and
+    """``value`` admitted by ``check_array`` whose entries are also
     nonnegative, as every rate and routing weight of a queueing network
     is; raises ValueError naming ``name`` otherwise."""
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}")
-    if not ((arr >= 0).all() and np.isfinite(arr).all()):
-        raise ValueError(f"{name} must hold finite, nonnegative rates")
+    arr = check_array(name, value, shape)
+    if (arr < 0).any():
+        raise ValueError(f"{name} must hold nonnegative rates")
     return arr
 
 
@@ -64,10 +63,9 @@ class RandnnSpec:
     rates: np.ndarray
 
     def __post_init__(self):
-        shape = np.shape(self.lambda_plus)
-        if len(shape) != 1 or shape[0] == 0:
-            raise ValueError("lambda_plus must be a non-empty vector")
-        n = shape[0]
+        n = len(rate_array("lambda_plus", self.lambda_plus, (None,)))
+        if not n:
+            raise ValueError("lambda_plus must be non-empty")
         for name, dims in (("lambda_plus", (n,)), ("lambda_minus", (n,)),
                            ("w_plus", (n, n)), ("w_minus", (n, n)), ("rates", (n,))):
             object.__setattr__(self, name, rate_array(name, getattr(self, name), dims))
@@ -96,9 +94,7 @@ def _load_map(spec, rho):
 
 def residual(spec, rho):
     """max_u |rho_u - g_u(rho)| where g is the load map."""
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (spec.n,):
-        raise ValueError(f"rho must have shape ({spec.n},), got {rho.shape}")
+    rho = check_array("rho", rho, (spec.n,))
     return float(np.max(np.abs(rho - _load_map(spec, rho))))
 
 

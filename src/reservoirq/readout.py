@@ -12,6 +12,7 @@ import numbers
 import numpy as np
 
 from .metrics import nmse
+from .numerics import check_array
 
 # Default penalty grid searched when fitting; chosen per dataset on a
 # held-out tail of the training split.
@@ -42,7 +43,7 @@ def collect_states(model, inputs, washout):
     tail of ``model.run(inputs)``: column t is the regressor
     [1; a(t); x(t)] of step washout + t.
     """
-    k = len(inputs)
+    k = len(check_array("inputs", inputs, (None, model.n_in)))
     if not 0 <= washout < k:
         raise ValueError(f"washout must lie in [0, K), got {washout} with K={k}")
     return model.run(inputs)[:, washout:]
@@ -64,9 +65,9 @@ def select_penalty(regressors, targets, grid=LAMBDA_GRID,
     the predictions with one NMSE reduction, and returns (best penalty,
     {penalty: score}), penalties as floats. Ties go to the smaller penalty.
     """
-    regressors = np.asarray(regressors, dtype=float)
-    targets = np.asarray(targets, dtype=float)
+    regressors = check_array("regressors", regressors, (None, None))
     k = regressors.shape[1]
+    targets = check_array("targets", targets, (None, k))
     # NMSE needs at least two held-out samples
     n_hold = max(2, round(holdout_fraction * k))
     n_fit = k - n_hold
@@ -96,8 +97,9 @@ def ridge_solve_grid(regressors, targets, lams):
     Returns an (L, N_b, D) array, one N_b x D matrix per penalty in the
     order given. The penalties must pass ``check_penalties``, the rule the
     config admits its ``lambda_grid`` by, so each shifted Gram matrix is
-    positive definite whatever the rank of Z. The inputs are checked and
-    the smaller of the D x D and K x K Gram matrices is formed once.
+    positive definite whatever the rank of Z. The inputs pass
+    ``check_array``, and the smaller of the D x D and K x K Gram matrices
+    is formed once.
     Copies of it, each with one penalty added to its diagonal, are stacked
     and solved by one ``numpy.linalg.solve`` call; LAPACK factors each
     system of the stack exactly as it would a lone one, so each fit is
@@ -106,17 +108,10 @@ def ridge_solve_grid(regressors, targets, lams):
     (1 MiB), each penalty is solved in turn on the Gram matrix itself, its
     diagonal shifted in place, so no copy is made.
     """
-    Z = np.asarray(regressors, dtype=float)
-    T = np.asarray(targets, dtype=float)
-    if Z.ndim != 2 or T.ndim != 2:
-        raise ValueError("regressors and targets must be 2-d matrices")
-    if T.shape[1] != Z.shape[1]:
-        raise ValueError(
-            f"sample counts differ: regressors K={Z.shape[1]}, targets K={T.shape[1]}")
+    Z = check_array("regressors", regressors, (None, None))
+    T = check_array("targets", targets, (None, Z.shape[1]))
     if Z.shape[1] < 1:
         raise ValueError("need at least one sample column")
-    if not (np.all(np.isfinite(Z)) and np.all(np.isfinite(T))):
-        raise ValueError("regressors and targets must be finite")
     lams = np.array(check_penalties("penalty grid", lams))
 
     primal = Z.shape[0] <= Z.shape[1]

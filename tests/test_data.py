@@ -106,7 +106,7 @@ class TestRescale:
     @pytest.mark.parametrize("values", [[0.0, np.inf], [np.nan, 1.0], [-np.inf, 0.0]])
     def test_non_finite_reference_rejected(self, values):
         # an infinite bound maps every value to 0; a nan hides the range
-        with pytest.raises(ValueError, match="reference segment must be finite"):
+        with pytest.raises(ValueError, match="^reference must be finite$"):
             rescale([0.5], values)
 
 
@@ -142,6 +142,16 @@ class TestLaggedDataset:
         assert inputs.shape == (8, 2)
         np.testing.assert_array_equal(inputs[0], [2.0, 0.0])
         np.testing.assert_array_equal(targets[:, 0], y[2:])
+
+    @pytest.mark.parametrize("s, y, message", [
+        (np.arange(5.0), np.arange(4.0), r"targets_series must have shape \(5,\), got \(4,\)"),
+        (np.ones((5, 1)), np.arange(5.0),
+         r"inputs_series must have shape \(None,\), got \(5, 1\)"),
+        (np.arange(5.0), [0.0, 1.0, np.nan, 3.0, 4.0], "targets_series must be finite"),
+    ], ids=["unequal-lengths", "2-d", "nan"])
+    def test_series_take_the_array_rule(self, s, y, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lag_paired_series(s, y, offsets=[0, 1])
 
     @pytest.mark.parametrize("offsets", [[0, -1], [0, 1.5], [], [False, True], [0, 6.0, 7]])
     def test_bad_offsets_rejected(self, offsets):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -116,12 +117,35 @@ class TestInit:
             EsnModel(**weights)
 
 
+    # each array an ESN takes, as the call that takes it, with a valid value
+    ARRAYS = {
+        "w_res": (lambda v: EsnModel(w_in=np.zeros((2, 2)), w_res=v), np.eye(2)),
+        "w_in": (lambda v: EsnModel(w_in=v, w_res=np.eye(2)), np.zeros((2, 2))),
+        "state": (lambda v: EsnModel(w_in=np.zeros((2, 2)), w_res=np.eye(2), state=v),
+                  np.zeros(2)),
+        "inputs": (lambda v: small_model().run(v), np.zeros((4, 1))),
+        "m": (spectral_radius, np.eye(2)),
+    }
+
+    @pytest.mark.parametrize("name", ARRAYS)
+    @pytest.mark.parametrize("reshape", [lambda v: v[0], lambda v: v[None], lambda v: v.sum()],
+                             ids=["first-row", "extra-axis", "scalar"])
+    def test_every_array_takes_the_array_rule(self, name, reshape):
+        call, valid = self.ARRAYS[name]
+        call(valid)
+        bad = reshape(valid)
+        with pytest.raises(ValueError, match=rf"^{name} must have shape .*, got "
+                                             rf"{re.escape(str(bad.shape))}$"):
+            call(bad)
+
+
 class TestRun:
     def test_bad_inputs_rejected(self):
         model = small_model()
-        with pytest.raises(ValueError, match=r"K x 1 input matrix, got shape \(4,\)"):
+        with pytest.raises(ValueError, match=r"inputs must have shape \(None, 1\), got \(4,\)"):
             model.run(np.zeros(4))
-        with pytest.raises(ValueError, match=r"K x 1 input matrix, got shape \(4, 2\)"):
+        with pytest.raises(ValueError,
+                           match=r"inputs must have shape \(None, 1\), got \(4, 2\)"):
             model.run(np.zeros((4, 2)))
         with pytest.raises(ValueError, match="inputs must be finite"):
             model.run(np.full((4, 1), np.inf))
@@ -227,8 +251,13 @@ class TestSpectralRadius:
         assert spectral_radius(m) == spectral_radius(m.copy())
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="non-empty square matrix"):
-            spectral_radius(np.ones((2, 3)))
+        for m, message in [
+            (np.ones((2, 3)), r"m must have shape \(2, 2\), got \(2, 3\)"),
+            (np.ones(3), r"m must have shape \(None, None\), got \(3,\)"),
+            (np.zeros((0, 0)), r"m must be non-empty, got shape \(0, 0\)"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                spectral_radius(m)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

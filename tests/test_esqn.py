@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ class TestInit:
     @pytest.mark.parametrize("name", ["w_plus_in", "w_minus_in", "w_plus_res", "w_minus_res"])
     def test_negative_weight_rejected(self, name):
         model = random_model()
-        with pytest.raises(ValueError, match=f"{name} must hold finite, nonnegative rates"):
+        with pytest.raises(ValueError, match=f"{name} must hold nonnegative rates"):
             dataclasses.replace(model, **{name: getattr(model, name) - 0.1})
 
     def test_zero_rate_rejected(self):
@@ -83,8 +84,40 @@ class TestInit:
         blocks = dict(w_plus_in=[[0.2]], w_minus_in=[[0.1]], w_plus_res=[[0.1]],
                       w_minus_res=[[0.0]], rates_in=[1.0], rates_res=[1.0])
         blocks[name] = np.full(np.shape(blocks[name]), bad)
-        with pytest.raises(ValueError, match=f"{name} must hold finite, nonnegative rates"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
             EsqnModel(**blocks)
+
+    # each array an ESQN takes, as the call that takes it, with a valid value
+    BLOCKS = dict(w_plus_in=np.array([[0.2]]), w_minus_in=np.array([[0.1]]),
+                  w_plus_res=np.array([[0.1]]), w_minus_res=np.array([[0.0]]),
+                  rates_in=np.array([1.0]), rates_res=np.array([1.0]), state=np.array([0.5]))
+    ARRAYS = {
+        **{name: (lambda v, name=name: EsqnModel(**{**TestInit.BLOCKS, name: v}), valid)
+           for name, valid in BLOCKS.items()},
+        "a": (lambda v: scalar_model().network(v), np.array([0.5])),
+        "inputs": (lambda v: scalar_model().run(v), np.array([[0.5], [0.2]])),
+    }
+
+    @pytest.mark.parametrize("name", ARRAYS)
+    @pytest.mark.parametrize("reshape", [lambda v: v[None], lambda v: v.sum()],
+                             ids=["extra-axis", "scalar"])
+    def test_every_array_takes_the_array_rule(self, name, reshape):
+        call, valid = self.ARRAYS[name]
+        call(valid)
+        bad = reshape(valid)
+        with pytest.raises(ValueError, match=rf"^{name} must have shape .*, got "
+                                             rf"{re.escape(str(bad.shape))}$"):
+            call(bad)
+
+    @pytest.mark.parametrize("a, message", [
+        ([0.5, 0.5], r"a must have shape \(1,\), got \(2,\)"),
+        ([np.nan], "a must be finite"),
+        ([-0.5], "a must hold nonnegative rates"),
+    ], ids=["length", "nan", "negative"])
+    def test_network_takes_its_input_by_the_rate_rule(self, a, message):
+        # the error names a, not the lambda_plus computed from it
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            scalar_model().network(a)
 
 
     def test_non_finite_state_rejected(self):
@@ -122,13 +155,14 @@ class TestRun:
 
     def test_bad_inputs_rejected(self):
         model = random_model()
-        with pytest.raises(ValueError, match=r"K x 3 input matrix, got shape \(3,\)"):
+        with pytest.raises(ValueError, match=r"inputs must have shape \(None, 3\), got \(3,\)"):
             model.run(np.zeros(3))
-        with pytest.raises(ValueError, match=r"K x 3 input matrix, got shape \(4, 2\)"):
+        with pytest.raises(ValueError,
+                           match=r"inputs must have shape \(None, 3\), got \(4, 2\)"):
             model.run(np.zeros((4, 2)))
         with pytest.raises(ValueError, match="inputs must be finite"):
             model.run(np.full((4, 3), np.nan))
-        with pytest.raises(ValueError, match="inputs are spike rates and must be nonnegative"):
+        with pytest.raises(ValueError, match="inputs must hold nonnegative rates"):
             model.run(np.full((4, 3), -0.1))
 
     @settings(max_examples=60, deadline=None)

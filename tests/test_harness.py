@@ -14,6 +14,7 @@ from reservoirq.harness import (ExperimentConfig, prepare_data,
                                 run_experiment)
 from reservoirq.metrics import nmse, results_csv, series_csv, summary_csv, trace_csv
 from reservoirq.numerics import seeded_rng
+from reservoirq.readout import collect_states, select_penalty
 
 
 def tiny_narma(**overrides):
@@ -286,6 +287,26 @@ class TestRunExperiment:
         short = run_experiment(tiny_narma(trials=2))
         long = run_experiment(tiny_narma(trials=4))
         assert short.results == long.results[:2]
+
+    def test_holdout_scores_equal_a_direct_penalty_selection(self):
+        config = tiny_narma(lambda_grid=(1e-2, 1e-6, 1.0, 1e-4))
+        prepared = prepare_data(config)
+        washout = resolve_washout(len(prepared.train_targets))
+        result, _ = harness.run_trial(config, prepared, washout, 1)
+        model = harness.build_model(config, prepared.train_inputs.shape[1],
+                                    np.random.default_rng(result.seed))
+        regressors = collect_states(model, prepared.train_inputs, washout)
+        _, scores = select_penalty(regressors, prepared.train_targets[washout:].T,
+                                   grid=config.lambda_grid)
+        assert result.holdout_nmse == tuple(scores.items())
+        assert [lam for lam, _ in result.holdout_nmse] == [1e-6, 1e-4, 1e-2, 1.0]
+
+    @pytest.mark.parametrize("model", ["esn", "esqn"])
+    def test_selected_penalty_is_the_first_argmin_of_the_scores(self, model):
+        for result in run_experiment(tiny_narma(model=model, trials=4)).results:
+            lams, scores = zip(*result.holdout_nmse)
+            assert result.ridge_lambda == lams[int(np.argmin(scores))]
+            hash(result)  # the frozen result stays hashable
 
     def test_summary_matches_results(self):
         outcome = run_experiment(tiny_narma(trials=3))

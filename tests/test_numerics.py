@@ -4,8 +4,8 @@ import pytest
 from reservoirq import numerics
 from reservoirq.esn import EsnModel
 from reservoirq.esqn import EsqnModel
-from reservoirq.numerics import (check_integer, drive, one_blas_thread, seeded_rng,
-                                 substream_rng, substream_seed)
+from reservoirq.numerics import (check_array, check_integer, drive, one_blas_thread,
+                                 seeded_rng, substream_rng, substream_seed)
 
 
 # each reservoir kind, with its input and reservoir sizes
@@ -83,6 +83,36 @@ class TestCheckInteger:
         with pytest.raises(ValueError) as info:
             check_integer("k", np.int64(-2), 0)
         assert str(info.value) == "k must be >= 0, got -2"
+
+
+class TestCheckArray:
+    @pytest.mark.parametrize("k", [0, 1, 7])
+    def test_a_free_length_matches_any_length(self, k):
+        arr = check_array("x", np.ones((k, 3), dtype=int), (None, 3))
+        assert arr.dtype == float and arr.shape == (k, 3)
+
+    @pytest.mark.parametrize("value, given", [
+        (np.ones(3), "(3,)"),              # too few axes
+        (np.ones((2, 3, 1)), "(2, 3, 1)"),  # too many
+        (np.ones((2, 4)), "(2, 4)"),        # a fixed length differs
+        (2.5, "()"),                        # a scalar is an array of no axes
+    ], ids=["1-d", "3-d", "length", "scalar"])
+    def test_wrong_shape_names_the_argument_and_both_shapes(self, value, given):
+        with pytest.raises(ValueError) as info:
+            check_array("x", value, (None, 3))
+        assert str(info.value) == f"x must have shape (None, 3), got {given}"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValueError) as info:
+            check_array("x", [[0.0, bad]], (1, 2))
+        assert str(info.value) == "x must be finite"
+
+    @pytest.mark.parametrize("value", [[[1.0], [1.0, 2.0]], "abc", {"a": 1}, 1j],
+                             ids=["ragged", "text", "dict", "complex"])
+    def test_value_that_is_no_float_array_rejected_naming_the_argument(self, value):
+        with pytest.raises(ValueError, match="^x must be a float array: "):
+            check_array("x", value, (None,))
 
 
 class TestRng:

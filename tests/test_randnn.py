@@ -108,7 +108,7 @@ class TestResidual:
         assert value == pytest.approx(0.01, abs=1e-15)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match=r"rho must have shape \(2,\)"):
+        with pytest.raises(ValueError, match=r"rho must have shape \(2,\), got \(3,\)"):
             residual(chain_spec(), [0.1, 0.2, 0.3])
 
 
@@ -133,9 +133,38 @@ class TestSpecValidation:
         assert solution.stable and solution.iterations == 0
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match=r"w_plus must have shape \(2, 2\)"):
+        with pytest.raises(ValueError, match=r"w_plus must have shape \(2, 2\), got \(1, 1\)"):
             RandnnSpec(lambda_plus=[1.0, 0.5], lambda_minus=[0.0, 0.0],
                        w_plus=[[0.0]], w_minus=[[0.0]], rates=[1.0, 1.0])
+
+    # each array of a spec, and residual's loads, as the call that takes it
+    ARRAYS = {
+        **{name: (lambda v, name=name: RandnnSpec(**{**vars(single_neuron(0.5, 0.0, 1.0)),
+                                                     name: v}), valid)
+           for name, valid in [("lambda_plus", [0.5]), ("lambda_minus", [0.0]),
+                               ("w_plus", [[0.0]]), ("w_minus", [[0.0]]), ("rates", [1.0])]},
+        # a nan load would otherwise come back as a nan residual
+        "rho": (lambda v: residual(single_neuron(0.5, 0.0, 1.0), v), [0.0]),
+    }
+
+    @pytest.mark.parametrize("name", ARRAYS)
+    @pytest.mark.parametrize("kind", ["extra-axis", "scalar", "nan"])
+    def test_every_array_takes_the_array_rule(self, name, kind):
+        call, valid = self.ARRAYS[name]
+        call(valid)
+        valid = np.array(valid)
+        if kind == "nan":
+            bad, message = np.full_like(valid, np.nan), f"^{name} must be finite$"
+        else:
+            bad = valid[None] if kind == "extra-axis" else valid.sum()
+            message = rf"^{name} must have shape .*, got {re.escape(str(bad.shape))}$"
+        with pytest.raises(ValueError, match=message):
+            call(bad)
+
+    def test_empty_spec_rejected(self):
+        with pytest.raises(ValueError, match="^lambda_plus must be non-empty$"):
+            RandnnSpec(lambda_plus=[], lambda_minus=[], w_plus=np.zeros((0, 0)),
+                       w_minus=np.zeros((0, 0)), rates=[])
 
 
 class TestSpecFiles:

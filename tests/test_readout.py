@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,14 @@ class TestCollectStates:
             collect_states(esqn(), inputs, washout=3)
         with pytest.raises(ValueError):
             collect_states(esqn(), inputs, washout=-1)
+
+
+    @pytest.mark.parametrize("inputs, given", [(0.5, "()"), (np.zeros((3, 2)), "(3, 2)")],
+                             ids=["scalar", "width"])
+    def test_inputs_take_the_array_rule_before_the_washout_check(self, inputs, given):
+        with pytest.raises(ValueError, match=rf"^inputs must have shape \(None, 1\), "
+                                             rf"got {re.escape(given)}$"):
+            collect_states(esqn(), inputs, washout=0)
 
 
 class TestFitReadout:
@@ -266,6 +276,31 @@ class TestSelectPenalty:
             select_penalty(regressors, targets)
 
 
+    @pytest.mark.parametrize("solve", [
+        lambda z, t: select_penalty(z, t),
+        lambda z, t: ridge_solve_grid(z, t, [0.1]),
+        lambda z, t: ridge_solve(z, t, 0.1),
+        lambda z, t: fit_readout(z, t, 0.1),
+    ], ids=["select_penalty", "ridge_solve_grid", "ridge_solve", "fit_readout"])
+    @pytest.mark.parametrize("case", ["regressors-1d", "targets-sample-count",
+                                      "regressors-nan-in-tail", "targets-nan-in-tail"])
+    def test_every_array_takes_the_array_rule(self, solve, case):
+        # the held-out tail is checked with the rest: a nan there would be
+        # scored, not rejected
+        rng = seeded_rng(27)
+        z, t = rng.normal(size=(3, 20)), rng.normal(size=(1, 20))
+        if case == "regressors-1d":
+            z, message = z[0], r"regressors must have shape \(None, None\), got \(20,\)"
+        elif case == "targets-sample-count":
+            t, message = t[:, :16], r"targets must have shape \(None, 20\), got \(1, 16\)"
+        else:
+            name = case.split("-")[0]
+            {"regressors": z, "targets": t}[name][-1, -1] = np.nan
+            message = f"{name} must be finite"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve(z, t)
+
+
 class TestRidgeSolve:
     def test_identity_regressors(self):
         w = ridge_solve(np.eye(3), np.array([[1.0, 2.0, 3.0]]), 1e-14)
@@ -327,7 +362,8 @@ class TestRidgeSolve:
                 ridge_solve(np.eye(2), np.ones((1, 2)), lam)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="sample counts differ"):
+        with pytest.raises(ValueError,
+                           match=r"targets must have shape \(None, 2\), got \(1, 3\)"):
             ridge_solve(np.eye(2), np.ones((1, 3)), 0.1)
 
 
