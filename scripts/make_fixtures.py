@@ -6,8 +6,9 @@ noise) with the same lengths and lag protocols as the real ISP and UKERNA
 traces, which are not redistributable. Goldens are written by running
 the commands of the golden table in tests/fixture_runner.py, in this
 process, on the committed assets. The experiment configs under
-fixtures/configs are hand-written; this script reads them and never
-writes them.
+fixtures/configs and the random-neural-network spec files
+fixtures/randnn_*.txt are hand-written; this script reads them and
+never writes them.
 """
 
 import os
@@ -23,7 +24,6 @@ sys.path[:0] = [os.path.join(REPO, "src"), os.path.join(REPO, "tests")]
 
 from fixture_runner import FIXTURES, GOLDEN, GOLDENS, run_cli  # noqa: E402
 from reservoirq.metrics import series_csv  # noqa: E402
-from reservoirq.randnn import RandnnSpec, save_spec  # noqa: E402
 
 
 def make_series():
@@ -57,22 +57,6 @@ def make_series():
     Path(FIXTURES, "sine.csv").write_text(series_csv(sine))
 
 
-def make_randnn_specs():
-    # Feedforward chain: neuron 0 feeds neuron 1; loads (0.5, 0.25).
-    chain = RandnnSpec(lambda_plus=[1.0, 0.0], lambda_minus=[0.0, 0.0],
-                       w_plus=[[0.0, 0.0], [1.0, 0.0]],
-                       w_minus=[[0.0, 0.0], [0.0, 0.0]],
-                       rates=[2.0, 2.0])
-    save_spec(chain, os.path.join(FIXTURES, "randnn_chain.txt"))
-
-    # Symmetric mutual excitation; loads (0.6, 0.6).
-    pair = RandnnSpec(lambda_plus=[0.3, 0.3], lambda_minus=[0.0, 0.0],
-                      w_plus=[[0.0, 0.5], [0.5, 0.0]],
-                      w_minus=[[0.0, 0.0], [0.0, 0.0]],
-                      rates=[1.0, 1.0])
-    save_spec(pair, os.path.join(FIXTURES, "randnn_pair.txt"))
-
-
 def make_goldens():
     for argv, outputs, stdout_name, _ in GOLDEN.values():
         with tempfile.TemporaryDirectory() as scratch:
@@ -84,7 +68,6 @@ def make_goldens():
 def main():
     os.makedirs(GOLDENS, exist_ok=True)
     make_series()
-    make_randnn_specs()
     make_goldens()
     print("fixtures written under", FIXTURES)
 

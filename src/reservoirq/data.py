@@ -23,6 +23,8 @@ def rescale(values, reference):
     its max to 1. Values outside the reference range map outside [0, 1];
     nothing is clipped."""
     reference = check_array("reference", reference, (None,))
+    if not reference.size:
+        raise ValueError("reference must be non-empty")
     lo, hi = float(reference.min()), float(reference.max())
     if not hi > lo:
         raise ValueError("reference segment is constant; no scale exists")
@@ -90,12 +92,13 @@ def load_csv(path, column=0):
     ``column`` is a zero-based index or, when the file starts with a
     header row, a column name. Rows keep file order. Problems, a
     non-finite value among them, raise ValueError naming the offending
-    row and column (rows are 1-based file line numbers); a file that
-    cannot be read, decoded or parsed as CSV raises ValueError naming it.
+    row and column (a row is the 1-based file line its record ends on); a
+    file that cannot be read, decoded or parsed as CSV raises ValueError
+    naming it.
     """
     reader = csv.reader(read_lines(path))
     try:
-        rows = list(reader)
+        rows = [(reader.line_num, row) for row in reader]
     except csv.Error as exc:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
@@ -108,22 +111,18 @@ def load_csv(path, column=0):
         except ValueError:
             return False
 
-    has_header = any(not _is_number(cell) for cell in rows[0] if cell.strip())
+    has_header = any(not _is_number(cell) for cell in rows[0][1] if cell.strip())
     if isinstance(column, str):
         if not has_header:
             raise ValueError(f"{path}: no header row to resolve column {column!r}")
         try:
-            idx = rows[0].index(column)
+            idx = rows[0][1].index(column)
         except ValueError:
             raise ValueError(f"{path}: no column named {column!r}") from None
     else:
         idx = check_integer(f"{path}: column", column, 0)
-    data_rows = rows[1:] if has_header else rows
-    first_line = 2 if has_header else 1
-
     values = []
-    for offset, row in enumerate(data_rows):
-        lineno = first_line + offset
+    for lineno, row in rows[1:] if has_header else rows:
         if not row or all(not cell.strip() for cell in row):
             continue
         if idx >= len(row):

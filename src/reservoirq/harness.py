@@ -20,7 +20,7 @@ from . import data as datamod
 from .esn import MIN_SIZE as ESN_MIN_SIZE, EsnModel
 from .esqn import EsqnModel
 from .metrics import Summary, TrialResult, nmse, summarize
-from .numerics import check_integer, one_blas_thread, substream_rng, substream_seed
+from .numerics import check_integer, one_blas_thread, seeded_rng, substream_seed
 from .readout import LAMBDA_GRID, check_penalties, collect_states, fit_readout, select_penalty
 
 # Substream tags under the master seed.
@@ -172,8 +172,7 @@ def prepare_data(config):
         val_size = NARMA_VALIDATION_SIZE if config.validation_size is None \
             else config.validation_size
         total = train_size + val_size + max_off
-        s, b_next = datamod.generate_narma10(
-            total, substream_rng(config.seed, DATA_STREAM))
+        s, b_next = datamod.generate_narma10(total, seeded_rng(config.seed, DATA_STREAM))
         # training rows touch s and b indices below max_off + train_size
         fit_end = max_off + train_size
         inputs = datamod.rescale(s, s[:fit_end])

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import check_array
+
 
 def _t_central_mass(t, dof):
     """P(|T| <= t) for Student's t with integer ``dof`` >= 1 and t >= 0.
@@ -66,10 +68,12 @@ def nmse(targets, predictions):
     scores exactly 1; constant targets make the measure undefined.
     ``targets`` is 1-d or K x N_b. ``predictions`` has the same shape,
     giving a float, or holds a stack of L such predictions along a
-    leading axis, giving the L scores as an array.
+    leading axis, giving the L scores as an array. Both pass
+    ``check_array``, so a non-finite entry raises ValueError naming its
+    argument.
     """
-    b = np.asarray(targets, dtype=float)
-    y = np.asarray(predictions, dtype=float)
+    b = check_array("targets", targets, (None,) * np.ndim(targets))
+    y = check_array("predictions", predictions, (None,) * np.ndim(predictions))
     stacked = y.ndim == b.ndim + 1
     if y.shape[stacked:] != b.shape:
         raise ValueError(f"shape mismatch: targets {b.shape}, predictions {y.shape}")

@@ -27,20 +27,17 @@ from pathlib import Path
 import numpy as np
 
 
-def seeded_rng(seed):
-    """Return a PCG64 generator seeded with ``seed``, an integer >= 0."""
-    return np.random.default_rng(check_integer("seed", seed, 0))
-
-
-def substream_rng(master_seed, *path):
-    """Return an independent generator for (master_seed, *path).
+def seeded_rng(seed, *path):
+    """Return the PCG64 generator of the key (seed, *path).
 
     The key is hashed through numpy's SeedSequence, so distinct keys give
     statistically independent streams and the same key always gives the
-    same stream. Each key entry must pass ``check_integer`` at 0, so no
+    same stream; with no path it is ``numpy.random.default_rng(seed)``.
+    ``seed`` and each path entry must pass ``check_integer`` at 0, so no
     bool, string or float aliases an integer's stream.
     """
-    return np.random.default_rng(_seed_sequence(master_seed, *path))
+    check_integer("seed", seed, 0)
+    return np.random.default_rng(_seed_sequence(seed, *path))
 
 
 def substream_seed(master_seed, *path):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import read_lines
-from .numerics import check_array
+from .numerics import check_array, check_integer
 
 ALPHA_FLOOR = 2.0 ** -20
 # the solve stops once the largest load moves less than TOL in one map
@@ -131,14 +131,6 @@ def solve_steady_state(spec):
         best=rho)
 
 
-def save_spec(spec, path):
-    """Write a spec as plain text: N, lambda+, lambda-, r, then w+ and w- rows."""
-    rows = [spec.lambda_plus, spec.lambda_minus, spec.rates, *spec.w_plus, *spec.w_minus]
-    lines = [str(spec.n)] + [" ".join(repr(float(v)) for v in row) for row in rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _parse_rows(path, lines, n):
     """An array of (line number, text) rows of n numbers each."""
     rows = []
@@ -154,7 +146,10 @@ def _parse_rows(path, lines, n):
 
 
 def load_spec(path):
-    """Parse the spec format save_spec writes; errors name the file and line."""
+    """Read a spec from plain text: the neuron count N, then one line each
+    of N numbers for lambda+, lambda- and the rates r, then the N rows of
+    w+ and the N rows of w-, numbers separated by whitespace and blank
+    lines skipped. Errors name the file and line."""
     lines = [(lineno, line.strip()) for lineno, line in
              enumerate(read_lines(path), start=1) if line.strip()]
     if not lines:
@@ -163,8 +158,7 @@ def load_spec(path):
         n = int(lines[0][1])
     except ValueError:
         raise ValueError(f"{path}: line {lines[0][0]}: expected the neuron count") from None
-    if n < 1:
-        raise ValueError(f"{path}: neuron count must be >= 1")
+    check_integer(f"{path}: neuron count", n, 1)
     if len(lines) != 1 + 3 + 2 * n:
         raise ValueError(f"{path}: expected {1 + 3 + 2 * n} lines for N={n}, got {len(lines)}")
     lam_plus, lam_minus, rates = _parse_rows(path, lines[1:4], n)

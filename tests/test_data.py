@@ -109,6 +109,10 @@ class TestRescale:
         with pytest.raises(ValueError, match="^reference must be finite$"):
             rescale([0.5], values)
 
+    def test_empty_reference_rejected(self):
+        with pytest.raises(ValueError, match="^reference must be non-empty$"):
+            rescale([1.0], [])
+
 
 class TestLaggedDataset:
     def test_single_offset(self):
@@ -283,6 +287,12 @@ class TestCsv:
         path = tmp_path / "series.csv"
         path.write_text("value\n1.0\nbroken\n3.0\n")
         with pytest.raises(ValueError, match="unparseable value 'broken' at row 3,"):
+            load_csv(path, column="value")
+
+    def test_row_after_a_multi_line_record_is_its_file_line(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text('t,value,note\n0,1.0,"two\nlines"\n1,x,ok\n')
+        with pytest.raises(ValueError, match="unparseable value 'x' at row 4,"):
             load_csv(path, column="value")
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])

@@ -53,8 +53,6 @@ def test_fixture_script_rewrites_the_committed_assets(tmp_path, monkeypatch):
     spec.loader.exec_module(script)
     monkeypatch.setattr(script, "FIXTURES", str(tmp_path))
     script.make_series()
-    script.make_randnn_specs()
-    for name in ("isp_like.csv", "ukerna_like.csv", "sine.csv",
-                 "randnn_chain.txt", "randnn_pair.txt"):
+    for name in ("isp_like.csv", "ukerna_like.csv", "sine.csv"):
         with open(os.path.join(FIXTURES, name), "rb") as fh:
             assert (tmp_path / name).read_bytes() == fh.read(), name

@@ -47,6 +47,17 @@ class TestNmse:
         with pytest.raises(ValueError):
             nmse([1.0], [1.0])
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    @pytest.mark.parametrize("name", ["targets", "predictions"])
+    def test_non_finite_entry_rejected_naming_its_argument(self, name, stacked):
+        # a nan scored nan, which no comparison of scores can rank
+        args = {"targets": np.arange(3.0), "predictions": np.array([0.0, 1.0, 1.0])}
+        args[name][0] = np.nan
+        if stacked:
+            args["predictions"] = np.stack([args["predictions"]] * 2)
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            nmse(args["targets"], args["predictions"])
+
     @pytest.mark.parametrize("shape", [(12,), (12, 2)])
     def test_stack_scores_each_prediction(self, shape):
         rng = seeded_rng(3)

@@ -5,7 +5,7 @@ from reservoirq import numerics
 from reservoirq.esn import EsnModel
 from reservoirq.esqn import EsqnModel
 from reservoirq.numerics import (check_array, check_integer, drive, one_blas_thread,
-                                 seeded_rng, substream_rng, substream_seed)
+                                 seeded_rng, substream_seed)
 
 
 # each reservoir kind, with its input and reservoir sizes
@@ -117,11 +117,14 @@ class TestCheckArray:
 
 class TestRng:
     def test_substreams_are_reproducible_and_distinct(self):
-        a = substream_rng(5, 0, 1).uniform(size=4)
-        b = substream_rng(5, 0, 1).uniform(size=4)
-        c = substream_rng(5, 0, 2).uniform(size=4)
+        a = seeded_rng(5, 0, 1).uniform(size=4)
+        b = seeded_rng(5, 0, 1).uniform(size=4)
+        c = seeded_rng(5, 0, 2).uniform(size=4)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+        # the stream of numpy's SeedSequence over the whole key
+        want = np.random.default_rng(np.random.SeedSequence([5, 0, 1])).uniform(size=4)
+        np.testing.assert_array_equal(a, want)
 
     def test_substream_seed_is_stable(self):
         assert substream_seed(7, 1, 3) == substream_seed(7, 1, 3)
@@ -138,12 +141,12 @@ class TestRng:
         with pytest.raises(ValueError):
             substream_seed(1.5, 1, 0)
         with pytest.raises(ValueError):
-            substream_rng(1, 1.5)
+            seeded_rng(1, 1.5)
 
     @pytest.mark.parametrize("key", [True, "1", -1])
     def test_substream_keys_pass_the_integer_rule(self, key):
         # numpy's SeedSequence would read True and "1" as the stream of 1
-        for call in (lambda: substream_seed(key, 1, 0), lambda: substream_rng(1, key)):
+        for call in (lambda: substream_seed(key, 1, 0), lambda: seeded_rng(1, key)):
             with pytest.raises(ValueError, match="^stream key must be"):
                 call()
 

@@ -1,6 +1,5 @@
 import importlib
 import importlib.util
-import inspect
 import os
 import re
 
@@ -59,22 +58,6 @@ def test_readme_rule_owners_resolve():
             for attr in attrs:
                 obj = getattr(obj, attr)
             assert callable(obj) or isinstance(obj, (int, float)), owner
-
-
-def test_bench_wrapped_names_are_bound():
-    # bench/tracing.py times each layer by replacing these module
-    # attributes and reads the listed parameters by name; a prune that
-    # drops one would break only the traced bench run
-    tracing = load_bench("tracing")
-    assert tracing.WRAPPED
-    for module, attr, layer in tracing.WRAPPED:
-        fn = getattr(importlib.import_module(f"reservoirq.{module}"), attr, None)
-        assert callable(fn), f"reservoirq.{module}.{attr} (layer {layer})"
-    params = {name: set(inspect.signature(
-        getattr(reservoirq.readout, name)).parameters)
-        for name in ("collect_states", "select_penalty")}
-    assert {"model", "inputs"} <= params["collect_states"]
-    assert {"regressors", "targets", "grid", "holdout_fraction"} <= params["select_penalty"]
 
 
 def test_traced_bench_runs_every_layer(monkeypatch):

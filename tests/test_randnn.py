@@ -5,7 +5,7 @@ import pytest
 
 from reservoirq import randnn
 from reservoirq.randnn import (ConvergenceError, RandnnSpec, load_spec, residual,
-                               save_spec, solve_steady_state)
+                               solve_steady_state)
 
 
 def single_neuron(lam_plus, lam_minus, rate):
@@ -168,16 +168,13 @@ class TestSpecValidation:
 
 
 class TestSpecFiles:
-    def test_round_trip(self, tmp_path):
-        spec, _ = random_stable_specs(seed=31, count=1)[0]
-        path = tmp_path / "spec.txt"
-        save_spec(spec, path)
-        loaded = load_spec(path)
-        np.testing.assert_array_equal(loaded.lambda_plus, spec.lambda_plus)
-        np.testing.assert_array_equal(loaded.lambda_minus, spec.lambda_minus)
-        np.testing.assert_array_equal(loaded.w_plus, spec.w_plus)
-        np.testing.assert_array_equal(loaded.w_minus, spec.w_minus)
-        np.testing.assert_array_equal(loaded.rates, spec.rates)
+    def test_fixture_pair_file_loads_exactly(self, fixture_root):
+        spec = load_spec(f"{fixture_root}/randnn_pair.txt")
+        np.testing.assert_array_equal(spec.lambda_plus, [0.3, 0.3])
+        np.testing.assert_array_equal(spec.lambda_minus, [0.0, 0.0])
+        np.testing.assert_array_equal(spec.rates, [1.0, 1.0])
+        np.testing.assert_array_equal(spec.w_plus, [[0.0, 0.5], [0.5, 0.0]])
+        np.testing.assert_array_equal(spec.w_minus, np.zeros((2, 2)))
 
     def test_fixture_chain_file(self, fixture_root):
         spec = load_spec(f"{fixture_root}/randnn_chain.txt")
@@ -188,6 +185,14 @@ class TestSpecFiles:
         path = tmp_path / "broken.txt"
         path.write_text("2\n1.0 0.0\n")
         with pytest.raises(ValueError, match="expected"):
+            load_spec(path)
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_neuron_count_takes_the_integer_rule(self, tmp_path, count):
+        path = tmp_path / "spec.txt"
+        path.write_text(f"{count}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: neuron count must be >= 1, got {count}")):
             load_spec(path)
 
     def test_garbled_number_rejected(self, tmp_path):
