@@ -80,8 +80,10 @@ class EsnModel:
 
         Takes a (K, n_in) input matrix and returns the (1 + n_in + n_res,
         K) regressor matrix whose column t is [1; a_t; x_t] (see
-        ``numerics.drive``); the model is left holding the last state.
+        ``numerics.drive``); the model is left holding the last state. The
+        inputs pass ``check_array``.
         """
+        inputs = check_array("inputs", inputs, (None, self.n_in))
         regressors, self.state = drive(inputs, self.state,
                                        np.hstack((self.w_res, self.w_in)), np.tanh)
         return regressors

@@ -229,14 +229,14 @@ def run_trial(config, prepared, washout, trial_index):
     except FloatingPointError as exc:
         raise FloatingPointError(f"trial {trial_index}: {exc}") from None
 
-    regressors = collect_states(model, prepared.train_inputs, washout)
+    regressors = collect_states(model, prepared.train_inputs)[:, washout:]
     if not np.all(np.isfinite(regressors)):
         raise FloatingPointError(f"trial {trial_index}: non-finite training state")
     targets = prepared.train_targets[washout:].T
     lam, scores = select_penalty(regressors, targets, grid=config.lambda_grid)
     w_out = fit_readout(regressors, targets, lam)
 
-    val_regressors = collect_states(model, prepared.val_inputs, 0)
+    val_regressors = collect_states(model, prepared.val_inputs)
     predictions = (w_out @ val_regressors).T
     if not (np.all(np.isfinite(val_regressors)) and np.all(np.isfinite(predictions))):
         raise FloatingPointError(f"trial {trial_index}: non-finite state or prediction")

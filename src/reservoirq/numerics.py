@@ -55,8 +55,8 @@ def drive(inputs, state, step, ufunc):
     ``state`` is the (n,) start state and ``step`` the (ufunc.nin * n, D)
     step matrix, D = 1 + n_in + n, whose columns multiply the window
     [x_{t-1}; 1; a_t]; x_t is ``ufunc`` over the ufunc.nin equal parts of
-    that product. The inputs pass ``check_array`` once, as a (K, n_in)
-    matrix.
+    that product. ``inputs`` is the (K, n_in) float matrix that the caller
+    has admitted.
 
     Returns the (D, K) regressor matrix, whose column t is [1; a_t; x_t],
     and a copy of the last state (of ``state`` when K = 0). The matrix is
@@ -70,12 +70,11 @@ def drive(inputs, state, step, ufunc):
     no array.
     """
     lead = step.shape[1] - state.shape[0]
-    a = check_array("inputs", inputs, (None, lead - 1))
-    buf = np.empty((a.shape[0] + 1, step.shape[1]))
+    buf = np.empty((len(inputs) + 1, step.shape[1]))
     buf[0, lead:] = state
     buf[1:, 0] = 1.0
-    buf[1:, 1:lead] = a
-    windows = np.ndarray((a.shape[0], buf.shape[1]), float, buf,
+    buf[1:, 1:lead] = inputs
+    windows = np.ndarray((len(inputs), buf.shape[1]), float, buf,
                          offset=lead * buf.itemsize, strides=buf.strides)
     windows.flags.writeable = False
     dot = step.dot
@@ -101,8 +100,11 @@ def check_integer(name, value, least):
 def check_array(name, value, shape):
     """Return ``value`` as a float array whose shape matches ``shape`` (None
     matches any length) and whose entries are all finite. Otherwise raise
-    ValueError naming ``name``; a wrong shape is named with the wanted one."""
+    ValueError naming ``name``: a complex value is no float array, and a
+    wrong shape is named with the wanted one."""
     try:
+        if np.iscomplexobj(value):
+            raise TypeError("a cast would drop the imaginary part")
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be a float array: {exc}") from None

@@ -34,24 +34,15 @@ def check_penalties(name, grid):
     return tuple(map(float, given))
 
 
-def collect_states(model, inputs, washout):
-    """Drive a reservoir through K inputs and keep the regressors after the
-    washout.
-
-    The model runs in place through all K rows in order and ends holding
-    the state after the full sequence. The result is the (D, K - washout)
-    tail of ``model.run(inputs)``: column t is the regressor
-    [1; a(t); x(t)] of step washout + t.
-    """
-    k = len(check_array("inputs", inputs, (None, model.n_in)))
-    if not 0 <= washout < k:
-        raise ValueError(f"washout must lie in [0, K), got {washout} with K={k}")
-    return model.run(inputs)[:, washout:]
+def collect_states(model, inputs):
+    """``model.run(inputs)``, kept only as a layer name that
+    ``bench/tracing.py`` wraps until the package times its own layers."""
+    return model.run(inputs)
 
 
 def fit_readout(regressors, targets, lam):
-    """Ridge-fit the N_b x D weight matrix w_out on collected regressors
-    (D x K) and targets (N_b x K); predictions are w_out @ regressors."""
+    """``ridge_solve(regressors, targets, lam)``, kept only as a layer name
+    that ``bench/tracing.py`` wraps until the package times its own layers."""
     return ridge_solve(regressors, targets, lam)
 
 
@@ -64,7 +55,12 @@ def select_penalty(regressors, targets, grid=LAMBDA_GRID,
     predicts the remaining tail for all of them with one product, scores
     the predictions with one NMSE reduction, and returns (best penalty,
     {penalty: score}), penalties as floats. Ties go to the smaller penalty.
+    A ``holdout_fraction`` that is no real number in (0, 1) raises ValueError.
     """
+    # a bool is 0 or 1, so the range alone rejects it
+    if not (isinstance(holdout_fraction, numbers.Real) and 0 < holdout_fraction < 1):
+        raise ValueError(f"holdout_fraction must be a real number in (0, 1), "
+                         f"got {holdout_fraction!r}")
     regressors = check_array("regressors", regressors, (None, None))
     k = regressors.shape[1]
     targets = check_array("targets", targets, (None, k))

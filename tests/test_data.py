@@ -351,6 +351,16 @@ class TestCsv:
         path.write_text("t,value\n0,1.0\n1,2.0\n")
         np.testing.assert_array_equal(load_csv(path, column=np.int64(1)), [1.0, 2.0])
 
+    @pytest.mark.parametrize("text, column, message", [
+        ("", 0, "file is empty"),
+        ("1.0\n2.0\n", "value", "no header row to resolve column 'value'"),
+    ], ids=["empty-file", "named-column-without-header"])
+    def test_file_without_the_rows_asked_for_is_named(self, tmp_path, text, column, message):
+        path = tmp_path / "series.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_csv(path, column=column)
+
     def test_empty_column(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("t,value\n")

@@ -103,6 +103,10 @@ class TestInit:
         assert rng.choice_calls == 1  # drawn once, never resampled
 
 
+    def test_w_in_without_its_bias_column_rejected(self):
+        with pytest.raises(ValueError, match="^w_in needs at least the bias column$"):
+            EsnModel(w_in=np.zeros((3, 0)), w_res=0.5 * np.eye(3))
+
     def test_non_finite_state_rejected(self):
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError, match="state must be finite"):

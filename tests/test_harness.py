@@ -14,7 +14,7 @@ from reservoirq.harness import (ExperimentConfig, prepare_data,
                                 run_experiment)
 from reservoirq.metrics import nmse, results_csv, series_csv, summary_csv, trace_csv
 from reservoirq.numerics import seeded_rng
-from reservoirq.readout import collect_states, select_penalty
+from reservoirq.readout import select_penalty
 
 
 def tiny_narma(**overrides):
@@ -151,6 +151,7 @@ class TestConfig:
         # an unknown key and a failed cast name the file and the real line
         ("trials = 2\nwibble = 1", r"bad\.cfg:2: unknown config key 'wibble'"),
         ("# a comment\n\ntrials = 2.5", r"bad\.cfg:3: config key 'trials'.*int"),
+        ("trials 2", r"bad\.cfg:1: expected key=value$"),
     ])
     def test_malformed_value_rejected(self, tmp_path, line, match):
         path = tmp_path / "bad.cfg"
@@ -295,7 +296,7 @@ class TestRunExperiment:
         result, _ = harness.run_trial(config, prepared, washout, 1)
         model = harness.build_model(config, prepared.train_inputs.shape[1],
                                     np.random.default_rng(result.seed))
-        regressors = collect_states(model, prepared.train_inputs, washout)
+        regressors = model.run(prepared.train_inputs)[:, washout:]
         _, scores = select_penalty(regressors, prepared.train_targets[washout:].T,
                                    grid=config.lambda_grid)
         assert result.holdout_nmse == tuple(scores.items())
@@ -384,6 +385,28 @@ class TestRunExperiment:
         washout = resolve_washout(len(prepared.train_targets))
         with pytest.raises(FloatingPointError,
                            match="trial 1: non-finite training state"):
+            harness.run_trial(config, prepared, washout, 1)
+
+    def test_non_finite_predictions_fail_only_their_trial_by_name(self, monkeypatch):
+        config = tiny_narma(trials=3)
+        clean = run_experiment(config)
+        real_fit_readout = harness.fit_readout
+        fits = []
+
+        def poisoned(regressors, targets, lam):
+            # the second trial's readout predicts nan
+            fits.append(real_fit_readout(regressors, targets, lam))
+            return fits[-1] * np.nan if len(fits) == 2 else fits[-1]
+
+        monkeypatch.setattr(harness, "fit_readout", poisoned)
+        outcome = run_experiment(config)
+        assert outcome.summary.failures == 1
+        assert outcome.results == (clean.results[0], clean.results[2])
+        prepared = prepare_data(config)
+        washout = resolve_washout(len(prepared.train_targets))
+        monkeypatch.setattr(harness, "fit_readout", lambda *args: real_fit_readout(*args) * np.nan)
+        with pytest.raises(FloatingPointError,
+                           match="^trial 1: non-finite state or prediction$"):
             harness.run_trial(config, prepared, washout, 1)
 
     def test_trace_is_the_last_successful_trials(self, monkeypatch):

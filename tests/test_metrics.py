@@ -43,6 +43,10 @@ class TestNmse:
         with pytest.raises(ValueError, match="shape mismatch"):
             nmse(np.ones((4, 1)), np.ones((3, 5, 1)))
 
+    def test_targets_of_three_axes_rejected(self):
+        with pytest.raises(ValueError, match=r"^targets must be 1-d or K x N_b$"):
+            nmse(np.ones((4, 2, 1)), np.ones((4, 2, 1)))
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             nmse([1.0], [1.0])

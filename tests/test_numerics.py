@@ -108,8 +108,10 @@ class TestCheckArray:
             check_array("x", [[0.0, bad]], (1, 2))
         assert str(info.value) == "x must be finite"
 
-    @pytest.mark.parametrize("value", [[[1.0], [1.0, 2.0]], "abc", {"a": 1}, 1j],
-                             ids=["ragged", "text", "dict", "complex"])
+    # a cast of a complex array would keep its real part, with only a warning
+    @pytest.mark.parametrize("value", [[[1.0], [1.0, 2.0]], "abc", {"a": 1}, 1j,
+                                       np.array([1.0 + 1j, 2.0])],
+                             ids=["ragged", "text", "dict", "complex", "complex-array"])
     def test_value_that_is_no_float_array_rejected_naming_the_argument(self, value):
         with pytest.raises(ValueError, match="^x must be a float array: "):
             check_array("x", value, (None,))

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,19 @@ class TestSolveSteadyState:
         solution = solve_steady_state(single_neuron(2.0, 0.0, 1.0))
         assert not solution.stable
         assert solution.rho[0] >= 1.0
+
+    def test_runaway_load_is_flagged_after_the_overload_patience(self):
+        # w+ = 2 feeds the neuron twice its own load, so the load doubles
+        # each step with no fixed point; without the patience verdict it
+        # would overflow and run out of iterations
+        spec = RandnnSpec(lambda_plus=[1.0], lambda_minus=[0.0], w_plus=[[2.0]],
+                          w_minus=[[0.0]], rates=[1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solution = solve_steady_state(spec)
+        assert not solution.stable
+        assert solution.iterations == randnn.OVERLOAD_PATIENCE
+        assert 1e29 < solution.rho[0] < np.inf
 
     def test_out_of_iterations_raises_with_best(self, monkeypatch):
         monkeypatch.setattr(randnn, "MAX_ITER", 2)
@@ -193,6 +207,18 @@ class TestSpecFiles:
         path.write_text(f"{count}\n")
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: neuron count must be >= 1, got {count}")):
+            load_spec(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty spec file"),
+        ("\n\n", "empty spec file"),
+        # N = 2, so each of the seven rows after the count holds two numbers
+        ("2\n0.5\n0 0\n1 1\n0 0\n0 0\n0 0\n0 0\n", "line 2: expected 2 values, got 1"),
+    ], ids=["empty", "blank-lines", "short-row"])
+    def test_file_without_its_rows_rejected(self, tmp_path, text, message):
+        path = tmp_path / "spec.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_spec(path)
 
     def test_garbled_number_rejected(self, tmp_path):

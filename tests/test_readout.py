@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +9,7 @@ from reservoirq.esn import EsnModel
 from reservoirq.esqn import EsqnModel
 from reservoirq.metrics import nmse
 from reservoirq.numerics import seeded_rng
-from reservoirq.readout import (LAMBDA_GRID, collect_states, fit_readout, ridge_solve,
-                                ridge_solve_grid, select_penalty)
+from reservoirq.readout import LAMBDA_GRID, ridge_solve, ridge_solve_grid, select_penalty
 
 
 def esqn(seed=0, n_in=1, n_res=5):
@@ -72,7 +69,7 @@ class TestCollectStates:
                           rates_in=[1.0], rates_res=np.ones(4),
                           state=seeded_rng(2).uniform(0.0, 1.0, 4))
         inputs = seeded_rng(3).uniform(0.0, 1.0, (6, 1))
-        out = collect_states(model, inputs, washout=0)
+        out = model.run(inputs)
         np.testing.assert_array_equal(out[2:, :], 0.0)
         np.testing.assert_array_equal(out[1, :], inputs[:, 0])
 
@@ -80,7 +77,7 @@ class TestCollectStates:
     def test_run_returns_regressors_of_the_literal_steps(self, make, reference,
                                                          n_in, steps):
         if steps == "narma10":
-            # N = 80 as shipped; collect_states drops the first 20 columns
+            # N = 80 as shipped, less the first 20 columns as a washout
             s, b = generate_narma10(309, seeded_rng(4))
             inputs, n_res, washout = lag_paired_series(s, b, range(10))[0], 80, 20
         else:
@@ -88,7 +85,7 @@ class TestCollectStates:
         model = make(seed=9, n_in=n_in, n_res=n_res)
         start = model.state.copy()
         states, overloads = reference(model, inputs)
-        regressors = collect_states(model, inputs, washout) if washout else model.run(inputs)
+        regressors = model.run(inputs)[:, washout:]
         assert regressors.shape == (1 + n_in + n_res, len(inputs) - washout)
         # sample-major: column t is contiguous
         assert regressors.T.flags.c_contiguous
@@ -103,35 +100,16 @@ class TestCollectStates:
             # the NARMA-10 drive overloads, so there the tally is not vacuous
             assert overloads > 0 or steps != "narma10"
 
-    def test_washout_drops_leading_columns(self):
-        inputs = seeded_rng(6).uniform(0.0, 1.0, (20, 1))
-        full = collect_states(esqn(seed=7), inputs, washout=0)
-        tail = collect_states(esqn(seed=7), inputs, washout=5)
-        np.testing.assert_array_equal(tail, full[:, 5:])
-
-    def test_washout_must_leave_rows(self):
-        inputs = np.zeros((3, 1))
-        with pytest.raises(ValueError):
-            collect_states(esqn(), inputs, washout=3)
-        with pytest.raises(ValueError):
-            collect_states(esqn(), inputs, washout=-1)
-
-
-    @pytest.mark.parametrize("inputs, given", [(0.5, "()"), (np.zeros((3, 2)), "(3, 2)")],
-                             ids=["scalar", "width"])
-    def test_inputs_take_the_array_rule_before_the_washout_check(self, inputs, given):
-        with pytest.raises(ValueError, match=rf"^inputs must have shape \(None, 1\), "
-                                             rf"got {re.escape(given)}$"):
-            collect_states(esqn(), inputs, washout=0)
-
 
 class TestFitReadout:
+    """The readout fit, w_out = ridge_solve(Z, T, lam), on collected regressors."""
+
     def test_exact_linear_targets_reach_zero_error(self):
         rng = seeded_rng(10)
         regressors = rng.normal(size=(4, 30))
         true_w = rng.normal(size=(2, 4))
         targets = true_w @ regressors
-        w_out = fit_readout(regressors, targets, 1e-14)
+        w_out = ridge_solve(regressors, targets, 1e-14)
         predictions = w_out @ regressors
         assert nmse(targets.T, predictions.T) < 1e-16
 
@@ -143,7 +121,7 @@ class TestFitReadout:
         regressors = np.vstack([np.ones(5), rng.normal(size=(3, 5))])
         targets = np.array([[1.0, 2.0, 3.0, 4.0, 5.0]])
         lam = 1e6
-        w_out = fit_readout(regressors, targets, lam)
+        w_out = ridge_solve(regressors, targets, lam)
         # independent normal-equations oracle
         oracle = np.linalg.solve(
             regressors @ regressors.T + lam * np.eye(4),
@@ -157,17 +135,10 @@ class TestFitReadout:
         rng = seeded_rng(12)
         regressors = rng.normal(size=(5, 40))
         targets = rng.normal(size=(2, 40))
-        joint = fit_readout(regressors, targets, 0.01)
-        row0 = fit_readout(regressors, targets[:1], 0.01)
-        row1 = fit_readout(regressors, targets[1:], 0.01)
+        joint = ridge_solve(regressors, targets, 0.01)
+        row0 = ridge_solve(regressors, targets[:1], 0.01)
+        row1 = ridge_solve(regressors, targets[1:], 0.01)
         np.testing.assert_allclose(joint, np.vstack([row0, row1]), atol=1e-12)
-
-    def test_training_reproduction_full_rank(self):
-        rng = seeded_rng(13)
-        regressors = rng.normal(size=(8, 8))
-        targets = rng.normal(size=(1, 8))
-        w_out = fit_readout(regressors, targets, 1e-14)
-        np.testing.assert_allclose(w_out @ regressors, targets, atol=1e-6)
 
 
 class TestSelectPenalty:
@@ -267,6 +238,15 @@ class TestSelectPenalty:
         with pytest.raises(ValueError):
             select_penalty(np.ones((2, 2)), np.ones((1, 2)))
 
+    @pytest.mark.parametrize("fraction", [-1, float("nan"), True, 0, 1.0])
+    def test_holdout_fraction_must_lie_strictly_between_0_and_1(self, fraction):
+        # -1 once held out two columns and nan failed converting to an integer
+        rng = seeded_rng(28)
+        with pytest.raises(ValueError, match="^holdout_fraction must be a real number "
+                                             r"in \(0, 1\), got "):
+            select_penalty(rng.normal(size=(3, 20)), rng.normal(size=(1, 20)),
+                           holdout_fraction=fraction)
+
     def test_constant_holdout_tail_rejected(self):
         # the tail's targets have no variance, so no penalty can be scored
         regressors = seeded_rng(18).normal(size=(3, 20))
@@ -280,8 +260,7 @@ class TestSelectPenalty:
         lambda z, t: select_penalty(z, t),
         lambda z, t: ridge_solve_grid(z, t, [0.1]),
         lambda z, t: ridge_solve(z, t, 0.1),
-        lambda z, t: fit_readout(z, t, 0.1),
-    ], ids=["select_penalty", "ridge_solve_grid", "ridge_solve", "fit_readout"])
+    ], ids=["select_penalty", "ridge_solve_grid", "ridge_solve"])
     @pytest.mark.parametrize("case", ["regressors-1d", "targets-sample-count",
                                       "regressors-nan-in-tail", "targets-nan-in-tail"])
     def test_every_array_takes_the_array_rule(self, solve, case):
@@ -412,6 +391,10 @@ class TestRidgeSolveGrid:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="penalty grid must be non-empty"):
             ridge_solve_grid(np.eye(2), np.ones((1, 2)), [])
+
+    def test_no_sample_column_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one sample column$"):
+            ridge_solve_grid(np.zeros((3, 0)), np.zeros((1, 0)), [0.1])
 
     def test_negative_penalty_anywhere_rejected(self):
         for bad in (-1.0, 0.0):
