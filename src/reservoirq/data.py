@@ -22,13 +22,14 @@ def rescale(values, reference):
     """Map values affinely, sending the reference segment's min to 0 and
     its max to 1. Values outside the reference range map outside [0, 1];
     nothing is clipped."""
+    values = check_array("values", values, (None,))
     reference = check_array("reference", reference, (None,))
     if not reference.size:
         raise ValueError("reference must be non-empty")
     lo, hi = float(reference.min()), float(reference.max())
     if not hi > lo:
         raise ValueError("reference segment is constant; no scale exists")
-    return (np.asarray(values, dtype=float) - lo) / (hi - lo)
+    return (values - lo) / (hi - lo)
 
 
 def narma10_response(drive):
@@ -143,12 +144,13 @@ def load_csv(path, column=0):
 
 
 def check_lag_offsets(offsets):
-    """The offsets as a tuple, or ValueError naming them unless they are
-    non-empty and each passes ``check_integer`` with a bound of 0."""
-    given = tuple(offsets)
+    """The offsets as a tuple, or ValueError naming them unless they are a
+    non-empty sequence (a scalar is none) whose every entry passes
+    ``check_integer`` with a bound of 0."""
+    given = tuple(offsets) if np.iterable(offsets) else offsets
     try:
         lags = tuple(check_integer("lag offset", o, 0) for o in given)
-    except ValueError:
+    except (TypeError, ValueError):  # a scalar does not iterate
         lags = ()
     if not lags:
         raise ValueError("lag_offsets must be a non-empty sequence of nonnegative "

@@ -44,8 +44,8 @@ MODELS = {"esn": EsnModel, "esqn": EsqnModel}
 @dataclass(frozen=True)
 class ExperimentConfig:
     """What a run varies; see README for the file keys. The rest of the
-    protocol is fixed: one-step targets, ``resolve_washout``, and the
-    sampling constants of ``esn`` and ``esqn``."""
+    protocol is fixed: one-step targets and the washout (``prepare_data``),
+    and the sampling constants of ``esn`` and ``esqn``."""
 
     csv_path: str | None = None       # unset: the run's series is NARMA-10
     csv_column: int | str = 0
@@ -65,7 +65,7 @@ class ExperimentConfig:
             raise ValueError("csv_path is empty; leave it unset to run NARMA-10")
         least_size = ESN_MIN_SIZE if self.model == "esn" else 1
         for key, least in (("trials", 1), ("reservoir_size", least_size), ("train_size", 1),
-                           ("validation_size", 2), ("seed", 0), ("csv_column", 0)):
+                           ("validation_size", 1), ("seed", 0), ("csv_column", 0)):
             value = getattr(self, key)
             # an unset split size takes its default; a str column is a header name
             if value is not None and not (key == "csv_column" and isinstance(value, str)):
@@ -139,12 +139,14 @@ def _parse_value(field, raw):
 class PreparedData:
     """One run's rows in time order: (rows, n_in) inputs and (rows, 1)
     targets for training, then for the validation rows that follow.
-    Inputs lie in [0, 1]; targets may leave it after the training rows."""
+    Inputs lie in [0, 1]; targets may leave it after the training rows.
+    The first ``washout`` training rows drive the reservoir but fit nothing."""
 
     train_inputs: np.ndarray
     train_targets: np.ndarray
     val_inputs: np.ndarray
     val_targets: np.ndarray
+    washout: int
 
 
 @dataclass(frozen=True)
@@ -156,39 +158,42 @@ class ExperimentOutcome:
 
 
 def prepare_data(config):
-    """Build the rescaled, windowed dataset and split it in time order.
+    """Size, check and build one run's rows; the one owner of the split.
 
-    Each series takes the affine map sending the min and max of the
-    values the training rows touch to 0 and 1. Inputs, which an ESQN
-    reads as spike rates, are then clipped to [0, 1]; targets are not.
-    The first train_size rows train and the validation_size rows after
-    them validate. A csv request that does not fit the series raises
-    ValueError naming both sizes and the row count; a narma series is
-    generated to fit.
+    The first train_size rows train (the first AUTO_WASHOUT of them only
+    drive the reservoir, above AUTO_WASHOUT_MIN_ROWS) and the next
+    validation_size rows validate; a narma series is generated to fit. Under
+    2 validation rows, more rows than the series holds, or under 3 training
+    rows after the washout raise one ValueError naming the sizes. Each series
+    takes the affine map sending the min and max of the values the training
+    rows touch to 0 and 1; inputs, read as spike rates, are clipped to [0, 1].
     """
     max_off = max(config.lag_offsets)
+    # a size the config sets is at least 1, so ``or`` fills only an unset one
     if config.csv_path is None:
-        train_size = NARMA_TRAIN_SIZE if config.train_size is None else config.train_size
-        val_size = NARMA_VALIDATION_SIZE if config.validation_size is None \
-            else config.validation_size
-        total = train_size + val_size + max_off
-        s, b_next = datamod.generate_narma10(total, seeded_rng(config.seed, DATA_STREAM))
-        # training rows touch s and b indices below max_off + train_size
-        fit_end = max_off + train_size
-        inputs = datamod.rescale(s, s[:fit_end])
-        targets = datamod.rescale(b_next, b_next[:fit_end])
+        train_size = config.train_size or NARMA_TRAIN_SIZE
+        val_size = config.validation_size or NARMA_VALIDATION_SIZE
+        n_rows = train_size + val_size
     else:
         series = datamod.load_csv(config.csv_path, config.csv_column)
         n_rows = max(0, len(series) - max_off - 1)
-        train_size = round(CSV_TRAIN_FRACTION * n_rows) if config.train_size is None \
-            else config.train_size
-        val_size = n_rows - train_size if config.validation_size is None \
-            else config.validation_size
-        # nmse scores at least two validation rows
-        if not 2 <= val_size <= n_rows - train_size:
-            raise ValueError(
-                f"train_size {train_size} and validation_size {val_size} do not fit "
-                f"the {n_rows} rows of {config.csv_path}; validation needs two rows")
+        train_size = config.train_size or round(CSV_TRAIN_FRACTION * n_rows)
+        val_size = config.validation_size or n_rows - train_size
+    washout = AUTO_WASHOUT if train_size > AUTO_WASHOUT_MIN_ROWS else 0
+    # nmse scores at least two validation rows; penalty selection holds out
+    # two training rows and fits at least one
+    if not (2 <= val_size <= n_rows - train_size and train_size - washout >= 3):
+        raise ValueError(f"train_size {train_size} and validation_size {val_size} do not "
+                         f"fit the {n_rows} rows of {config.csv_path or config.name}; "
+                         "validation needs two rows, and training three after its "
+                         f"washout of {washout}")
+    if config.csv_path is None:
+        s, b_next = datamod.generate_narma10(n_rows + max_off,
+                                             seeded_rng(config.seed, DATA_STREAM))
+        # training rows touch s and b indices below max_off + train_size
+        inputs = datamod.rescale(s, s[:max_off + train_size])
+        targets = datamod.rescale(b_next, b_next[:max_off + train_size])
+    else:
         # training rows use series indices up to max_off + train_size
         scaled = datamod.rescale(series, series[:max_off + train_size + 1])
         inputs, targets = scaled[:-1], scaled[1:]
@@ -196,24 +201,14 @@ def prepare_data(config):
     np.clip(inputs, 0.0, 1.0, out=inputs)
     end = train_size + val_size
     return PreparedData(inputs[:train_size], targets[:train_size],
-                        inputs[train_size:end], targets[train_size:end])
-
-
-def resolve_washout(train_rows):
-    washout = AUTO_WASHOUT if train_rows > AUTO_WASHOUT_MIN_ROWS else 0
-    # penalty selection holds out two rows and fits at least one
-    kept = train_rows - washout
-    if kept < 3:
-        raise ValueError(f"train_size {train_rows} with washout {washout} keeps {kept} "
-                         "training rows; penalty selection needs at least 3")
-    return washout
+                        inputs[train_size:end], targets[train_size:end], washout)
 
 
 def build_model(config, n_in, rng):
     return MODELS[config.model].random(n_in, config.reservoir_size, rng)
 
 
-def run_trial(config, prepared, washout, trial_index):
+def run_trial(config, prepared, trial_index):
     """One independently seeded train-and-score pass.
 
     Returns (TrialResult, predictions), the latter the (rows, 1)
@@ -223,23 +218,20 @@ def run_trial(config, prepared, washout, trial_index):
     validation state or prediction.
     """
     trial_seed = substream_seed(config.seed, TRIAL_STREAM, trial_index)
-    rng = np.random.default_rng(trial_seed)
     try:
-        model = build_model(config, prepared.train_inputs.shape[1], rng)
+        model = build_model(config, prepared.train_inputs.shape[1], seeded_rng(trial_seed))
+        regressors = collect_states(model, prepared.train_inputs)[:, prepared.washout:]
+        if not np.all(np.isfinite(regressors)):
+            raise FloatingPointError("non-finite training state")
+        targets = prepared.train_targets[prepared.washout:].T
+        lam, scores = select_penalty(regressors, targets, grid=config.lambda_grid)
+        w_out = fit_readout(regressors, targets, lam)
+        val_regressors = collect_states(model, prepared.val_inputs)
+        predictions = (w_out @ val_regressors).T
+        if not (np.all(np.isfinite(val_regressors)) and np.all(np.isfinite(predictions))):
+            raise FloatingPointError("non-finite state or prediction")
     except FloatingPointError as exc:
         raise FloatingPointError(f"trial {trial_index}: {exc}") from None
-
-    regressors = collect_states(model, prepared.train_inputs)[:, washout:]
-    if not np.all(np.isfinite(regressors)):
-        raise FloatingPointError(f"trial {trial_index}: non-finite training state")
-    targets = prepared.train_targets[washout:].T
-    lam, scores = select_penalty(regressors, targets, grid=config.lambda_grid)
-    w_out = fit_readout(regressors, targets, lam)
-
-    val_regressors = collect_states(model, prepared.val_inputs)
-    predictions = (w_out @ val_regressors).T
-    if not (np.all(np.isfinite(val_regressors)) and np.all(np.isfinite(predictions))):
-        raise FloatingPointError(f"trial {trial_index}: non-finite state or prediction")
 
     result = TrialResult(series=config.name, model=config.model,
                          trial=trial_index, seed=trial_seed,
@@ -263,13 +255,12 @@ def run_experiment(config):
     """
     with one_blas_thread():
         prepared = prepare_data(config)
-        washout = resolve_washout(len(prepared.train_targets))
         results = []
         failures = []  # each failed trial's reason
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for i in range(config.trials):
                 try:
-                    result, predictions = run_trial(config, prepared, washout, i)
+                    result, predictions = run_trial(config, prepared, i)
                 except FloatingPointError as exc:
                     failures.append(str(exc))
                     continue
@@ -285,7 +276,8 @@ def run_experiment(config):
 
 def reservoir_size_sweep(config, sizes):
     """run_experiment per reservoir size (all checked first), sharing the master seed."""
-    sized = [dataclasses.replace(config, reservoir_size=size) for size in sizes]
+    sized = [dataclasses.replace(config, reservoir_size=size)
+             for size in (sizes if np.iterable(sizes) else ())]
     if not sized:
-        raise ValueError("sizes must be non-empty")
+        raise ValueError(f"sizes must be a non-empty sequence, got {sizes!r}")
     return [(c.reservoir_size, run_experiment(c)) for c in sized]

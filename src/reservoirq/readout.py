@@ -22,12 +22,14 @@ STACK_DOUBLES = 2 ** 17  # most float64 entries in one stack of shifted Grams (1
 
 
 def check_penalties(name, grid):
-    """Return ``grid`` as a tuple of floats, in its order, if it is non-empty
-    and each entry is a finite, positive real number (numpy's pass, a bool
-    or a string does not); else raise ValueError naming ``name``."""
-    given = tuple(grid)
+    """Return ``grid`` as a tuple of floats, in its order, if it is a non-empty
+    sequence (a scalar is none) and each entry is a finite, positive real
+    number (numpy's pass, a bool or a string does not); else raise
+    ValueError naming ``name``."""
+    given = tuple(grid) if np.iterable(grid) else ()
     if not given:
-        raise ValueError(f"{name} must be non-empty, got {given}")
+        raise ValueError(f"{name} must be non-empty: a sequence of one or more "
+                         f"penalties, got {grid!r}")
     if not all(isinstance(lam, numbers.Real) and not isinstance(lam, bool)
                and 0 < lam < math.inf for lam in given):
         raise ValueError(f"{name} must hold finite, positive real penalties, got {given}")

@@ -125,6 +125,17 @@ class TestExperiment:
         assert message in captured.err
         assert not os.path.exists("results.csv")
 
+    def test_unwritable_output_is_one_error_line(self, workdir, capsys):
+        # a write that fails is the one failure after which a file stays:
+        # results.csv was written before summary.csv could not be
+        (workdir / "summary.csv").mkdir()
+        assert cli.main(["experiment", "--config", write_config(workdir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "summary.csv" in captured.err
+        assert sorted(os.listdir()) == ["exp.cfg", "results.csv", "summary.csv"]
+
     def test_seed_override_changes_outputs(self, workdir, capsys):
         config = write_config(workdir)
         cli.main(["experiment", "--config", config])

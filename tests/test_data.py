@@ -113,6 +113,12 @@ class TestRescale:
         with pytest.raises(ValueError, match="^reference must be non-empty$"):
             rescale([1.0], [])
 
+    @pytest.mark.parametrize("values", [[1 + 1j, 2.0], ["a"], [np.nan, 1.0], [[1.0, 2.0]]],
+                             ids=["complex", "string", "nan", "2-d"])
+    def test_values_take_the_array_rule(self, values):
+        with pytest.raises(ValueError, match="^values must "):
+            rescale(values, [0.0, 4.0])
+
 
 class TestLaggedDataset:
     def test_single_offset(self):
@@ -157,7 +163,8 @@ class TestLaggedDataset:
         with pytest.raises(ValueError, match=f"^{message}$"):
             lag_paired_series(s, y, offsets=[0, 1])
 
-    @pytest.mark.parametrize("offsets", [[0, -1], [0, 1.5], [], [False, True], [0, 6.0, 7]])
+    # a scalar is no sequence of offsets, not even of one
+    @pytest.mark.parametrize("offsets", [[0, -1], [0, 1.5], [], [False, True], [0, 6.0, 7], 1])
     def test_bad_offsets_rejected(self, offsets):
         with pytest.raises(ValueError, match="nonnegative"):
             forecast_rows(np.arange(10.0), offsets)
@@ -186,15 +193,13 @@ class TestLaggedDataset:
             assert targets[k, 0] == x[t + horizon]
 
         prepared = prepare_csv(x, lag_offsets=tuple(offsets))
-        inputs, targets = forecast_rows(x, offsets)
-        train_size = round(2 / 3 * len(targets))
-        reference = x[:max_off + train_size + 1]
+        train_size = round(2 / 3 * len(forecast_rows(x, offsets)[1]))
+        inputs, targets = forecast_rows(rescale(x, x[:max_off + train_size + 1]), offsets)
         np.testing.assert_array_equal(
             np.vstack([prepared.train_inputs, prepared.val_inputs]),
-            np.clip(rescale(inputs, reference), 0.0, 1.0))
+            np.clip(inputs, 0.0, 1.0))
         np.testing.assert_array_equal(
-            np.vstack([prepared.train_targets, prepared.val_targets]),
-            rescale(targets, reference))
+            np.vstack([prepared.train_targets, prepared.val_targets]), targets)
 
 
 def unit_ramp(n):
@@ -224,8 +229,10 @@ class TestSplit:
     def test_splits_are_disjoint_chronological_and_contiguous(self, data):
         # each row's input is x(t) and its target x(t + 1), so the splits
         # can be read back as index ranges of x
-        k = data.draw(st.integers(min_value=3, max_value=300), label="rows")
-        train_size = data.draw(st.integers(min_value=1, max_value=k - 2),
+        # training keeps three rows (no washout at these sizes), and
+        # validation two
+        k = data.draw(st.integers(min_value=5, max_value=300), label="rows")
+        train_size = data.draw(st.integers(min_value=3, max_value=k - 2),
                                label="train_size")
         val_size = data.draw(st.none() | st.integers(min_value=2,
                                                      max_value=k - train_size),

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from reservoirq import cli, harness
-from reservoirq.harness import (ExperimentConfig, prepare_data,
-                                reservoir_size_sweep, resolve_washout,
+from reservoirq.harness import (ExperimentConfig, prepare_data, reservoir_size_sweep,
                                 run_experiment)
 from reservoirq.metrics import nmse, results_csv, series_csv, summary_csv, trace_csv
 from reservoirq.numerics import seeded_rng
@@ -173,8 +172,8 @@ class TestConfig:
         {"lag_offsets": ()},
         {"train_size": 0},
         {"validation_size": -3},
-        # nmse needs two validation rows to score
-        {"validation_size": 1},
+        # a split size is a count of at least 1; prepare_data judges the rest
+        {"validation_size": 0},
         {"lambda_grid": ()},
         {"lambda_grid": (1e-3, -1e-2)},
         {"lambda_grid": (float("nan"),)},
@@ -192,6 +191,9 @@ class TestConfig:
         # offsets follow the same integer rule: no bool, no whole float
         {"lag_offsets": (False, True)},
         {"lag_offsets": (0, 6.0, 7)},
+        # a scalar is no sequence, not even of one entry
+        {"lag_offsets": 5},
+        {"lambda_grid": 1e-3},
     ])
     def test_bad_lags_and_horizon_rejected(self, overrides):
         with pytest.raises(ValueError) as info:
@@ -273,14 +275,26 @@ class TestPrepareData:
 
     def test_washout_rule(self):
         # 100 steps are discarded above 400 training rows, none at or below
-        assert resolve_washout(1990) == 100
-        assert resolve_washout(401) == 100
-        assert resolve_washout(400) == 0
-        assert resolve_washout(47) == 0
+        for train_size, washout in ((1990, 100), (401, 100), (400, 0), (47, 0), (3, 0)):
+            assert prepare_data(tiny_narma(train_size=train_size)).washout == washout
         # penalty selection holds out two rows and must fit one more
-        assert resolve_washout(3) == 0
-        with pytest.raises(ValueError, match="train_size 2 with washout 0 keeps 2 "):
-            resolve_washout(2)
+        with pytest.raises(ValueError, match="train_size 2 .* training three after its "
+                                             "washout of 0"):
+            prepare_data(tiny_narma(train_size=2))
+
+    @pytest.mark.parametrize("source", ["narma", "csv"])
+    def test_one_validation_row_rejected(self, source, tmp_path):
+        # nmse needs two validation rows to score; the config admits any
+        # count of at least 1, and prepare_data alone judges the split
+        csv = {}
+        if source == "csv":
+            path = tmp_path / "series.csv"
+            path.write_text(series_csv(seeded_rng(4).uniform(size=40)))
+            csv = {"csv_path": str(path), "csv_column": "value"}
+        config = tiny_narma(lag_offsets=(0,), train_size=20, validation_size=1, **csv)
+        with pytest.raises(ValueError, match="train_size 20 and validation_size 1 .* "
+                                             "validation needs two rows"):
+            prepare_data(config)
 
 
 class TestRunExperiment:
@@ -292,12 +306,11 @@ class TestRunExperiment:
     def test_holdout_scores_equal_a_direct_penalty_selection(self):
         config = tiny_narma(lambda_grid=(1e-2, 1e-6, 1.0, 1e-4))
         prepared = prepare_data(config)
-        washout = resolve_washout(len(prepared.train_targets))
-        result, _ = harness.run_trial(config, prepared, washout, 1)
+        result, _ = harness.run_trial(config, prepared, 1)
         model = harness.build_model(config, prepared.train_inputs.shape[1],
                                     np.random.default_rng(result.seed))
-        regressors = model.run(prepared.train_inputs)[:, washout:]
-        _, scores = select_penalty(regressors, prepared.train_targets[washout:].T,
+        regressors = model.run(prepared.train_inputs)[:, prepared.washout:]
+        _, scores = select_penalty(regressors, prepared.train_targets[prepared.washout:].T,
                                    grid=config.lambda_grid)
         assert result.holdout_nmse == tuple(scores.items())
         assert [lam for lam, _ in result.holdout_nmse] == [1e-6, 1e-4, 1e-2, 1.0]
@@ -342,10 +355,10 @@ class TestRunExperiment:
     def test_failed_trials_are_excluded_and_counted(self, monkeypatch):
         real_run_trial = harness.run_trial
 
-        def flaky(config, prepared, washout, trial_index):
+        def flaky(config, prepared, trial_index):
             if trial_index == 1:
                 raise FloatingPointError("forced failure")
-            return real_run_trial(config, prepared, washout, trial_index)
+            return real_run_trial(config, prepared, trial_index)
 
         monkeypatch.setattr(harness, "run_trial", flaky)
         outcome = run_experiment(tiny_narma(trials=3))
@@ -382,10 +395,9 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "build_model", poisoned)
         prepared = prepare_data(config)
-        washout = resolve_washout(len(prepared.train_targets))
         with pytest.raises(FloatingPointError,
                            match="trial 1: non-finite training state"):
-            harness.run_trial(config, prepared, washout, 1)
+            harness.run_trial(config, prepared, 1)
 
     def test_non_finite_predictions_fail_only_their_trial_by_name(self, monkeypatch):
         config = tiny_narma(trials=3)
@@ -403,19 +415,18 @@ class TestRunExperiment:
         assert outcome.summary.failures == 1
         assert outcome.results == (clean.results[0], clean.results[2])
         prepared = prepare_data(config)
-        washout = resolve_washout(len(prepared.train_targets))
         monkeypatch.setattr(harness, "fit_readout", lambda *args: real_fit_readout(*args) * np.nan)
         with pytest.raises(FloatingPointError,
                            match="^trial 1: non-finite state or prediction$"):
-            harness.run_trial(config, prepared, washout, 1)
+            harness.run_trial(config, prepared, 1)
 
     def test_trace_is_the_last_successful_trials(self, monkeypatch):
         real_run_trial = harness.run_trial
 
-        def last_fails(config, prepared, washout, trial_index):
+        def last_fails(config, prepared, trial_index):
             if trial_index == 2:
                 raise FloatingPointError("forced failure")
-            return real_run_trial(config, prepared, washout, trial_index)
+            return real_run_trial(config, prepared, trial_index)
 
         monkeypatch.setattr(harness, "run_trial", last_fails)
         outcome = run_experiment(tiny_narma(trials=3))
@@ -423,7 +434,7 @@ class TestRunExperiment:
         np.testing.assert_array_equal(outcome.trace, run_experiment(tiny_narma()).trace)
 
     def test_all_trials_failing_raises(self, monkeypatch):
-        def doomed(config, prepared, washout, trial_index):
+        def doomed(config, prepared, trial_index):
             raise FloatingPointError(f"trial {trial_index}: forced failure")
 
         monkeypatch.setattr(harness, "run_trial", doomed)
@@ -440,10 +451,9 @@ class TestRunExperiment:
         assert (outcome.summary.failures, outcome.summary.n_trials) == (13, 7)
         failed = sorted(set(range(20)) - {r.trial for r in outcome.results})
         prepared = prepare_data(config)
-        washout = resolve_washout(len(prepared.train_targets))
         with pytest.raises(FloatingPointError, match=rf"^trial {failed[-1]}: 3-unit reservoir "
                                                      "drawn with spectral radius 0$"):
-            harness.run_trial(config, prepared, washout, failed[-1])
+            harness.run_trial(config, prepared, failed[-1])
 
     def test_esn_variant_runs(self):
         outcome = run_experiment(tiny_narma(model="esn", reservoir_size=20))
@@ -477,6 +487,12 @@ class TestSweep:
         with pytest.raises(ValueError) as info:
             reservoir_size_sweep(tiny_narma(), sizes)
         assert str(info.value) == f"reservoir_size must be an integer, got {bad!r}"
+
+    def test_scalar_sizes_rejected_before_any_run(self, monkeypatch):
+        # a scalar is no list of sizes, not even of one
+        monkeypatch.setattr(harness, "run_experiment", None)
+        with pytest.raises(ValueError, match="^sizes must be a non-empty sequence, got 80$"):
+            reservoir_size_sweep(tiny_narma(), 80)
 
     def test_one_unit_esn_rejected_before_any_run(self, monkeypatch):
         # size 10 used to run in full before size 1 failed in build_model

@@ -431,3 +431,14 @@ class TestCheckPenalties:
         with pytest.raises(ValueError, match="penalty grid .*positive") as info:
             solve(rng.normal(size=(3, 20)), rng.normal(size=(1, 20)), lam)
         assert repr(lam) in str(info.value)
+
+    @pytest.mark.parametrize("solve", [
+        lambda z, t, grid: ridge_solve_grid(z, t, grid),
+        lambda z, t, grid: select_penalty(z, t, grid=grid),
+    ], ids=["ridge_solve_grid", "select_penalty"])
+    def test_a_scalar_grid_is_no_sequence(self, solve):
+        # not read as a grid of one penalty
+        rng = seeded_rng(25)
+        with pytest.raises(ValueError, match="^penalty grid must be non-empty: a sequence "
+                                             "of one or more penalties, got 0.1$"):
+            solve(rng.normal(size=(3, 20)), rng.normal(size=(1, 20)), 0.1)
