@@ -117,7 +117,7 @@ def load_csv(path, column=0):
         if not has_header:
             raise ValueError(f"{path}: no header row to resolve column {column!r}")
         try:
-            idx = rows[0][1].index(column)
+            idx = [cell.strip() for cell in rows[0][1]].index(column)
         except ValueError:
             raise ValueError(f"{path}: no column named {column!r}") from None
     else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import check_array, check_integer, drive, initial_state
+from .numerics import check_array, check_integer, drive
 
 # The sampling law of every ESN reservoir: the nonzero fraction of w_res,
 # its spectral radius after rescaling, and the interval of every weight.
@@ -25,11 +25,11 @@ MIN_SIZE = next(n for n in itertools.count(1) if round(DENSITY * n * n) >= 1)
 
 @dataclass
 class EsnModel:
-    """Input weights, recurrent weights, and the mutable state vector."""
+    """Input weights, recurrent weights, and the state, zeros at first."""
 
     w_in: np.ndarray   # (n_res, 1 + n_in), column 0 multiplies the constant 1
     w_res: np.ndarray  # (n_res, n_res)
-    state: np.ndarray = field(default=None)
+    state: np.ndarray = field(init=False)  # the last state of a run, where the next starts
 
     def __post_init__(self):
         n = len(check_array("w_res", self.w_res, (None, None)))
@@ -37,7 +37,7 @@ class EsnModel:
         self.w_in = check_array("w_in", self.w_in, (self.n_res, None))
         if self.w_in.shape[1] < 1:
             raise ValueError("w_in needs at least the bias column")
-        self.state = initial_state(self.state, self.n_res)
+        self.state = np.zeros(self.n_res)
 
     @property
     def n_res(self):

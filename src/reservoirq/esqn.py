@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import check_integer, drive, initial_state
+from .numerics import check_integer, drive
 from .randnn import RandnnSpec, rate_array
 
 # The sampling law of every ESQN reservoir: the interval of all four
@@ -34,7 +34,7 @@ FIRING_RATE = 1.0
 
 @dataclass
 class EsqnModel:
-    """Four nonnegative weight blocks, firing rates, and the load state."""
+    """Four nonnegative weight blocks, firing rates, and the loads, zeros at first."""
 
     w_plus_in: np.ndarray    # (n_res, n_in) excitatory input weights
     w_minus_in: np.ndarray   # (n_res, n_in) inhibitory input weights
@@ -42,7 +42,7 @@ class EsqnModel:
     w_minus_res: np.ndarray  # (n_res, n_res) inhibitory recurrences
     rates_in: np.ndarray     # (n_in,) input-neuron firing rates
     rates_res: np.ndarray    # (n_res,) reservoir firing rates
-    state: np.ndarray = field(default=None)
+    state: np.ndarray = field(init=False)  # the last loads of a run, where the next starts
     overload_steps: int = field(default=0, init=False)  # steps in which some load exceeded 1
 
     def __post_init__(self):
@@ -53,9 +53,7 @@ class EsqnModel:
             setattr(self, name, rate_array(name, getattr(self, name), dims))
         if np.any(self.rates_in <= 0) or np.any(self.rates_res <= 0):
             raise ValueError("firing rates must be strictly positive")
-        self.state = initial_state(self.state, n_res)
-        if np.any(self.state < 0):
-            raise ValueError("loads must be nonnegative")
+        self.state = np.zeros(n_res)
 
     @property
     def n_res(self):
@@ -69,10 +67,9 @@ class EsqnModel:
     def random(cls, n_in, n_res, rng):
         """Draw all four weight blocks uniformly from [WEIGHT_LO, WEIGHT_HI].
 
-        The initial load vector is uniform on [0, 1] and every firing rate
-        is FIRING_RATE. Blocks are drawn in a fixed order (excitatory input,
-        inhibitory input, excitatory recurrent, inhibitory recurrent, then
-        state) so a seed pins the model.
+        Every firing rate is FIRING_RATE. Blocks are drawn in a fixed order
+        (excitatory input, inhibitory input, excitatory recurrent,
+        inhibitory recurrent) so a seed pins the model.
         """
         check_integer("n_in", n_in, 1)
         check_integer("n_res", n_res, 1)
@@ -80,12 +77,10 @@ class EsqnModel:
         w_minus_in = rng.uniform(WEIGHT_LO, WEIGHT_HI, (n_res, n_in))
         w_plus_res = rng.uniform(WEIGHT_LO, WEIGHT_HI, (n_res, n_res))
         w_minus_res = rng.uniform(WEIGHT_LO, WEIGHT_HI, (n_res, n_res))
-        state = rng.uniform(0.0, 1.0, n_res)
         return cls(w_plus_in=w_plus_in, w_minus_in=w_minus_in,
                    w_plus_res=w_plus_res, w_minus_res=w_minus_res,
                    rates_in=np.full(n_in, FIRING_RATE),
-                   rates_res=np.full(n_res, FIRING_RATE),
-                   state=state)
+                   rates_res=np.full(n_res, FIRING_RATE))
 
     def network(self, a):
         """The ``RandnnSpec`` of the reservoir held at ``a``: lambda± = w±_in a / r_in."""

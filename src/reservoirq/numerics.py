@@ -115,12 +115,6 @@ def check_array(name, value, shape):
     return arr
 
 
-def initial_state(state, n_res):
-    """A reservoir's start state: zeros for None, else a copy of ``state``
-    admitted by ``check_array`` as an (n_res,) vector."""
-    return np.zeros(n_res) if state is None else check_array("state", state, (n_res,)).copy()
-
-
 @functools.cache
 def _openblas_thread_calls():
     """The (get, set) thread-count functions of the OpenBLAS bundled with

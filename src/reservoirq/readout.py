@@ -23,8 +23,8 @@ STACK_DOUBLES = 2 ** 17  # most float64 entries in one stack of shifted Grams (1
 
 def check_penalties(name, grid):
     """Return ``grid`` as a tuple of floats, in its order, if it is a non-empty
-    sequence (a scalar is none) and each entry is a finite, positive real
-    number (numpy's pass, a bool or a string does not); else raise
+    sequence (a scalar is none) of distinct entries, each a finite, positive
+    real number (numpy's pass, a bool or a string does not); else raise
     ValueError naming ``name``."""
     given = tuple(grid) if np.iterable(grid) else ()
     if not given:
@@ -33,7 +33,10 @@ def check_penalties(name, grid):
     if not all(isinstance(lam, numbers.Real) and not isinstance(lam, bool)
                and 0 < lam < math.inf for lam in given):
         raise ValueError(f"{name} must hold finite, positive real penalties, got {given}")
-    return tuple(map(float, given))
+    penalties = tuple(map(float, given))
+    if len(set(penalties)) < len(penalties):
+        raise ValueError(f"{name} must not repeat a penalty, got {penalties}")
+    return penalties
 
 
 def collect_states(model, inputs):

@@ -9,8 +9,8 @@ and requires identical bytes, which pins determinism without committing
 platform-tied floats. tests/test_fixtures.py checks both kinds, and
 scripts/make_fixtures.py rewrites the goldens from the same table (it
 reads the configs and never writes them), so this module imports no
-pytest. The goldens do not regenerate byte for byte: the sine,esqn NMSE
-is ridge rounding on a near-perfect fit.
+pytest. The sine,esqn NMSE is ridge rounding on a near-perfect fit, so
+any reassociation of the float operations moves its last digits.
 """
 
 import contextlib

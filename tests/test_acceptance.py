@@ -11,10 +11,10 @@ import pytest
 from reservoirq import cli, esn, esqn, harness, ridge_solve, spectral_radius
 from reservoirq.esn import EsnModel
 from reservoirq.esqn import EsqnModel
-from reservoirq.harness import (ExperimentConfig, prepare_data,
+from reservoirq.harness import (TRIAL_STREAM, ExperimentConfig, prepare_data,
                                 reservoir_size_sweep, run_experiment)
 from reservoirq.metrics import nmse, results_csv, summary_csv
-from reservoirq.numerics import seeded_rng
+from reservoirq.numerics import seeded_rng, substream_seed
 from reservoirq.randnn import RandnnSpec, residual, solve_steady_state
 
 from test_randnn import random_stable_specs
@@ -284,3 +284,25 @@ def test_12_readme_table_matches_shipped_runs(fixture_root, narma_esqn, narma_es
     assert [row[2:] for row in rows] == want
     _report(12, "README table",
             "NARMA-10 rows " + ", ".join(" ".join(cells) for cells in want))
+
+
+def test_13_esqn_washout_erases_the_start_state(config_dir):
+    # every reservoir starts at rest; from loads all 1 instead, each trial's
+    # reservoir reaches the same state by the end of the washout rows, so
+    # the start rule moves no fitted row
+    config = ExperimentConfig.from_file(os.path.join(config_dir, "narma_esqn.cfg"))
+    data = prepare_data(config)
+    washout = data.train_inputs[:data.washout]
+    assert len(washout) == 100
+    worst = 0.0
+    for trial in range(config.trials):
+        rest, full = (harness.build_model(config, washout.shape[1], seeded_rng(
+            substream_seed(config.seed, TRIAL_STREAM, trial))) for _ in range(2))
+        full.state = np.ones(full.n_res)
+        rest.run(washout)
+        full.run(washout)
+        worst = max(worst, float(np.max(np.abs(rest.state - full.state))))
+    assert worst < 1e-12
+    _report(13, "ESQN washout",
+            f"start at rest or at loads 1: states within {worst:.1e} after the "
+            f"{len(washout)} washout rows of {config.trials} trials (tolerance 1e-12)")

@@ -107,10 +107,10 @@ class TestInit:
         with pytest.raises(ValueError, match="^w_in needs at least the bias column$"):
             EsnModel(w_in=np.zeros((3, 0)), w_res=0.5 * np.eye(3))
 
-    def test_non_finite_state_rejected(self):
-        for bad in (np.inf, np.nan):
-            with pytest.raises(ValueError, match="state must be finite"):
-                EsnModel(w_in=np.zeros((1, 2)), w_res=np.zeros((1, 1)), state=[bad])
+    def test_state_is_not_a_parameter(self):
+        # every reservoir starts at rest
+        with pytest.raises(TypeError, match="state"):
+            EsnModel(w_in=np.zeros((1, 2)), w_res=np.zeros((1, 1)), state=[0.5])
 
     @pytest.mark.parametrize("name", ["w_in", "w_res"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -125,8 +125,6 @@ class TestInit:
     ARRAYS = {
         "w_res": (lambda v: EsnModel(w_in=np.zeros((2, 2)), w_res=v), np.eye(2)),
         "w_in": (lambda v: EsnModel(w_in=v, w_res=np.eye(2)), np.zeros((2, 2))),
-        "state": (lambda v: EsnModel(w_in=np.zeros((2, 2)), w_res=np.eye(2), state=v),
-                  np.zeros(2)),
         "inputs": (lambda v: small_model().run(v), np.zeros((4, 1))),
         "m": (spectral_radius, np.eye(2)),
     }

@@ -45,7 +45,7 @@ def test_rerun_is_byte_identical(name, tmp_path):
 
 def test_fixture_script_rewrites_the_committed_assets(tmp_path, monkeypatch):
     # the goldens are left out: the sine,esqn NMSE is ridge rounding on a
-    # near-perfect fit and does not regenerate byte for byte
+    # near-perfect fit, which any reassociation moves
     spec = importlib.util.spec_from_file_location(
         "make_fixtures", os.path.join(os.path.dirname(FIXTURES), "scripts", "make_fixtures.py"))
     script = importlib.util.module_from_spec(spec)

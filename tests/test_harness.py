@@ -143,6 +143,9 @@ class TestConfig:
         ("lambda_grid = nan", "lambda_grid.*nan"),
         ("lambda_grid =", r"lambda_grid.*got \(\)"),
         ("lambda_grid = 0, 1e-8", r"lambda_grid.*positive.*\(0\.0, 1e-08\)"),
+        # a repeat would leave two candidates with one holdout score
+        ("lambda_grid = 1e-3, 0.001, 1e-2", r"lambda_grid must not repeat a penalty, "
+                                             r"got \(0\.001, 0\.001, 0\.01\)"),
         ("train_size = 0", "train_size.*0"),
         ("trials = 2.5", "int"),
         ("validation_size = none", "int"),

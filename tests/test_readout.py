@@ -66,8 +66,8 @@ class TestCollectStates:
     def test_zero_weight_reservoir_gives_zero_state_block(self):
         model = EsqnModel(w_plus_in=np.zeros((4, 1)), w_minus_in=np.zeros((4, 1)),
                           w_plus_res=np.zeros((4, 4)), w_minus_res=np.zeros((4, 4)),
-                          rates_in=[1.0], rates_res=np.ones(4),
-                          state=seeded_rng(2).uniform(0.0, 1.0, 4))
+                          rates_in=[1.0], rates_res=np.ones(4))
+        model.state = seeded_rng(2).uniform(0.0, 1.0, 4)
         inputs = seeded_rng(3).uniform(0.0, 1.0, (6, 1))
         out = model.run(inputs)
         np.testing.assert_array_equal(out[2:, :], 0.0)
@@ -356,7 +356,7 @@ class TestRidgeSolveGrid:
         k = data.draw(st.integers(min_value=1, max_value=12), label="K")
         n_out = data.draw(st.integers(min_value=1, max_value=3), label="N_b")
         lams = data.draw(st.lists(st.floats(min_value=1e-3, max_value=10.0),
-                                  min_size=1, max_size=5), label="grid")
+                                  min_size=1, max_size=5, unique=True), label="grid")
         rng = seeded_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         z = rng.normal(size=(d, k))
         t = rng.normal(size=(n_out, k))
