@@ -95,15 +95,17 @@ class EsqnModel:
         is [1; a_t; rho_t] (see ``numerics.drive``) and leaves the model
         holding the last loads. Each step is simultaneous across units:
         the right-hand side reads only the previous load vector. The inputs
-        are spike rates, so they pass ``rate_array``; each step with some
-        load above 1 adds one to ``overload_steps``.
+        are spike rates, so they pass ``rate_array``, and so do the loads
+        the run starts from; each step with some load above 1 adds one to
+        ``overload_steps``.
         """
         inputs = rate_array("inputs", inputs, (None, self.n_in))
         n = self.n_res
         plus_in, minus_in = self.w_plus_in / self.rates_in, self.w_minus_in / self.rates_in
         step = np.vstack((np.hstack((self.w_plus_res, np.zeros((n, 1)), plus_in)),
                           np.hstack((self.w_minus_res, self.rates_res[:, None], minus_in))))
-        regressors, self.state = drive(inputs, self.state, step, np.divide)
+        state = rate_array("state", self.state, (n,))
+        regressors, self.state = drive(inputs, state, step, np.divide)
         loads = regressors[1 + self.n_in:]
         self.overload_steps += int(np.count_nonzero((loads > 1.0).any(axis=0)))
         return regressors

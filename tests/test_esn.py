@@ -19,6 +19,12 @@ def run_states(model, inputs):
     return model.run(inputs)[model.n_in + 1:]
 
 
+def run_from(model, state):
+    """One step of ``model`` from a state set after construction."""
+    model.state = state
+    return model.run(np.zeros((1, model.n_in)))
+
+
 class TestInit:
     def test_spectral_radius_hits_target(self):
         model = small_model(seed=3, n_res=100)
@@ -112,6 +118,14 @@ class TestInit:
         with pytest.raises(TypeError, match="state"):
             EsnModel(w_in=np.zeros((1, 2)), w_res=np.zeros((1, 1)), state=[0.5])
 
+    def test_non_finite_state_rejected(self):
+        # a state set after construction is checked when a run starts from it
+        for bad in (np.inf, np.nan):
+            model = EsnModel(w_in=np.zeros((1, 2)), w_res=np.zeros((1, 1)))
+            model.state = np.array([bad])
+            with pytest.raises(ValueError, match="state must be finite"):
+                model.run(np.zeros((1, 1)))
+
     @pytest.mark.parametrize("name", ["w_in", "w_res"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weights_rejected(self, name, bad):
@@ -125,6 +139,8 @@ class TestInit:
     ARRAYS = {
         "w_res": (lambda v: EsnModel(w_in=np.zeros((2, 2)), w_res=v), np.eye(2)),
         "w_in": (lambda v: EsnModel(w_in=v, w_res=np.eye(2)), np.zeros((2, 2))),
+        "state": (lambda v: run_from(EsnModel(w_in=np.zeros((2, 2)), w_res=np.eye(2)), v),
+                  np.zeros(2)),
         "inputs": (lambda v: small_model().run(v), np.zeros((4, 1))),
         "m": (spectral_radius, np.eye(2)),
     }

@@ -34,6 +34,12 @@ def scalar_model(state=0.5):
     return model
 
 
+def run_from(model, state):
+    """One step of ``model`` from loads set after construction."""
+    model.state = state
+    return model.run(np.zeros((1, model.n_in)))
+
+
 class TestInit:
     def test_default_intervals(self):
         model = random_model(seed=1)
@@ -97,6 +103,7 @@ class TestInit:
            for name, valid in BLOCKS.items()},
         "a": (lambda v: scalar_model().network(v), np.array([0.5])),
         "inputs": (lambda v: scalar_model().run(v), np.array([[0.5], [0.2]])),
+        "state": (lambda v: run_from(scalar_model(), v), np.array([0.5])),
     }
 
     @pytest.mark.parametrize("name", ARRAYS)
@@ -119,6 +126,16 @@ class TestInit:
         # the error names a, not the lambda_plus computed from it
         with pytest.raises(ValueError, match=f"^{message}$"):
             scalar_model().network(a)
+
+    # a state set after construction is checked when a run starts from it
+    def test_non_finite_state_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="state must be finite"):
+                scalar_model(state=bad).run([[0.5]])
+
+    def test_negative_state_rejected(self):
+        with pytest.raises(ValueError, match="state must hold nonnegative rates"):
+            scalar_model(state=-0.5).run([[0.5]])
 
     @pytest.mark.parametrize("name, value", [("state", [0.5]), ("overload_steps", 5)],
                              ids=["state", "overload_steps"])

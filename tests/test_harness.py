@@ -378,7 +378,8 @@ class TestRunExperiment:
         def poisoned(config, n_in, rng):
             model = real_build_model(config, n_in, rng)
             if len(built) == 1:
-                model.state = np.full(model.n_res, np.nan)
+                # a nan weight set past the constructor's check makes every load nan
+                model.w_plus_res[:] = np.nan
             built.append(model)
             return model
 
@@ -393,7 +394,7 @@ class TestRunExperiment:
 
         def poisoned(config, n_in, rng):
             model = real_build_model(config, n_in, rng)
-            model.state = np.full(model.n_res, np.nan)
+            model.w_plus_res[:] = np.nan
             return model
 
         monkeypatch.setattr(harness, "build_model", poisoned)
