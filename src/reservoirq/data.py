@@ -10,7 +10,7 @@ import csv
 
 import numpy as np
 
-from .numerics import check_array, check_integer
+from .numerics import check_array, check_integer, check_sequence
 
 NARMA_ORDER = 10
 NARMA_DIVERGENCE_LIMIT = 10.0
@@ -144,18 +144,10 @@ def load_csv(path, column=0):
 
 
 def check_lag_offsets(offsets):
-    """The offsets as a tuple, or ValueError naming them unless they are a
-    non-empty sequence (a scalar is none) whose every entry passes
-    ``check_integer`` with a bound of 0."""
-    given = tuple(offsets) if np.iterable(offsets) else offsets
-    try:
-        lags = tuple(check_integer("lag offset", o, 0) for o in given)
-    except (TypeError, ValueError):  # a scalar does not iterate
-        lags = ()
-    if not lags:
-        raise ValueError("lag_offsets must be a non-empty sequence of nonnegative "
-                         f"integers, got {given}")
-    return lags
+    """The offsets as a tuple if they pass ``check_sequence`` and every entry
+    passes ``check_integer`` at 0; else ValueError naming ``lag_offsets``."""
+    return check_sequence("lag_offsets", offsets,
+                          lambda offset: check_integer("lag_offsets", offset, 0))
 
 
 def lag_paired_series(inputs_series, targets_series, offsets):

@@ -20,7 +20,7 @@ from . import data as datamod
 from .esn import MIN_SIZE as ESN_MIN_SIZE, EsnModel
 from .esqn import EsqnModel
 from .metrics import Summary, TrialResult, nmse, summarize
-from .numerics import check_integer, one_blas_thread, seeded_rng, substream_seed
+from .numerics import check_integer, check_sequence, one_blas_thread, seeded_rng, substream_seed
 from .readout import LAMBDA_GRID, check_penalties, collect_states, fit_readout, select_penalty
 
 # Substream tags under the master seed.
@@ -276,8 +276,6 @@ def run_experiment(config):
 
 def reservoir_size_sweep(config, sizes):
     """run_experiment per reservoir size (all checked first), sharing the master seed."""
-    sized = [dataclasses.replace(config, reservoir_size=size)
-             for size in (sizes if np.iterable(sizes) else ())]
-    if not sized:
-        raise ValueError(f"sizes must be a non-empty sequence, got {sizes!r}")
+    sized = check_sequence("sizes", sizes,
+                           lambda size: dataclasses.replace(config, reservoir_size=size))
     return [(c.reservoir_size, run_experiment(c)) for c in sized]

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_array
+from .numerics import check_array, check_sequence
 
 
 def _t_central_mass(t, dof):
@@ -51,9 +51,9 @@ def t_quantile_975(dof):
 
 
 def t_interval(values):
-    """Mean of non-empty ``values`` and the half-width t_{0.975, n-1} s / sqrt(n)
+    """Mean of the sequence ``values`` and the half-width t_{0.975, n-1} s / sqrt(n)
     of its 95% Student-t interval (s with ddof=1), None for one value."""
-    values = np.array(values, dtype=float)
+    values = np.array(check_sequence("values", values, float))
     n = len(values)
     if n < 2:
         return float(values.mean()), None
@@ -84,6 +84,8 @@ def nmse(targets, predictions):
         raise ValueError("targets must be 1-d or K x N_b")
     if b.shape[0] < 2:
         raise ValueError("need at least two samples")
+    if b.shape[1] < 1:
+        raise ValueError("targets must have at least one output column")
     centered = b - b.mean(axis=0)
     denom_per_dim = (centered ** 2).sum(axis=0)
     if np.any(denom_per_dim <= 0.0):
@@ -130,9 +132,7 @@ class Summary:
 
 def summarize(results, failures=0):
     """Aggregate TrialResults of one (series, model) group."""
-    results = list(results)
-    if not results:
-        raise ValueError("no trial results to summarize")
+    results = check_sequence("results", results, lambda result: result)
     groups = {(r.series, r.model) for r in results}
     if len(groups) != 1:
         raise ValueError(f"mixed groups cannot be summarized: {sorted(groups)}")

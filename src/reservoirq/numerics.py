@@ -97,6 +97,16 @@ def check_integer(name, value, least):
     return value
 
 
+def check_sequence(name, value, admit):
+    """Return ``tuple(admit(entry) for entry in value)`` if ``value`` is a
+    non-empty sequence (a generator is one; a scalar, a string or a 0-d
+    array is none); else raise ValueError naming ``name``."""
+    entries = () if isinstance(value, (str, bytes)) or not np.iterable(value) else tuple(value)
+    if not entries:
+        raise ValueError(f"{name} must be a non-empty sequence, got {value!r}")
+    return tuple(map(admit, entries))
+
+
 def check_array(name, value, shape):
     """Return ``value`` as a float array whose shape matches ``shape`` (None
     matches any length) and whose entries are all finite. Otherwise raise

@@ -12,7 +12,7 @@ import numbers
 import numpy as np
 
 from .metrics import nmse
-from .numerics import check_array
+from .numerics import check_array, check_sequence
 
 # Default penalty grid searched when fitting; chosen per dataset on a
 # held-out tail of the training split.
@@ -22,14 +22,11 @@ STACK_DOUBLES = 2 ** 17  # most float64 entries in one stack of shifted Grams (1
 
 
 def check_penalties(name, grid):
-    """Return ``grid`` as a tuple of floats, in its order, if it is a non-empty
-    sequence (a scalar is none) of distinct entries, each a finite, positive
+    """Return ``grid`` as a tuple of floats, in its order, if it passes
+    ``check_sequence`` and its entries are distinct, each a finite, positive
     real number (numpy's pass, a bool or a string does not); else raise
     ValueError naming ``name``."""
-    given = tuple(grid) if np.iterable(grid) else ()
-    if not given:
-        raise ValueError(f"{name} must be non-empty: a sequence of one or more "
-                         f"penalties, got {grid!r}")
+    given = check_sequence(name, grid, lambda lam: lam)
     if not all(isinstance(lam, numbers.Real) and not isinstance(lam, bool)
                and 0 < lam < math.inf for lam in given):
         raise ValueError(f"{name} must hold finite, positive real penalties, got {given}")

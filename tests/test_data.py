@@ -163,10 +163,18 @@ class TestLaggedDataset:
         with pytest.raises(ValueError, match=f"^{message}$"):
             lag_paired_series(s, y, offsets=[0, 1])
 
-    # a scalar is no sequence of offsets, not even of one
-    @pytest.mark.parametrize("offsets", [[0, -1], [0, 1.5], [], [False, True], [0, 6.0, 7], 1])
-    def test_bad_offsets_rejected(self, offsets):
-        with pytest.raises(ValueError, match="nonnegative"):
+    # a scalar is no sequence of offsets, not even of one; an entry's error
+    # names the entry at fault
+    @pytest.mark.parametrize("offsets, message", [
+        ([0, -1], "must be >= 0, got -1"),
+        ([0, 1.5], "must be an integer, got 1.5"),
+        ([], r"must be a non-empty sequence, got \[\]"),
+        ([False, True], "must be an integer, got False"),
+        ([0, 6.0, 7], "must be an integer, got 6.0"),
+        (1, "must be a non-empty sequence, got 1"),
+    ], ids=["offsets0", "offsets1", "offsets2", "offsets3", "offsets4", "1"])
+    def test_bad_offsets_rejected(self, offsets, message):
+        with pytest.raises(ValueError, match=f"^lag_offsets {message}$"):
             forecast_rows(np.arange(10.0), offsets)
 
     @given(data=st.data())

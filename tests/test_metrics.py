@@ -47,6 +47,11 @@ class TestNmse:
         with pytest.raises(ValueError, match=r"^targets must be 1-d or K x N_b$"):
             nmse(np.ones((4, 2, 1)), np.ones((4, 2, 1)))
 
+    def test_targets_with_no_output_column_rejected(self):
+        # they used to score nan after a RuntimeWarning
+        with pytest.raises(ValueError, match="^targets must have at least one output column$"):
+            nmse(np.ones((3, 0)), np.ones((3, 0)))
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             nmse([1.0], [1.0])
@@ -108,6 +113,11 @@ class TestTInterval:
     def test_single_value_has_no_interval(self):
         assert t_interval([0.4]) == (0.4, None)
 
+    def test_no_values_rejected(self):
+        # it used to return a nan mean after a RuntimeWarning
+        with pytest.raises(ValueError, match=r"^values must be a non-empty sequence, got \[\]$"):
+            t_interval([])
+
     def test_summarize_reports_the_interval_of_its_scores(self):
         scores = seeded_rng(4).uniform(0.0, 1.0, 7).tolist()
         summary = summarize([trial(v, index=i) for i, v in enumerate(scores)])
@@ -160,7 +170,7 @@ class TestSummarize:
             summarize([trial(0.1, model="esn"), trial(0.2, model="esqn")])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^results must be a non-empty sequence, got \[\]$"):
             summarize([])
 
     def test_failures_recorded(self):

@@ -4,8 +4,8 @@ import pytest
 from reservoirq import numerics
 from reservoirq.esn import EsnModel
 from reservoirq.esqn import EsqnModel
-from reservoirq.numerics import (check_array, check_integer, drive, one_blas_thread,
-                                 seeded_rng, substream_seed)
+from reservoirq.numerics import (check_array, check_integer, check_sequence, drive,
+                                 one_blas_thread, seeded_rng, substream_seed)
 
 
 # each reservoir kind, with its input and reservoir sizes
@@ -83,6 +83,23 @@ class TestCheckInteger:
         with pytest.raises(ValueError) as info:
             check_integer("k", np.int64(-2), 0)
         assert str(info.value) == "k must be >= 0, got -2"
+
+
+class TestCheckSequence:
+    @pytest.mark.parametrize("value", [[1, 2, 3], (1, 2, 3), np.arange(1, 4),
+                                       (k for k in range(1, 4))],
+                             ids=["list", "tuple", "array", "generator"])
+    def test_entries_are_admitted_in_order(self, value):
+        assert check_sequence("s", value, lambda entry: 2 * entry) == (2, 4, 6)
+
+    # no entry reaches ``admit``
+    @pytest.mark.parametrize("value", [5, "0,1", np.array(3), [], (k for k in ())],
+                             ids=["scalar", "string", "0-d-array", "empty",
+                                  "exhausted-generator"])
+    def test_no_sequence_rejected_naming_the_argument(self, value):
+        with pytest.raises(ValueError) as info:
+            check_sequence("s", value, pytest.fail)
+        assert str(info.value) == f"s must be a non-empty sequence, got {value!r}"
 
 
 class TestCheckArray:

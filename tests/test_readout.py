@@ -210,8 +210,14 @@ class TestSelectPenalty:
 
     def test_empty_grid_rejected(self):
         rng = seeded_rng(21)
-        with pytest.raises(ValueError, match="penalty grid must be non-empty"):
+        with pytest.raises(ValueError,
+                           match=r"^penalty grid must be a non-empty sequence, got \(\)$"):
             select_penalty(rng.normal(size=(3, 20)), rng.normal(size=(1, 20)), grid=())
+
+    def test_targets_with_no_output_row_rejected(self):
+        # every penalty used to score nan, and the smallest was returned
+        with pytest.raises(ValueError, match="^targets must have at least one output column$"):
+            select_penalty(seeded_rng(21).normal(size=(3, 20)), np.ones((0, 20)))
 
     def test_penalties_come_back_as_floats(self):
         rng = seeded_rng(26)
@@ -389,7 +395,8 @@ class TestRidgeSolveGrid:
         np.testing.assert_array_equal(t, t_before)
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError, match="penalty grid must be non-empty"):
+        with pytest.raises(ValueError,
+                           match=r"^penalty grid must be a non-empty sequence, got \[\]$"):
             ridge_solve_grid(np.eye(2), np.ones((1, 2)), [])
 
     def test_no_sample_column_rejected(self):
@@ -439,6 +446,6 @@ class TestCheckPenalties:
     def test_a_scalar_grid_is_no_sequence(self, solve):
         # not read as a grid of one penalty
         rng = seeded_rng(25)
-        with pytest.raises(ValueError, match="^penalty grid must be non-empty: a sequence "
-                                             "of one or more penalties, got 0.1$"):
+        with pytest.raises(ValueError,
+                           match="^penalty grid must be a non-empty sequence, got 0.1$"):
             solve(rng.normal(size=(3, 20)), rng.normal(size=(1, 20)), 0.1)
