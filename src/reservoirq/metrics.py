@@ -52,8 +52,9 @@ def t_quantile_975(dof):
 
 def t_interval(values):
     """Mean of the sequence ``values`` and the half-width t_{0.975, n-1} s / sqrt(n)
-    of its 95% Student-t interval (s with ddof=1), None for one value."""
-    values = np.array(check_sequence("values", values, float))
+    of its 95% Student-t interval (s with ddof=1), None for one value. A
+    non-finite value raises ValueError."""
+    values = check_array("values", check_sequence("values", values, float), (None,))
     n = len(values)
     if n < 2:
         return float(values.mean()), None

@@ -30,15 +30,6 @@ MAX_ITER = 10_000
 OVERLOAD_PATIENCE = 100
 
 
-class ConvergenceError(RuntimeError):
-    """The load iteration ran out of iterations; ``best`` holds its last
-    iterate."""
-
-    def __init__(self, message, best):
-        super().__init__(message)
-        self.best = best
-
-
 def rate_array(name, value, shape):
     """``value`` admitted by ``check_array`` whose entries are also
     nonnegative, as every rate and routing weight of a queueing network
@@ -105,8 +96,7 @@ def solve_steady_state(spec):
     successive updates reverse direction (oscillation around the fixed
     point). If some load sits at or above one for OVERLOAD_PATIENCE
     consecutive iterations, the network is reported unstable instead of
-    erroring. Exhausting MAX_ITER raises ConvergenceError carrying the
-    last iterate.
+    erroring. Exhausting MAX_ITER raises RuntimeError.
     """
     rho = np.zeros(spec.n)
     alpha = 1.0
@@ -126,9 +116,8 @@ def solve_steady_state(spec):
         overloaded = overloaded + 1 if np.any(rho >= 1.0) else 0
         if overloaded >= OVERLOAD_PATIENCE:
             return SteadyState(rho=rho, stable=False, iterations=iteration + 1)
-    raise ConvergenceError(
-        f"load equations did not reach tol={TOL} within {MAX_ITER} iterations",
-        best=rho)
+    raise RuntimeError(
+        f"load equations did not reach tol={TOL} within {MAX_ITER} iterations")
 
 
 def _parse_rows(path, lines, n):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from reservoirq import cli, harness
+from reservoirq import cli, harness, randnn
 from reservoirq.data import load_csv
 from reservoirq.esn import EsnModel
 from reservoirq.esqn import EsqnModel
@@ -216,6 +216,14 @@ class TestSolveRandnn:
     def test_missing_spec_fails(self, workdir, capsys):
         assert cli.main(["solve-randnn", "--spec", "missing.txt"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unconverged_solve_is_one_error_line(self, workdir, capsys, fixture_root,
+                                                 monkeypatch):
+        # the pair fixture needs 39 iterations to converge, the chain only 2
+        monkeypatch.setattr(randnn, "MAX_ITER", 2)
+        spec = os.path.join(fixture_root, "randnn_pair.txt")
+        err = one_error_line(["solve-randnn", "--spec", spec], capsys)
+        assert "did not reach tol=1e-12 within 2 iterations" in err
 
 
 class TestUsage:

@@ -118,6 +118,11 @@ class TestTInterval:
         with pytest.raises(ValueError, match=r"^values must be a non-empty sequence, got \[\]$"):
             t_interval([])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"^values must be finite$"):
+            t_interval([0.5, bad])
+
     def test_summarize_reports_the_interval_of_its_scores(self):
         scores = seeded_rng(4).uniform(0.0, 1.0, 7).tolist()
         summary = summarize([trial(v, index=i) for i, v in enumerate(scores)])

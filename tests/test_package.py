@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import os
+import pkgutil
 import re
 
 import reservoirq
@@ -58,6 +59,20 @@ def test_readme_rule_owners_resolve():
             for attr in attrs:
                 obj = getattr(obj, attr)
             assert callable(obj) or isinstance(obj, (int, float)), owner
+
+
+def test_no_module_defines_an_exception_class():
+    # the package raises builtin exceptions only (ValueError, RuntimeError,
+    # and FloatingPointError for a failed trial), so callers catch by the
+    # builtin class and no module defines its own
+    modules = [reservoirq] + [importlib.import_module(f"reservoirq.{info.name}")
+                              for info in pkgutil.iter_modules(reservoirq.__path__)]
+    assert len(modules) > 1
+    for module in modules:
+        own = [name for name, obj in vars(module).items()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__ == module.__name__]
+        assert not own, (module.__name__, own)
 
 
 def test_traced_bench_runs_every_layer(monkeypatch):
