@@ -23,7 +23,7 @@ from .randnn import load_spec, residual, solve_steady_state
 
 def _size_list(text):
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"malformed size list {text!r}") from None
 

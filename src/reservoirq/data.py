@@ -16,6 +16,8 @@ NARMA_ORDER = 10
 NARMA_DIVERGENCE_LIMIT = 10.0
 NARMA_ATTEMPTS = 10
 NARMA_WARMUP = 200
+# The header of a series file's data column, and the column load_csv reads by default.
+VALUE_COLUMN = "value"
 
 
 def rescale(values, reference):
@@ -87,15 +89,15 @@ def read_lines(path):
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
-def load_csv(path, column=0):
-    """Read one column of a CSV file as a finite 1-d float array.
+def load_csv(path, column=VALUE_COLUMN):
+    """Read the column named ``column`` of a CSV file as a finite 1-d float array.
 
-    ``column`` is a zero-based index or, when the file starts with a
-    header row, a column name. Rows keep file order. Problems, a
-    non-finite value among them, raise ValueError naming the offending
-    row and column (a row is the 1-based file line its record ends on); a
-    file that cannot be read, decoded or parsed as CSV raises ValueError
-    naming it.
+    The first row is the header, and the column is found by name among
+    its stripped cells. Rows keep file order. Problems, a non-finite value
+    among them, raise ValueError naming the offending row and column (a row
+    is the 1-based file line its record ends on); a file that cannot be
+    read, decoded or parsed as CSV, or whose header holds the name never or
+    more than once, raises ValueError naming it.
     """
     reader = csv.reader(read_lines(path))
     try:
@@ -104,42 +106,31 @@ def load_csv(path, column=0):
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: file is empty")
-
-    def _is_number(cell):
-        try:
-            float(cell)
-            return True
-        except ValueError:
-            return False
-
-    has_header = any(not _is_number(cell) for cell in rows[0][1] if cell.strip())
-    if isinstance(column, str):
-        if not has_header:
-            raise ValueError(f"{path}: no header row to resolve column {column!r}")
-        try:
-            idx = [cell.strip() for cell in rows[0][1]].index(column)
-        except ValueError:
-            raise ValueError(f"{path}: no column named {column!r}") from None
-    else:
-        idx = check_integer(f"{path}: column", column, 0)
+    header = [cell.strip() for cell in rows[0][1]]
+    matches = header.count(column)
+    if not matches:
+        raise ValueError(f"{path}: no column named {column!r}")
+    if matches > 1:
+        raise ValueError(f"{path}: {matches} columns named {column!r}")
+    idx = header.index(column)
     values = []
-    for lineno, row in rows[1:] if has_header else rows:
+    for lineno, row in rows[1:]:
         if not row or all(not cell.strip() for cell in row):
             continue
         if idx >= len(row):
-            raise ValueError(f"{path}: row {lineno} has no column {idx}")
+            raise ValueError(f"{path}: row {lineno} has no column {column!r}")
         cell = row[idx].strip()
         try:
             value = float(cell)
         except ValueError:
             raise ValueError(f"{path}: unparseable value {cell!r} at row {lineno}, "
-                             f"column {idx}") from None
+                             f"column {column!r}") from None
         if not np.isfinite(value):
-            raise ValueError(
-                f"{path}: non-finite value {cell!r} at row {lineno}, column {idx}")
+            raise ValueError(f"{path}: non-finite value {cell!r} at row {lineno}, "
+                             f"column {column!r}")
         values.append(value)
     if not values:
-        raise ValueError(f"{path}: column {idx} is empty")
+        raise ValueError(f"{path}: column {column!r} is empty")
     return np.array(values)
 
 

@@ -48,7 +48,7 @@ class ExperimentConfig:
     and the sampling constants of ``esn`` and ``esqn``."""
 
     csv_path: str | None = None       # unset: the run's series is NARMA-10
-    csv_column: int | str = 0
+    csv_column: str = datamod.VALUE_COLUMN
     lag_offsets: tuple[int, ...] = NARMA_DEFAULT_OFFSETS
     train_size: int | None = None
     validation_size: int | None = None
@@ -65,12 +65,11 @@ class ExperimentConfig:
             raise ValueError("csv_path is empty; leave it unset to run NARMA-10")
         least_size = ESN_MIN_SIZE if self.model == "esn" else 1
         for key, least in (("trials", 1), ("reservoir_size", least_size), ("train_size", 1),
-                           ("validation_size", 1), ("seed", 0), ("csv_column", 0)):
+                           ("validation_size", 1), ("seed", 0)):
             value = getattr(self, key)
-            # an unset split size takes its default; a str column is a header name
-            if value is not None and not (key == "csv_column" and isinstance(value, str)):
+            if value is not None:  # an unset split size takes its default
                 check_integer(key, value, least)
-        if self.csv_path is None and self.csv_column != 0:
+        if self.csv_path is None and self.csv_column != datamod.VALUE_COLUMN:
             raise ValueError(f"csv_column {self.csv_column!r} needs a csv_path")
         object.__setattr__(self, "lag_offsets", datamod.check_lag_offsets(self.lag_offsets))
         object.__setattr__(self, "lambda_grid",
@@ -117,22 +116,13 @@ class ExperimentConfig:
 
 
 def _parse_value(field, raw):
-    """Cast a config-file string to the field's annotated type.
-
-    ``tuple[T, ...]`` fields take comma-separated T values; a union tries
-    its types in order, so ``int | str`` keeps a non-numeric string and
-    ``int | None`` reads an int.
-    """
+    """Cast a config-file string to the field's one type besides ``None``; a
+    ``tuple[T, ...]`` takes comma-separated T values, none empty ("" is ())."""
     if typing.get_origin(field.type) is tuple:
         cast = typing.get_args(field.type)[0]
-        return tuple(cast(part.strip()) for part in raw.split(",") if part.strip())
-    casts = [t for t in typing.get_args(field.type) or (field.type,) if t is not type(None)]
-    for cast in casts[:-1]:
-        try:
-            return cast(raw)
-        except ValueError:
-            pass
-    return casts[-1](raw)
+        return tuple(cast(part.strip()) for part in raw.split(",")) if raw else ()
+    cast, = (t for t in typing.get_args(field.type) or (field.type,) if t is not type(None))
+    return cast(raw)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import VALUE_COLUMN
 from .numerics import check_array, check_sequence
 
 
@@ -154,8 +155,8 @@ def _csv(header, rows):
 
 
 def series_csv(values):
-    """One line per (t, value) point of a series."""
-    return _csv("t,value", ((t, float(v)) for t, v in enumerate(values)))
+    """One line per (t, value) point of a series, under ``t,VALUE_COLUMN``."""
+    return _csv(f"t,{VALUE_COLUMN}", ((t, float(v)) for t, v in enumerate(values)))
 
 
 def results_csv(results):

@@ -145,14 +145,20 @@ class TestExperiment:
         assert first != second
 
     def test_outputs_reingestible(self, workdir):
+        # every numeric column of every file the commands write loads back by
+        # its header name (two trials, so no ci_halfwidth is blank)
         config = write_config(workdir)
-        cli.main(["experiment", "--config", config])
-        nmse_column = load_csv("results.csv", column="nmse")
-        assert len(nmse_column) == 2
-        trace_targets = load_csv("trace.csv", column="target")
-        trace_preds = load_csv("trace.csv", column="prediction")
-        assert len(trace_targets) == len(trace_preds) == 50
-        assert np.all(np.isfinite(trace_preds))
+        assert cli.main(["experiment", "--config", config]) == 0
+        assert cli.main(["sweep", "--config", config, "--sizes", "5,10"]) == 0
+        assert cli.main(["generate-narma", "--n", "30", "--seed", "7", "--out", "series"]) == 0
+        rows = {"results.csv": 2, "summary.csv": 1, "trace.csv": 50, "sweep.csv": 2,
+                "series_inputs.csv": 30, "series_targets.csv": 30}
+        for name, count in rows.items():
+            with open(name) as fh:
+                header = fh.readline().rstrip("\n").split(",")
+            for column in header:
+                if column not in ("series", "model"):
+                    assert len(load_csv(name, column)) == count, (name, column)
 
 
 class TestSweep:
@@ -169,10 +175,12 @@ class TestSweep:
 
     def test_malformed_sizes_is_usage_error(self, workdir, capsys):
         config = write_config(workdir)
-        with pytest.raises(SystemExit) as info:
-            cli.main(["sweep", "--config", config, "--sizes", "5,banana"])
-        assert info.value.code == 2
-        assert "malformed" in capsys.readouterr().err
+        # an empty entry is malformed, not skipped
+        for sizes in ["5,banana", "5,10,,", ",5"]:
+            with pytest.raises(SystemExit) as info:
+                cli.main(["sweep", "--config", config, "--sizes", sizes])
+            assert info.value.code == 2
+            assert "malformed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sizes", ["0", "1"])
     def test_out_of_range_size_is_the_configs_error(self, workdir, capsys, sizes):
