@@ -8,7 +8,7 @@ draw cannot be rescaled, and fails. Only the readout is ever trained.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +25,10 @@ MIN_SIZE = next(n for n in itertools.count(1) if round(DENSITY * n * n) >= 1)
 
 @dataclass
 class EsnModel:
-    """Input weights, recurrent weights, and the state, zeros at first."""
+    """Input weights and recurrent weights."""
 
     w_in: np.ndarray   # (n_res, 1 + n_in), column 0 multiplies the constant 1
     w_res: np.ndarray  # (n_res, n_res)
-    state: np.ndarray = field(init=False)  # the last state of a run, where the next starts
 
     def __post_init__(self):
         n = len(check_array("w_res", self.w_res, (None, None)))
@@ -37,7 +36,6 @@ class EsnModel:
         self.w_in = check_array("w_in", self.w_in, (self.n_res, None))
         if self.w_in.shape[1] < 1:
             raise ValueError("w_in needs at least the bias column")
-        self.state = np.zeros(self.n_res)
 
     @property
     def n_res(self):
@@ -57,12 +55,10 @@ class EsnModel:
         equals SPECTRAL_RADIUS; w_in is drawn from the same interval.
         A nilpotent draw (radius 0, likely at a few units) is not redrawn:
         it raises FloatingPointError. An ``n_in`` below 0, or an ``n_res``
-        below 1 or below MIN_SIZE, raises ValueError before any draw.
+        below MIN_SIZE, raises ValueError before any draw.
         """
         check_integer("n_in", n_in, 0)
-        check_integer("n_res", n_res, 1)
-        if n_res < MIN_SIZE:
-            raise ValueError(f"density {DENSITY} leaves no nonzero entry at n_res = {n_res}")
+        check_integer("n_res", n_res, MIN_SIZE)
         nnz = round(DENSITY * n_res * n_res)
         support = rng.choice(n_res * n_res, size=nnz, replace=False)
         values = rng.uniform(WEIGHT_LO, WEIGHT_HI, nnz)
@@ -75,19 +71,17 @@ class EsnModel:
         w_in = rng.uniform(WEIGHT_LO, WEIGHT_HI, (n_res, 1 + n_in))
         return cls(w_in=w_in, w_res=w_res)
 
-    def run(self, inputs):
+    def run(self, inputs, state):
         """Advance x <- tanh(w_in [1; a] + w_res x) once per input row.
 
-        Takes a (K, n_in) input matrix and returns the (1 + n_in + n_res,
-        K) regressor matrix whose column t is [1; a_t; x_t] (see
-        ``numerics.drive``); the model is left holding the last state. The
-        inputs, and the state the run starts from, pass ``check_array``.
+        Takes a (K, n_in) input matrix and the (n_res,) state x_0 the run
+        starts from, and returns the (1 + n_in + n_res, K) regressor matrix
+        whose column t is [1; a_t; x_t] (see ``numerics.drive``). Both pass
+        ``check_array``.
         """
         inputs = check_array("inputs", inputs, (None, self.n_in))
-        state = check_array("state", self.state, (self.n_res,))
-        regressors, self.state = drive(inputs, state,
-                                       np.hstack((self.w_res, self.w_in)), np.tanh)
-        return regressors
+        state = check_array("state", state, (self.n_res,))
+        return drive(inputs, state, np.hstack((self.w_res, self.w_in)), np.tanh)
 
 
 def spectral_radius(m):

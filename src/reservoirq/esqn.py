@@ -34,7 +34,7 @@ FIRING_RATE = 1.0
 
 @dataclass
 class EsqnModel:
-    """Four nonnegative weight blocks, firing rates, and the loads, zeros at first."""
+    """Four nonnegative weight blocks and the firing rates."""
 
     w_plus_in: np.ndarray    # (n_res, n_in) excitatory input weights
     w_minus_in: np.ndarray   # (n_res, n_in) inhibitory input weights
@@ -42,7 +42,6 @@ class EsqnModel:
     w_minus_res: np.ndarray  # (n_res, n_res) inhibitory recurrences
     rates_in: np.ndarray     # (n_in,) input-neuron firing rates
     rates_res: np.ndarray    # (n_res,) reservoir firing rates
-    state: np.ndarray = field(init=False)  # the last loads of a run, where the next starts
     overload_steps: int = field(default=0, init=False)  # steps in which some load exceeded 1
 
     def __post_init__(self):
@@ -53,7 +52,6 @@ class EsqnModel:
             setattr(self, name, rate_array(name, getattr(self, name), dims))
         if np.any(self.rates_in <= 0) or np.any(self.rates_res <= 0):
             raise ValueError("firing rates must be strictly positive")
-        self.state = np.zeros(n_res)
 
     @property
     def n_res(self):
@@ -88,24 +86,24 @@ class EsqnModel:
         return RandnnSpec(self.w_plus_in @ x, self.w_minus_in @ x,
                           self.w_plus_res, self.w_minus_res, self.rates_res)
 
-    def run(self, inputs):
-        """Apply the load map once per row of a (K, n_in) input matrix.
+    def run(self, inputs, state):
+        """Apply the load map once per row of a (K, n_in) input matrix,
+        starting from the (n_res,) loads ``state``.
 
         Returns the (1 + n_in + n_res, K) regressor matrix whose column t
-        is [1; a_t; rho_t] (see ``numerics.drive``) and leaves the model
-        holding the last loads. Each step is simultaneous across units:
-        the right-hand side reads only the previous load vector. The inputs
-        are spike rates, so they pass ``rate_array``, and so do the loads
-        the run starts from; each step with some load above 1 adds one to
-        ``overload_steps``.
+        is [1; a_t; rho_t] (see ``numerics.drive``). Each step is
+        simultaneous across units: the right-hand side reads only the
+        previous load vector. The inputs are spike rates, so they pass
+        ``rate_array``, and so do the start loads; each step with some load
+        above 1 adds one to ``overload_steps``.
         """
         inputs = rate_array("inputs", inputs, (None, self.n_in))
         n = self.n_res
         plus_in, minus_in = self.w_plus_in / self.rates_in, self.w_minus_in / self.rates_in
         step = np.vstack((np.hstack((self.w_plus_res, np.zeros((n, 1)), plus_in)),
                           np.hstack((self.w_minus_res, self.rates_res[:, None], minus_in))))
-        state = rate_array("state", self.state, (n,))
-        regressors, self.state = drive(inputs, state, step, np.divide)
+        state = rate_array("state", state, (n,))
+        regressors = drive(inputs, state, step, np.divide)
         loads = regressors[1 + self.n_in:]
         self.overload_steps += int(np.count_nonzero((loads > 1.0).any(axis=0)))
         return regressors

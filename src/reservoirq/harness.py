@@ -11,6 +11,7 @@ end-of-training state since validation follows training in time.
 
 import dataclasses
 import os
+import re
 import typing
 from dataclasses import dataclass
 
@@ -86,7 +87,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path):
-        """Parse a plain-text key=value config file ('#' starts a comment).
+        """Parse a plain-text key=value config file. A '#' at the start of a
+        line or after whitespace starts a comment; ``count#1`` is a value.
 
         Each line is checked as it is read: no '=', an unknown or repeated key,
         or a value that does not cast to its field's type raises ValueError
@@ -95,7 +97,7 @@ class ExperimentConfig:
         fields = {f.name: f for f in dataclasses.fields(cls)}
         kwargs = {}
         for lineno, raw in enumerate(datamod.read_lines(path), start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -201,22 +203,25 @@ def build_model(config, n_in, rng):
 def run_trial(config, prepared, trial_index):
     """One independently seeded train-and-score pass.
 
-    Returns (TrialResult, predictions), the latter the (rows, 1)
-    validation predictions. A trial fails one way, so the caller can
-    exclude it: FloatingPointError, naming the trial and the reason, for
-    an ESN draw of spectral radius 0 or a non-finite training state,
-    validation state or prediction.
+    Training drives the reservoir from rest (all zeros); validation follows
+    training in time, so it starts from the last training state. Returns
+    (TrialResult, predictions), the latter the (rows, 1) validation
+    predictions. A trial fails one way, so the caller can exclude it:
+    FloatingPointError, naming the trial and the reason, for an ESN draw
+    of spectral radius 0 or a non-finite training state, validation state
+    or prediction.
     """
     trial_seed = substream_seed(config.seed, TRIAL_STREAM, trial_index)
     try:
         model = build_model(config, prepared.train_inputs.shape[1], seeded_rng(trial_seed))
-        regressors = collect_states(model, prepared.train_inputs)[:, prepared.washout:]
+        regressors = collect_states(model, prepared.train_inputs,
+                                    np.zeros(model.n_res))[:, prepared.washout:]
         if not np.all(np.isfinite(regressors)):
             raise FloatingPointError("non-finite training state")
         targets = prepared.train_targets[prepared.washout:].T
         lam, scores = select_penalty(regressors, targets, grid=config.lambda_grid)
         w_out = fit_readout(regressors, targets, lam)
-        val_regressors = collect_states(model, prepared.val_inputs)
+        val_regressors = collect_states(model, prepared.val_inputs, regressors[-model.n_res:, -1])
         predictions = (w_out @ val_regressors).T
         if not (np.all(np.isfinite(val_regressors)) and np.all(np.isfinite(predictions))):
             raise FloatingPointError("non-finite state or prediction")

@@ -58,9 +58,8 @@ def drive(inputs, state, step, ufunc):
     that product. ``inputs`` is the (K, n_in) float matrix that the caller
     has admitted.
 
-    Returns the (D, K) regressor matrix, whose column t is [1; a_t; x_t],
-    and a copy of the last state (of ``state`` when K = 0). The matrix is
-    the transpose of a C-order (K + 1, D) buffer less its row 0, which
+    Returns the (D, K) regressor matrix, whose column t is [1; a_t; x_t].
+    It is the transpose of a C-order (K + 1, D) buffer less its row 0, which
     ends with ``state``; row t holds [1, a_t, x_t], so each column is
     contiguous. Window t - 1 is [x_{t-1}, 1, a_t], everything step t
     reads, and it ends just before x_t: the windows are the buffer's rows
@@ -84,7 +83,7 @@ def drive(inputs, state, step, ufunc):
     for window, x in zip(windows, buf[1:, lead:]):
         dot(window, out=r)
         apply(out=x)
-    return buf[1:].T, buf[-1, lead:].copy()
+    return buf[1:].T
 
 
 def check_integer(name, value, least):

@@ -36,10 +36,10 @@ def check_penalties(name, grid):
     return penalties
 
 
-def collect_states(model, inputs):
-    """``model.run(inputs)``, kept only as a layer name that
+def collect_states(model, inputs, state):
+    """``model.run(inputs, state)``, kept only as a layer name that
     ``bench/tracing.py`` wraps until the package times its own layers."""
-    return model.run(inputs)
+    return model.run(inputs, state)
 
 
 def fit_readout(regressors, targets, lam):

@@ -154,15 +154,15 @@ def test_05_esqn_matches_network_steady_state():
         seed += 1
         model = EsqnModel.random(3, 25, rng=seeded_rng(seed))
         a = seeded_rng(1000 + seed).uniform(0.1, 1.0, 3)
+        loads = np.zeros(model.n_res)
         for _ in range(30_000):
-            previous = model.state.copy()
-            model.run(a[None])
-            if np.max(np.abs(model.state - previous)) < 1e-15:
+            previous, loads = loads, model.run(a[None], loads)[-model.n_res:, -1]
+            if np.max(np.abs(loads - previous)) < 1e-15:
                 break
         solution = solve_steady_state(model.network(a))
         if not solution.stable:
             continue
-        gap = float(np.max(np.abs(model.state - solution.rho)))
+        gap = float(np.max(np.abs(loads - solution.rho)))
         assert gap < 1e-9
         worst = max(worst, gap)
         checked += 1
@@ -239,13 +239,12 @@ def test_10_esn_fading_memory():
     model_a = EsnModel.random(1, 40, rng=seeded_rng(314))
     model_b = EsnModel(w_in=model_a.w_in, w_res=model_a.w_res)
     init = seeded_rng(315)
-    model_a.state = init.uniform(-1.0, 1.0, 40)
-    model_b.state = init.uniform(-1.0, 1.0, 40)
-    start_gap = float(np.linalg.norm(model_a.state - model_b.state))
+    start_a, start_b = init.uniform(-1.0, 1.0, 40), init.uniform(-1.0, 1.0, 40)
+    start_gap = float(np.linalg.norm(start_a - start_b))
     drive = seeded_rng(316).uniform(0.0, 1.0, (500, 1))
-    model_a.run(drive)
-    model_b.run(drive)
-    gap = float(np.linalg.norm(model_a.state - model_b.state))
+    end_a = model_a.run(drive, start_a)[-40:, -1]
+    end_b = model_b.run(drive, start_b)[-40:, -1]
+    gap = float(np.linalg.norm(end_a - end_b))
     assert gap < 1e-6
     _report(10, "fading memory",
             f"state gap {start_gap:.2f} -> {gap:.2e} after 500 shared steps "
@@ -296,12 +295,11 @@ def test_13_esqn_washout_erases_the_start_state(config_dir):
     assert len(washout) == 100
     worst = 0.0
     for trial in range(config.trials):
-        rest, full = (harness.build_model(config, washout.shape[1], seeded_rng(
-            substream_seed(config.seed, TRIAL_STREAM, trial))) for _ in range(2))
-        full.state = np.ones(full.n_res)
-        rest.run(washout)
-        full.run(washout)
-        worst = max(worst, float(np.max(np.abs(rest.state - full.state))))
+        model = harness.build_model(config, washout.shape[1], seeded_rng(
+            substream_seed(config.seed, TRIAL_STREAM, trial)))
+        rest, full = (model.run(washout, start)[-model.n_res:, -1]
+                      for start in (np.zeros(model.n_res), np.ones(model.n_res)))
+        worst = max(worst, float(np.max(np.abs(rest - full))))
     assert worst < 1e-12
     _report(13, "ESQN washout",
             f"start at rest or at loads 1: states within {worst:.1e} after the "

@@ -106,10 +106,11 @@ class TestExperiment:
                          rates_in=np.full(n_in, 1e-320), rates_res=np.full(n_res, 1e-320)),
                      "all 2 trials failed; last, trial 1: non-finite training state",
                      id="firing_rate = 1e-320-all 2 trials failed"),
-        # round(0.15 * 1**2) = 0: no recurrent weight at all, named before any draw
+        # round(0.15 * 1**2) = 0: no recurrent weight at all, so below
+        # esn.MIN_SIZE, named before any draw
         pytest.param(lambda n_in, n_res, rng: EsnModel.random(n_in, 1, rng),
-                     "density 0.15 leaves no nonzero entry at n_res = 1",
-                     id="1-unit esn density named"),
+                     "n_res must be >= 2, got 1",
+                     id="1-unit esn size named"),
     ])
     def test_arithmetic_failure_is_one_error_line(self, workdir, capsys, monkeypatch,
                                                   build, message):

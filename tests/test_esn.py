@@ -14,15 +14,11 @@ def small_model(seed=0, n_in=1, n_res=40):
     return EsnModel.random(n_in, n_res, rng=seeded_rng(seed))
 
 
-def run_states(model, inputs):
-    """The state rows of the regressor matrix that ``run`` returns."""
-    return model.run(inputs)[model.n_in + 1:]
-
-
-def run_from(model, state):
-    """One step of ``model`` from a state set after construction."""
-    model.state = state
-    return model.run(np.zeros((1, model.n_in)))
+def run_states(model, inputs, state=None):
+    """The state rows of the regressor matrix that ``run`` returns, from
+    ``state`` or, by default, from rest."""
+    state = np.zeros(model.n_res) if state is None else state
+    return model.run(inputs, state)[model.n_in + 1:]
 
 
 class TestInit:
@@ -57,15 +53,12 @@ class TestInit:
         np.testing.assert_array_equal(a.w_in, b.w_in)
         np.testing.assert_array_equal(a.w_res, b.w_res)
 
-    def test_state_starts_at_zero(self):
-        assert np.linalg.norm(small_model().state) == 0.0
-
     @pytest.mark.parametrize("n_in, n_res, message", [
         (1, 20.0, "n_res must be an integer, got 20.0"),
         (1, True, "n_res must be an integer, got True"),
         (0.5, 5, "n_in must be an integer, got 0.5"),
         (-1, 5, "n_in must be >= 0, got -1"),
-        (1, 0, "n_res must be >= 1, got 0"),
+        (1, 0, "n_res must be >= 2, got 0"),
     ])
     def test_bad_sizes_rejected_before_any_draw(self, n_in, n_res, message):
         rng = seeded_rng(0)
@@ -84,7 +77,7 @@ class TestInit:
         assert MIN_SIZE == 2
         rng = seeded_rng(0)
         before = rng.bit_generator.state
-        with pytest.raises(ValueError, match=r"density 0\.15 .* n_res = 1"):
+        with pytest.raises(ValueError, match=r"^n_res must be >= 2, got 1$"):
             EsnModel.random(1, 1, rng)
         assert rng.bit_generator.state == before
         assert np.count_nonzero(EsnModel.random(1, MIN_SIZE, rng).w_res) == 1
@@ -119,12 +112,11 @@ class TestInit:
             EsnModel(w_in=np.zeros((1, 2)), w_res=np.zeros((1, 1)), state=[0.5])
 
     def test_non_finite_state_rejected(self):
-        # a state set after construction is checked when a run starts from it
+        # the state a run starts from is checked when the run starts
         for bad in (np.inf, np.nan):
             model = EsnModel(w_in=np.zeros((1, 2)), w_res=np.zeros((1, 1)))
-            model.state = np.array([bad])
             with pytest.raises(ValueError, match="state must be finite"):
-                model.run(np.zeros((1, 1)))
+                model.run(np.zeros((1, 1)), [bad])
 
     @pytest.mark.parametrize("name", ["w_in", "w_res"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -139,9 +131,9 @@ class TestInit:
     ARRAYS = {
         "w_res": (lambda v: EsnModel(w_in=np.zeros((2, 2)), w_res=v), np.eye(2)),
         "w_in": (lambda v: EsnModel(w_in=v, w_res=np.eye(2)), np.zeros((2, 2))),
-        "state": (lambda v: run_from(EsnModel(w_in=np.zeros((2, 2)), w_res=np.eye(2)), v),
-                  np.zeros(2)),
-        "inputs": (lambda v: small_model().run(v), np.zeros((4, 1))),
+        "state": (lambda v: EsnModel(w_in=np.zeros((2, 2)), w_res=np.eye(2)).run(
+                      np.zeros((1, 1)), v), np.zeros(2)),
+        "inputs": (lambda v: small_model().run(v, np.zeros(40)), np.zeros((4, 1))),
         "m": (spectral_radius, np.eye(2)),
     }
 
@@ -161,12 +153,12 @@ class TestRun:
     def test_bad_inputs_rejected(self):
         model = small_model()
         with pytest.raises(ValueError, match=r"inputs must have shape \(None, 1\), got \(4,\)"):
-            model.run(np.zeros(4))
+            run_states(model, np.zeros(4))
         with pytest.raises(ValueError,
                            match=r"inputs must have shape \(None, 1\), got \(4, 2\)"):
-            model.run(np.zeros((4, 2)))
+            run_states(model, np.zeros((4, 2)))
         with pytest.raises(ValueError, match="inputs must be finite"):
-            model.run(np.full((4, 1), np.inf))
+            run_states(model, np.full((4, 1), np.inf))
 
 
 class TestUpdate:
@@ -186,8 +178,8 @@ class TestUpdate:
         # down; verified numerically over 200 steps on a fixed seed
         model = small_model(seed=11)
         model.w_in[:] = 0.0
-        model.state = seeded_rng(5).uniform(-1.0, 1.0, model.n_res)
-        norms = list(np.linalg.norm(run_states(model, np.zeros((200, 1))), axis=0))
+        start = seeded_rng(5).uniform(-1.0, 1.0, model.n_res)
+        norms = list(np.linalg.norm(run_states(model, np.zeros((200, 1)), start), axis=0))
         assert norms[-1] < 1e-4
         tail = norms[150:]
         assert all(b <= a + 1e-15 for a, b in zip(tail, tail[1:]))
@@ -201,7 +193,8 @@ class TestUpdate:
         drive = seeded_rng(40).uniform(0.0, 1.0, (50, 1))
         a = small_model(seed=41)
         b = small_model(seed=41)
-        np.testing.assert_array_equal(a.run(drive), b.run(drive))
+        np.testing.assert_array_equal(a.run(drive, np.zeros(a.n_res)),
+                                      b.run(drive, np.zeros(b.n_res)))
 
 
 # Spectral radius of the seed-20260809 5x5 uniform matrix, computed

@@ -20,24 +20,18 @@ def random_model(seed=0, n_in=3, n_res=25):
     return EsqnModel.random(n_in, n_res, rng=seeded_rng(seed))
 
 
-def run_states(model, inputs):
-    """The load rows of the regressor matrix that ``run`` returns."""
-    return model.run(inputs)[model.n_in + 1:]
+def run_states(model, inputs, state=None):
+    """The load rows of the regressor matrix that ``run`` returns, from
+    ``state`` or, by default, from rest."""
+    state = np.zeros(model.n_res) if state is None else state
+    return model.run(inputs, state)[model.n_in + 1:]
 
 
-def scalar_model(state=0.5):
+def scalar_model():
     # one input neuron, one reservoir unit, hand-checkable update
-    model = EsqnModel(w_plus_in=[[0.2]], w_minus_in=[[0.1]],
-                      w_plus_res=[[0.1]], w_minus_res=[[0.0]],
-                      rates_in=[1.0], rates_res=[1.0])
-    model.state = np.array([state])
-    return model
-
-
-def run_from(model, state):
-    """One step of ``model`` from loads set after construction."""
-    model.state = state
-    return model.run(np.zeros((1, model.n_in)))
+    return EsqnModel(w_plus_in=[[0.2]], w_minus_in=[[0.1]],
+                     w_plus_res=[[0.1]], w_minus_res=[[0.0]],
+                     rates_in=[1.0], rates_res=[1.0])
 
 
 class TestInit:
@@ -46,7 +40,6 @@ class TestInit:
         for block in (model.w_plus_in, model.w_minus_in,
                       model.w_plus_res, model.w_minus_res):
             assert block.min() >= 0.0 and block.max() <= 0.2
-        np.testing.assert_array_equal(model.state, 0.0)
         np.testing.assert_array_equal(model.rates_in, 1.0)
         np.testing.assert_array_equal(model.rates_res, 1.0)
 
@@ -102,8 +95,8 @@ class TestInit:
         **{name: (lambda v, name=name: EsqnModel(**{**TestInit.BLOCKS, name: v}), valid)
            for name, valid in BLOCKS.items()},
         "a": (lambda v: scalar_model().network(v), np.array([0.5])),
-        "inputs": (lambda v: scalar_model().run(v), np.array([[0.5], [0.2]])),
-        "state": (lambda v: run_from(scalar_model(), v), np.array([0.5])),
+        "inputs": (lambda v: scalar_model().run(v, [0.5]), np.array([[0.5], [0.2]])),
+        "state": (lambda v: scalar_model().run([[0.0]], v), np.array([0.5])),
     }
 
     @pytest.mark.parametrize("name", ARRAYS)
@@ -127,15 +120,15 @@ class TestInit:
         with pytest.raises(ValueError, match=f"^{message}$"):
             scalar_model().network(a)
 
-    # a state set after construction is checked when a run starts from it
+    # the loads a run starts from are checked when the run starts
     def test_non_finite_state_rejected(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="state must be finite"):
-                scalar_model(state=bad).run([[0.5]])
+                scalar_model().run([[0.5]], [bad])
 
     def test_negative_state_rejected(self):
         with pytest.raises(ValueError, match="state must hold nonnegative rates"):
-            scalar_model(state=-0.5).run([[0.5]])
+            scalar_model().run([[0.5]], [-0.5])
 
     @pytest.mark.parametrize("name, value", [("state", [0.5]), ("overload_steps", 5)],
                              ids=["state", "overload_steps"])
@@ -148,9 +141,10 @@ class TestInit:
 class TestRun:
     def test_empty_input_leaves_state(self):
         model = random_model(seed=46)
-        before = model.state.copy()
-        assert model.run(np.empty((0, 3))).shape == (1 + 3 + 25, 0)
-        np.testing.assert_array_equal(model.state, before)
+        start = seeded_rng(47).uniform(0.0, 1.0, 25)
+        before = start.copy()
+        assert model.run(np.empty((0, 3)), start).shape == (1 + 3 + 25, 0)
+        np.testing.assert_array_equal(start, before)
         assert model.overload_steps == 0
 
     def test_overloads_counted_per_column(self):
@@ -161,22 +155,21 @@ class TestRun:
                       rates_in=[1.0], rates_res=[1.0, 1.0])
         inputs = [[1.0], [0.0], [0.5], [0.1]]  # loads 5, 0, 2.5, 0.5
         whole, split = EsqnModel(**blocks), EsqnModel(**blocks)
-        whole.run(inputs)
-        split.run(inputs[:1])
-        split.run(inputs[1:])
+        run_states(whole, inputs)
+        run_states(split, inputs[1:], run_states(split, inputs[:1])[:, -1])
         assert whole.overload_steps == split.overload_steps == 2
 
     def test_bad_inputs_rejected(self):
         model = random_model()
         with pytest.raises(ValueError, match=r"inputs must have shape \(None, 3\), got \(3,\)"):
-            model.run(np.zeros(3))
+            run_states(model, np.zeros(3))
         with pytest.raises(ValueError,
                            match=r"inputs must have shape \(None, 3\), got \(4, 2\)"):
-            model.run(np.zeros((4, 2)))
+            run_states(model, np.zeros((4, 2)))
         with pytest.raises(ValueError, match="inputs must be finite"):
-            model.run(np.full((4, 3), np.nan))
+            run_states(model, np.full((4, 3), np.nan))
         with pytest.raises(ValueError, match="inputs must hold nonnegative rates"):
-            model.run(np.full((4, 3), -0.1))
+            run_states(model, np.full((4, 3), -0.1))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -196,8 +189,8 @@ class TestRun:
                           w_minus_res=array((n_res, n_res), 0.0, 1.0),
                           rates_in=array(n_in, 0.5, 2.0),
                           rates_res=array(n_res, 0.5, 2.0))
-        model.state = array(n_res, 0.0, 1.0)
-        loads = run_states(model, array((steps, n_in), 0.0, 1.0))
+        start = array(n_res, 0.0, 1.0)
+        loads = run_states(model, array((steps, n_in), 0.0, 1.0), start)
         assert loads.shape == (n_res, steps)
         assert np.all(np.isfinite(loads))
         assert np.all(loads >= 0.0)
@@ -211,20 +204,18 @@ class TestUpdate:
                           w_plus_res=np.zeros_like(base.w_plus_res),
                           w_minus_res=base.w_minus_res,
                           rates_in=base.rates_in, rates_res=base.rates_res)
-        model.state = seeded_rng(4).uniform(0.0, 1.0, model.n_res)
-        out = run_states(model, seeded_rng(3).uniform(0.0, 1.0, (1, model.n_in)))[:, 0]
+        start = seeded_rng(4).uniform(0.0, 1.0, model.n_res)
+        out = run_states(model, seeded_rng(3).uniform(0.0, 1.0, (1, model.n_in)), start)[:, 0]
         np.testing.assert_array_equal(out, 0.0)
 
     def test_scalar_hand_value(self):
         # (1.0 * 0.2 + 0.5 * 0.1) / (1 + 1.0 * 0.1 + 0) = 0.25 / 1.1
-        model = scalar_model(state=0.5)
-        out = run_states(model, [[1.0]])[:, 0]
+        out = run_states(scalar_model(), [[1.0]], [0.5])[:, 0]
         assert out[0] == pytest.approx(0.25 / 1.1, abs=1e-15)
         assert out[0] == pytest.approx(0.22727272727272727, abs=1e-12)
 
     def test_zero_state_leaves_input_terms_only(self):
-        model = scalar_model(state=0.0)
-        out = run_states(model, [[1.0]])[:, 0]
+        out = run_states(scalar_model(), [[1.0]], [0.0])[:, 0]
         assert out[0] == pytest.approx(0.2 / 1.1, abs=1e-15)
 
     def test_update_reads_previous_state_only(self):
@@ -234,8 +225,7 @@ class TestUpdate:
                           w_plus_res=[[0.0, 0.0], [0.5, 0.0]],
                           w_minus_res=np.zeros((2, 2)),
                           rates_in=[1.0], rates_res=[1.0, 1.0])
-        model.state = np.array([1.0, 0.0])
-        out = run_states(model, [[0.7]])[:, 0]
+        out = run_states(model, [[0.7]], [1.0, 0.0])[:, 0]
         np.testing.assert_allclose(out, [0.0, 0.5], atol=1e-15)
 
     def test_permutation_equivariance(self):
@@ -248,11 +238,10 @@ class TestUpdate:
                              w_minus_res=model.w_minus_res[np.ix_(perm, perm)],
                              rates_in=model.rates_in,
                              rates_res=model.rates_res[perm])
-        model.state = rng.uniform(0.0, 1.0, 6)
-        permuted.state = model.state[perm]
+        start = rng.uniform(0.0, 1.0, 6)
         a = rng.uniform(0.0, 1.0, (1, 2))
-        out = run_states(model, a)[:, 0]
-        out_permuted = run_states(permuted, a)[:, 0]
+        out = run_states(model, a, start)[:, 0]
+        out_permuted = run_states(permuted, a, start[perm])[:, 0]
         np.testing.assert_allclose(out_permuted, out[perm], atol=1e-15)
 
     def test_linear_regime_decay_and_growth(self):
@@ -267,9 +256,7 @@ class TestUpdate:
             model = EsqnModel(w_plus_in=np.zeros((3, 1)), w_minus_in=np.zeros((3, 1)),
                               w_plus_res=w_plus, w_minus_res=np.zeros((3, 3)),
                               rates_in=[1.0], rates_res=np.ones(3))
-            model.state = start
-            model.run(np.zeros((60, 1)))
-            norm = np.linalg.norm(model.state)
+            norm = np.linalg.norm(run_states(model, np.zeros((60, 1)), start)[:, -1])
             if grows:
                 assert norm > 10.0 * np.linalg.norm(start)
             else:
@@ -282,8 +269,8 @@ class TestUpdate:
         solution = solve_steady_state(model.network(np.zeros(2)))
         np.testing.assert_array_equal(solution.rho, 0.0)
         assert solution.stable and solution.iterations == 0
-        model.run(np.zeros((200, 2)))
-        assert np.max(model.state) < 1e-100
+        start = seeded_rng(1).uniform(0.0, 1.0, 3)
+        assert np.max(run_states(model, np.zeros((200, 2)), start)[:, -1]) < 1e-100
 
     def test_each_step_is_one_load_map_of_the_held_network(self):
         # run's batched step matrix and randnn's fixed-point map are two
@@ -298,7 +285,7 @@ class TestUpdate:
                     name: getattr(model, name) / 10 for name in
                     ("w_plus_in", "w_minus_in", "w_plus_res", "w_minus_res")})
             inputs = seeded_rng(70 + seed).uniform(0.0, 1.0, (200, 10))
-            loads = np.hstack([model.state[:, None], run_states(model, inputs)])
+            loads = np.hstack([np.zeros((80, 1)), run_states(model, inputs)])
             for t, a in enumerate(inputs):
                 np.testing.assert_allclose(loads[:, t + 1],
                                            _load_map(model.network(a), loads[:, t]),
@@ -323,8 +310,8 @@ def test_shipped_reservoirs_are_not_g_network_routing(config_dir):
         assert not steady.stable
         peaks.append(steady.rho.max())
         routing.append((model.w_plus_res + model.w_minus_res).sum(axis=0).mean())
-        loads = np.hstack([run_states(model, data.train_inputs),
-                           run_states(model, data.val_inputs)])
+        train = run_states(model, data.train_inputs)
+        loads = np.hstack([train, run_states(model, data.val_inputs, train[:, -1])])
         steps += loads.shape[1]
         overloaded_steps += model.overload_steps
         unit_fractions.append(np.mean(loads > 1.0))

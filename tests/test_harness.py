@@ -30,6 +30,9 @@ FIELD_CASES = [
     # a column is a header name, even one that reads as a number
     ("csv_column = 3\ncsv_path = /data/traffic.csv", "csv_column", "3"),
     ("csv_column = bytes\ncsv_path = /data/traffic.csv", "csv_column", "bytes"),
+    # a '#' starts a comment only at the start of a line or after whitespace
+    ("csv_column = count#1\ncsv_path = /data/traffic.csv", "csv_column", "count#1"),
+    ("csv_path = /data/run#2/traffic.csv", "csv_path", "/data/run#2/traffic.csv"),
     ("lag_offsets = 0, 6,7", "lag_offsets", (0, 6, 7)),
     ("train_size = 47", "train_size", 47),
     ("validation_size = 15", "validation_size", 15),
@@ -303,6 +306,24 @@ class TestPrepareData:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("model", ["esn", "esqn"])
+    def test_state_starts_at_zero(self, monkeypatch, model):
+        # run_trial owns the start rule: training starts at rest, and
+        # validation from the last state column of the training run
+        real_collect_states = harness.collect_states
+        calls = []
+
+        def recorded(model, inputs, state):
+            calls.append((state.copy(), real_collect_states(model, inputs, state)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(harness, "collect_states", recorded)
+        config = tiny_narma(model=model)
+        harness.run_trial(config, prepare_data(config), 1)
+        (train_start, train), (val_start, _) = calls
+        np.testing.assert_array_equal(train_start, np.zeros(config.reservoir_size))
+        np.testing.assert_array_equal(val_start, train[-config.reservoir_size:, -1])
+
     def test_trial_results_independent_of_trial_count(self):
         short = run_experiment(tiny_narma(trials=2))
         long = run_experiment(tiny_narma(trials=4))
@@ -314,7 +335,8 @@ class TestRunExperiment:
         result, _ = harness.run_trial(config, prepared, 1)
         model = harness.build_model(config, prepared.train_inputs.shape[1],
                                     np.random.default_rng(result.seed))
-        regressors = model.run(prepared.train_inputs)[:, prepared.washout:]
+        regressors = model.run(prepared.train_inputs,
+                               np.zeros(model.n_res))[:, prepared.washout:]
         _, scores = select_penalty(regressors, prepared.train_targets[prepared.washout:].T,
                                    grid=config.lambda_grid)
         assert result.holdout_nmse == tuple(scores.items())

@@ -1,8 +1,11 @@
+import copy
 import importlib
 import importlib.util
 import os
 import pkgutil
 import re
+
+import numpy as np
 
 import reservoirq
 
@@ -73,6 +76,21 @@ def test_no_module_defines_an_exception_class():
                if isinstance(obj, type) and issubclass(obj, BaseException)
                and obj.__module__ == module.__name__]
         assert not own, (module.__name__, own)
+
+
+def test_a_run_changes_no_model_field():
+    # a reservoir is its weights: a run reads them, its inputs and the state
+    # it starts from, and writes only an ESQN's overload tally
+    inputs = reservoirq.seeded_rng(3).uniform(0.0, 1.0, (20, 2))
+    for cls in (reservoirq.EsnModel, reservoirq.EsqnModel):
+        model = cls.random(2, 6, reservoirq.seeded_rng(4))
+        before = copy.deepcopy(vars(model))
+        model.run(inputs, np.full(6, 0.5))
+        after = {name: value for name, value in vars(model).items()
+                 if name != "overload_steps"}
+        assert after.keys() == before.keys() - {"overload_steps"}
+        for name, value in after.items():
+            np.testing.assert_array_equal(value, before[name], err_msg=name)
 
 
 def test_traced_bench_runs_every_layer(monkeypatch):
