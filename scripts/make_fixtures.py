@@ -6,9 +6,8 @@ noise) with the same lengths and lag protocols as the real ISP and UKERNA
 traces, which are not redistributable. Goldens are written by running
 the commands of the golden table in tests/fixture_runner.py, in this
 process, on the committed assets. The experiment configs under
-fixtures/configs and the random-neural-network spec files
-fixtures/randnn_*.txt are hand-written; this script reads them and
-never writes them.
+fixtures/configs are hand-written; this script reads them and never
+writes them.
 """
 
 import os
@@ -58,10 +57,10 @@ def make_series():
 
 
 def make_goldens():
-    for argv, outputs, stdout_name, _ in GOLDEN.values():
+    for argv, outputs, _ in GOLDEN.values():
         with tempfile.TemporaryDirectory() as scratch:
-            run_cli(argv, scratch, stdout_name)
-            for output in outputs + ((stdout_name,) if stdout_name else ()):
+            run_cli(argv, scratch)
+            for output in outputs:
                 shutil.copy(os.path.join(scratch, output), os.path.join(GOLDENS, output))
 
 

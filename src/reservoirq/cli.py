@@ -1,12 +1,11 @@
 """Command-line front end.
 
-Subcommands: generate-narma, experiment, sweep, solve-randnn. Results go
-to CSV files in the current directory; stdout carries one machine-
-parseable line per result row. The command line only parses: argparse
-exits 2 on text that does not parse, and the library judges every value,
-so a failing command, an out-of-range number included, prints one
-``error:`` line to stderr and exits 1. solve-randnn also reports its
-iteration count and residual on stderr.
+Subcommands: generate-narma, experiment, sweep. Results go to CSV files
+in the current directory; stdout carries one machine-parseable line per
+result row. The command line only parses: argparse exits 2 on text that
+does not parse, and the library judges every value, so a failing
+command, an out-of-range number included, prints one ``error:`` line to
+stderr and exits 1.
 """
 
 import argparse
@@ -18,7 +17,6 @@ from .data import generate_narma10
 from .harness import ExperimentConfig, reservoir_size_sweep, run_experiment
 from .metrics import results_csv, series_csv, summary_csv, sweep_csv, trace_csv
 from .numerics import seeded_rng
-from .randnn import load_spec, residual, solve_steady_state
 
 
 def _size_list(text):
@@ -55,11 +53,6 @@ def build_parser():
     swp.add_argument("--seed", type=int, default=None,
                      help="override the config's master seed")
     swp.set_defaults(run=cmd_sweep)
-
-    slv = sub.add_parser("solve-randnn",
-                         help="solve a random-neural-network spec file for its loads")
-    slv.add_argument("--spec", required=True, help="plain-text spec file")
-    slv.set_defaults(run=cmd_solve_randnn)
     return parser
 
 
@@ -99,17 +92,6 @@ def cmd_sweep(args):
     Path("sweep.csv").write_text(sweep_csv(sized))
     for size, summary in sized:
         print(f"{size} {_summary_line(summary)}")
-    return 0
-
-
-def cmd_solve_randnn(args):
-    spec = load_spec(args.spec)
-    solution = solve_steady_state(spec)
-    for load in solution.rho:
-        print(repr(float(load)))
-    print("stable", "true" if solution.stable else "false")
-    print(f"iterations {solution.iterations}", file=sys.stderr)
-    print(f"residual {residual(spec, solution.rho)!r}", file=sys.stderr)
     return 0
 
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import read_lines
-from .numerics import check_array, check_integer
+from .numerics import check_array
 
 ALPHA_FLOOR = 2.0 ** -20
 # the solve stops once the largest load moves less than TOL in one map
@@ -118,40 +117,3 @@ def solve_steady_state(spec):
             return SteadyState(rho=rho, stable=False, iterations=iteration + 1)
     raise RuntimeError(
         f"load equations did not reach tol={TOL} within {MAX_ITER} iterations")
-
-
-def _parse_rows(path, lines, n):
-    """An array of (line number, text) rows of n numbers each."""
-    rows = []
-    for lineno, line in lines:
-        parts = line.split()
-        if len(parts) != n:
-            raise ValueError(f"{path}: line {lineno}: expected {n} values, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: unparseable number ({exc})") from None
-    return np.array(rows)
-
-
-def load_spec(path):
-    """Read a spec from plain text: the neuron count N, then one line each
-    of N numbers for lambda+, lambda- and the rates r, then the N rows of
-    w+ and the N rows of w-, numbers separated by whitespace and blank
-    lines skipped. Errors name the file and line."""
-    lines = [(lineno, line.strip()) for lineno, line in
-             enumerate(read_lines(path), start=1) if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty spec file")
-    try:
-        n = int(lines[0][1])
-    except ValueError:
-        raise ValueError(f"{path}: line {lines[0][0]}: expected the neuron count") from None
-    check_integer(f"{path}: neuron count", n, 1)
-    if len(lines) != 1 + 3 + 2 * n:
-        raise ValueError(f"{path}: expected {1 + 3 + 2 * n} lines for N={n}, got {len(lines)}")
-    lam_plus, lam_minus, rates = _parse_rows(path, lines[1:4], n)
-    w_plus = _parse_rows(path, lines[4:4 + n], n)
-    w_minus = _parse_rows(path, lines[4 + n:], n)
-    return RandnnSpec(lambda_plus=lam_plus, lambda_minus=lam_minus,
-                      w_plus=w_plus, w_minus=w_minus, rates=rates)

@@ -1,20 +1,18 @@
 """The golden fixtures: CLI invocations whose outputs are pinned.
 
-A golden fixture's outputs, its saved stdout included, are compared with
-the committed copies under fixtures/goldens: equal line counts, equal
-token counts per line (commas count as spaces), words equal, and numbers
-within the fixture's tolerance, relative above magnitude 1; a missing
-golden fails. A rerun fixture runs its command twice in fresh directories
-and requires identical bytes, which pins determinism without committing
-platform-tied floats. tests/test_fixtures.py checks both kinds, and
+A golden fixture's outputs are compared with the committed copies under
+fixtures/goldens: equal line counts, equal token counts per line (commas
+count as spaces), words equal, and numbers within the fixture's
+tolerance, relative above magnitude 1; a missing golden fails. A rerun
+fixture runs its command twice in fresh directories and requires
+identical bytes, which pins determinism without committing platform-tied
+floats. tests/test_fixtures.py checks both kinds, and
 scripts/make_fixtures.py rewrites the goldens from the same table (it
 reads the configs and never writes them), so this module imports no
 pytest. The sine,esqn NMSE is ridge rounding on a near-perfect fit, so
 any reassociation of the float operations moves its last digits.
 """
 
-import contextlib
-import io
 import os
 
 from reservoirq import cli
@@ -24,17 +22,13 @@ FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__
 GOLDENS = os.path.join(FIXTURES, "goldens")
 CONFIGS = os.path.join(FIXTURES, "configs")
 
-# name: (argv, files the command writes, file its stdout is saved to, tolerance)
+# name: (argv, files the command writes, tolerance)
 GOLDEN = {
     "narma-generation": (("generate-narma", "--n", "50", "--seed", "7", "--out", "narma50"),
-                         ("narma50_inputs.csv", "narma50_targets.csv"), None, 1e-12),
-    "randnn-chain": (("solve-randnn", "--spec", os.path.join(FIXTURES, "randnn_chain.txt")),
-                     (), "randnn_chain_loads.txt", 1e-9),
-    "randnn-pair": (("solve-randnn", "--spec", os.path.join(FIXTURES, "randnn_pair.txt")),
-                    (), "randnn_pair_loads.txt", 1e-9),
+                         ("narma50_inputs.csv", "narma50_targets.csv"), 1e-12),
     "sine-linear-pipeline": (("experiment", "--config",
                               os.path.join(CONFIGS, "sine_perfect.cfg")),
-                             ("summary.csv",), None, 1e-6),
+                             ("summary.csv",), 1e-6),
 }
 
 # name: (argv, files the command writes)
@@ -47,20 +41,14 @@ RERUN = {
 }
 
 
-def run_cli(argv, workdir, stdout_name=None):
+def run_cli(argv, workdir):
     """Run the CLI in this process with ``workdir`` as the working
-    directory, saving its stdout there as ``stdout_name`` if one is given.
-    Raises RuntimeError if the command exits non-zero."""
+    directory. Raises RuntimeError if the command exits non-zero."""
     old_cwd = os.getcwd()
-    buffer = io.StringIO()
     try:
         os.chdir(workdir)
-        with contextlib.redirect_stdout(buffer):
-            code = cli.main(list(argv))
+        code = cli.main(list(argv))
     finally:
         os.chdir(old_cwd)
     if code != 0:
         raise RuntimeError(f"{' '.join(argv)} exited with code {code}")
-    if stdout_name:
-        with open(os.path.join(workdir, stdout_name), "w") as fh:
-            fh.write(buffer.getvalue())

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from reservoirq import cli, harness, randnn
+from reservoirq import cli, data, harness
 from reservoirq.data import load_csv
 from reservoirq.esn import EsnModel
 from reservoirq.esqn import EsqnModel
@@ -60,6 +60,12 @@ class TestGenerateNarma:
         err = one_error_line(["generate-narma", "--n", "0", "--seed", "1", "--out", "x"],
                              capsys)
         assert "n must be >= 1, got 0" in err
+
+    def test_divergence_is_one_error_line(self, workdir, capsys, monkeypatch):
+        # cli.main's RuntimeError branch: no draw stays within a limit of -1
+        monkeypatch.setattr(data, "NARMA_DIVERGENCE_LIMIT", -1)
+        err = one_error_line(["generate-narma", "--n", "5", "--out", "x"], capsys)
+        assert err == "error: NARMA-10 diverged on 10 consecutive attempts\n"
 
 
 class TestExperiment:
@@ -198,43 +204,6 @@ class TestSweep:
         assert sweep_line == f"10 {experiment_line}"
 
 
-class TestSolveRandnn:
-    def test_chain_fixture(self, workdir, capsys, fixture_root):
-        spec = os.path.join(fixture_root, "randnn_chain.txt")
-        assert cli.main(["solve-randnn", "--spec", spec]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert float(lines[0]) == pytest.approx(0.5, abs=1e-9)
-        assert float(lines[1]) == pytest.approx(0.25, abs=1e-9)
-        assert lines[2] == "stable true"
-
-    def test_iterations_and_residual_on_stderr(self, workdir, capsys, fixture_root):
-        spec = os.path.join(fixture_root, "randnn_chain.txt")
-        assert cli.main(["solve-randnn", "--spec", spec]) == 0
-        captured = capsys.readouterr()
-        iterations, res = captured.err.splitlines()
-        assert re.fullmatch(r"iterations [1-9]\d*", iterations)
-        assert res.startswith("residual ") and 0.0 <= float(res.split()[1]) < 1e-12
-        assert "iterations" not in captured.out and "residual" not in captured.out
-
-    def test_unstable_spec_reports_false(self, workdir, capsys, tmp_path):
-        path = tmp_path / "hot.txt"
-        path.write_text("1\n2.0\n0.0\n1.0\n0.0\n0.0\n")
-        assert cli.main(["solve-randnn", "--spec", str(path)]) == 0
-        assert capsys.readouterr().out.strip().splitlines()[-1] == "stable false"
-
-    def test_missing_spec_fails(self, workdir, capsys):
-        assert cli.main(["solve-randnn", "--spec", "missing.txt"]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_unconverged_solve_is_one_error_line(self, workdir, capsys, fixture_root,
-                                                 monkeypatch):
-        # the pair fixture needs 39 iterations to converge, the chain only 2
-        monkeypatch.setattr(randnn, "MAX_ITER", 2)
-        spec = os.path.join(fixture_root, "randnn_pair.txt")
-        err = one_error_line(["solve-randnn", "--spec", spec], capsys)
-        assert "did not reach tol=1e-12 within 2 iterations" in err
-
-
 class TestUsage:
     def test_unknown_flag_rejected(self, workdir, capsys):
         with pytest.raises(SystemExit) as info:
@@ -250,9 +219,8 @@ class TestUsage:
         assert one_error_line(["experiment", "--config", config, "--seed", "-1"],
                               capsys) == err
 
-    @pytest.mark.parametrize("argv", [["experiment", "--config", "bad.txt"],
-                                      ["solve-randnn", "--spec", "bad.txt"]],
-                             ids=["config", "spec"])
+    @pytest.mark.parametrize("argv", [["experiment", "--config", "bad.txt"]],
+                             ids=["config"])
     def test_undecodable_file_is_one_error_line(self, workdir, capsys, argv):
         (workdir / "bad.txt").write_bytes(b"trials = 2\n\xff\n")
         err = one_error_line(argv, capsys)
@@ -263,10 +231,17 @@ class TestUsage:
             cli.main(["dance"])
         assert info.value.code == 2
 
-    def test_console_entry_point(self, tmp_path, subprocess_env):
+    def test_console_entry_point(self, tmp_path, subprocess_env, fixture_root):
+        # --help and the README's command-line block name exactly the
+        # parser's subcommands
+        (commands,) = [action.choices for action in cli.build_parser()._actions
+                       if action.dest == "command"]
         proc = subprocess.run([sys.executable, "-m", "reservoirq.cli", "--help"],
                               capture_output=True, text=True, cwd=tmp_path,
                               env=subprocess_env)
         assert proc.returncode == 0
-        for command in ("generate-narma", "experiment", "sweep", "solve-randnn"):
-            assert command in proc.stdout
+        assert re.search(r"\{([^}]*)\}", proc.stdout).group(1).split(",") == list(commands)
+        with open(os.path.join(os.path.dirname(fixture_root), "README.md")) as fh:
+            section = fh.read().split("## Command line", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        assert set(re.findall(r"^reservoirq (\S+)", block, re.M)) == set(commands)

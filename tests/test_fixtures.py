@@ -11,9 +11,9 @@ from fixture_runner import FIXTURES, GOLDEN, GOLDENS, RERUN, run_cli
 def test_golden(name, tmp_path):
     # line and token counts must agree, words exactly, and numbers within
     # the fixture's tolerance, relative above magnitude 1
-    argv, outputs, stdout_name, tol = GOLDEN[name]
-    run_cli(argv, tmp_path, stdout_name)
-    for output in outputs + ((stdout_name,) if stdout_name else ()):
+    argv, outputs, tol = GOLDEN[name]
+    run_cli(argv, tmp_path)
+    for output in outputs:
         with open(os.path.join(GOLDENS, output)) as fh:  # a missing golden fails here
             want = fh.read().splitlines()
         got = (tmp_path / output).read_text().splitlines()
@@ -30,6 +30,12 @@ def test_golden(name, tmp_path):
                     assert g == w, where
                     continue
                 assert abs(gv - wv) <= tol * max(1.0, abs(wv)), f"{where}: beyond {tol}"
+
+
+def test_every_golden_is_named_by_a_fixture():
+    # a golden whose command went would otherwise stay behind unchecked
+    named = {output for _, outputs, _ in GOLDEN.values() for output in outputs}
+    assert sorted(os.listdir(GOLDENS)) == sorted(named)
 
 
 @pytest.mark.parametrize("name", RERUN)

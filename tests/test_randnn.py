@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from reservoirq import randnn
-from reservoirq.randnn import RandnnSpec, load_spec, residual, solve_steady_state
+from reservoirq.randnn import RandnnSpec, residual, solve_steady_state
 
 
 def single_neuron(lam_plus, lam_minus, rate):
@@ -77,6 +77,7 @@ class TestSolveSteadyState:
         solution = solve_steady_state(pair_spec())
         estimate, stderr = _simulate_pair_activity(t_end=20_000.0, seed=42)
         np.testing.assert_allclose(solution.rho, [0.6, 0.6], atol=1e-11)
+        assert solution.stable
         assert np.all(np.abs(solution.rho - estimate) <= 2.0 * stderr)
 
     def test_unstable_network_is_flagged_not_raised(self):
@@ -176,64 +177,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="^lambda_plus must be non-empty$"):
             RandnnSpec(lambda_plus=[], lambda_minus=[], w_plus=np.zeros((0, 0)),
                        w_minus=np.zeros((0, 0)), rates=[])
-
-
-class TestSpecFiles:
-    def test_fixture_pair_file_loads_exactly(self, fixture_root):
-        spec = load_spec(f"{fixture_root}/randnn_pair.txt")
-        np.testing.assert_array_equal(spec.lambda_plus, [0.3, 0.3])
-        np.testing.assert_array_equal(spec.lambda_minus, [0.0, 0.0])
-        np.testing.assert_array_equal(spec.rates, [1.0, 1.0])
-        np.testing.assert_array_equal(spec.w_plus, [[0.0, 0.5], [0.5, 0.0]])
-        np.testing.assert_array_equal(spec.w_minus, np.zeros((2, 2)))
-
-    def test_fixture_chain_file(self, fixture_root):
-        spec = load_spec(f"{fixture_root}/randnn_chain.txt")
-        solution = solve_steady_state(spec)
-        np.testing.assert_allclose(solution.rho, [0.5, 0.25], atol=1e-12)
-
-    def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "broken.txt"
-        path.write_text("2\n1.0 0.0\n")
-        with pytest.raises(ValueError, match="expected"):
-            load_spec(path)
-
-    @pytest.mark.parametrize("count", ["0", "-1"])
-    def test_neuron_count_takes_the_integer_rule(self, tmp_path, count):
-        path = tmp_path / "spec.txt"
-        path.write_text(f"{count}\n")
-        with pytest.raises(ValueError, match=re.escape(
-                f"{path}: neuron count must be >= 1, got {count}")):
-            load_spec(path)
-
-    @pytest.mark.parametrize("text, message", [
-        ("", "empty spec file"),
-        ("\n\n", "empty spec file"),
-        # N = 2, so each of the seven rows after the count holds two numbers
-        ("2\n0.5\n0 0\n1 1\n0 0\n0 0\n0 0\n0 0\n", "line 2: expected 2 values, got 1"),
-    ], ids=["empty", "blank-lines", "short-row"])
-    def test_file_without_its_rows_rejected(self, tmp_path, text, message):
-        path = tmp_path / "spec.txt"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
-            load_spec(path)
-
-    def test_garbled_number_rejected(self, tmp_path):
-        path = tmp_path / "broken.txt"
-        path.write_text("1\n1.0\nx\n1.0\n0.0\n0.0\n")
-        with pytest.raises(ValueError, match="line 3"):
-            load_spec(path)
-
-    @pytest.mark.parametrize("text, lineno", [
-        ("1\n\n0.5\n0\n1\nx\n0\n", 6),   # the w+ row, after a blank line
-        ("\nx\n", 2),                       # the neuron count
-        ("\ufeff1\n0.5\n0\n1\nx\n0\n", 5),   # a byte-order mark before the count
-    ])
-    def test_error_names_the_file_and_the_real_line(self, tmp_path, text, lineno):
-        path = tmp_path / "broken.txt"
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: line {lineno}: ")):
-            load_spec(path)
 
 
 def _simulate_pair_activity(t_end, seed, n_batches=20):
