@@ -3,7 +3,9 @@
 
 The traffic-shaped series are seeded synthetic stand-ins (sinusoids plus
 noise) with the same lengths and lag protocols as the real ISP and UKERNA
-traces, which are not redistributable. Goldens are written by running
+traces, which are not redistributable. The NARMA-10 pair is the first 50
+(input, target) pairs of generate_narma10 on seed 7, which pins the
+generator byte for byte. Goldens are written by running
 the commands of the golden table in tests/fixture_runner.py, in this
 process, on the committed assets. The experiment configs under
 fixtures/configs are hand-written; this script reads them and never
@@ -22,7 +24,9 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(REPO, "src"), os.path.join(REPO, "tests")]
 
 from fixture_runner import FIXTURES, GOLDEN, GOLDENS, run_cli  # noqa: E402
+from reservoirq.data import generate_narma10  # noqa: E402
 from reservoirq.metrics import series_csv  # noqa: E402
+from reservoirq.numerics import seeded_rng  # noqa: E402
 
 
 def make_series():
@@ -54,6 +58,10 @@ def make_series():
     t = np.arange(n)
     sine = 0.5 + 0.45 * np.sin(2 * np.pi * t / 23.0)
     Path(FIXTURES, "sine.csv").write_text(series_csv(sine))
+
+    inputs, targets = generate_narma10(50, seeded_rng(7))
+    Path(FIXTURES, "narma50_inputs.csv").write_text(series_csv(inputs))
+    Path(FIXTURES, "narma50_targets.csv").write_text(series_csv(targets))
 
 
 def make_goldens():

@@ -1,22 +1,20 @@
 """Command-line front end.
 
-Subcommands: generate-narma, experiment, sweep. Results go to CSV files
-in the current directory; stdout carries one machine-parseable line per
-result row. The command line only parses: argparse exits 2 on text that
-does not parse, and the library judges every value, so a failing
-command, an out-of-range number included, prints one ``error:`` line to
-stderr and exits 1.
+Subcommands: experiment and sweep. Each runs one config file, which
+alone describes the run (sweep adds only the reservoir sizes). Results
+go to CSV files in the current directory; stdout carries one
+machine-parseable line per result row. The command line only parses:
+argparse exits 2 on text that does not parse, and the library judges
+every value, so a failing command, an out-of-range size included, prints
+one ``error:`` line to stderr and exits 1.
 """
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
-from .data import generate_narma10
 from .harness import ExperimentConfig, reservoir_size_sweep, run_experiment
-from .metrics import results_csv, series_csv, summary_csv, sweep_csv, trace_csv
-from .numerics import seeded_rng
+from .metrics import results_csv, summary_csv, sweep_csv, trace_csv
 
 
 def _size_list(text):
@@ -32,35 +30,16 @@ def build_parser():
         description="Reservoir-computing forecasting benchmarks (ESN and ESQN).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate-narma",
-                         help="generate a NARMA-10 input/target series pair")
-    gen.add_argument("--n", type=int, required=True, help="number of (input, target) pairs")
-    gen.add_argument("--seed", type=int, default=0, help="generator seed")
-    gen.add_argument("--out", required=True,
-                     help="output prefix; writes <out>_inputs.csv and <out>_targets.csv")
-    gen.set_defaults(run=cmd_generate_narma)
-
     exp = sub.add_parser("experiment", help="run a configured experiment")
     exp.add_argument("--config", required=True, help="key=value config file")
-    exp.add_argument("--seed", type=int, default=None,
-                     help="override the config's master seed")
     exp.set_defaults(run=cmd_experiment)
 
     swp = sub.add_parser("sweep", help="repeat an experiment over reservoir sizes")
     swp.add_argument("--config", required=True, help="key=value config file")
     swp.add_argument("--sizes", type=_size_list, required=True,
                      help="comma-separated reservoir sizes, e.g. 10,40,80")
-    swp.add_argument("--seed", type=int, default=None,
-                     help="override the config's master seed")
     swp.set_defaults(run=cmd_sweep)
     return parser
-
-
-def _load_config(args):
-    config = ExperimentConfig.from_file(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    return config
 
 
 def _summary_line(summary):
@@ -70,15 +49,8 @@ def _summary_line(summary):
             f"±{summary.ci_halfwidth:.4f}")
 
 
-def cmd_generate_narma(args):
-    inputs, targets = generate_narma10(args.n, seeded_rng(args.seed))
-    Path(f"{args.out}_inputs.csv").write_text(series_csv(inputs))
-    Path(f"{args.out}_targets.csv").write_text(series_csv(targets))
-    return 0
-
-
 def cmd_experiment(args):
-    outcome = run_experiment(_load_config(args))
+    outcome = run_experiment(ExperimentConfig.from_file(args.config))
     Path("results.csv").write_text(results_csv(outcome.results))
     Path("summary.csv").write_text(summary_csv([outcome.summary]))
     Path("trace.csv").write_text(trace_csv(outcome.trace))
@@ -87,8 +59,9 @@ def cmd_experiment(args):
 
 
 def cmd_sweep(args):
-    sized = [(size, outcome.summary) for size, outcome in
-             reservoir_size_sweep(_load_config(args), args.sizes)]
+    config = ExperimentConfig.from_file(args.config)
+    sized = [(size, outcome.summary)
+             for size, outcome in reservoir_size_sweep(config, args.sizes)]
     Path("sweep.csv").write_text(sweep_csv(sized))
     for size, summary in sized:
         print(f"{size} {_summary_line(summary)}")

@@ -24,8 +24,6 @@ CONFIGS = os.path.join(FIXTURES, "configs")
 
 # name: (argv, files the command writes, tolerance)
 GOLDEN = {
-    "narma-generation": (("generate-narma", "--n", "50", "--seed", "7", "--out", "narma50"),
-                         ("narma50_inputs.csv", "narma50_targets.csv"), 1e-12),
     "sine-linear-pipeline": (("experiment", "--config",
                               os.path.join(CONFIGS, "sine_perfect.cfg")),
                              ("summary.csv",), 1e-6),
@@ -33,8 +31,6 @@ GOLDEN = {
 
 # name: (argv, files the command writes)
 RERUN = {
-    "narma-determinism": (("generate-narma", "--n", "200", "--seed", "123", "--out", "det"),
-                          ("det_inputs.csv", "det_targets.csv")),
     "experiment-determinism": (("experiment", "--config",
                                 os.path.join(CONFIGS, "narma_tiny.cfg")),
                                ("results.csv", "summary.csv", "trace.csv")),

@@ -46,28 +46,6 @@ def one_error_line(argv, capsys):
     return captured.err
 
 
-class TestGenerateNarma:
-    def test_writes_paired_csvs(self, workdir):
-        assert cli.main(["generate-narma", "--n", "120", "--seed", "7",
-                         "--out", "series"]) == 0
-        inputs = load_csv("series_inputs.csv", column="value")
-        targets = load_csv("series_targets.csv", column="value")
-        assert len(inputs) == 120 and len(targets) == 120
-        assert inputs.max() <= 0.5
-
-    def test_zero_count_is_one_error_line(self, workdir, capsys):
-        # the parser reads the number; generate_narma10 judges it
-        err = one_error_line(["generate-narma", "--n", "0", "--seed", "1", "--out", "x"],
-                             capsys)
-        assert "n must be >= 1, got 0" in err
-
-    def test_divergence_is_one_error_line(self, workdir, capsys, monkeypatch):
-        # cli.main's RuntimeError branch: no draw stays within a limit of -1
-        monkeypatch.setattr(data, "NARMA_DIVERGENCE_LIMIT", -1)
-        err = one_error_line(["generate-narma", "--n", "5", "--out", "x"], capsys)
-        assert err == "error: NARMA-10 diverged on 10 consecutive attempts\n"
-
-
 class TestExperiment:
     def test_runs_and_prints_summary_row(self, workdir, capsys):
         config = write_config(workdir)
@@ -132,6 +110,12 @@ class TestExperiment:
         assert message in captured.err
         assert not os.path.exists("results.csv")
 
+    def test_divergence_is_one_error_line(self, workdir, capsys, monkeypatch):
+        # cli.main's RuntimeError branch: no draw stays within a limit of -1
+        monkeypatch.setattr(data, "NARMA_DIVERGENCE_LIMIT", -1)
+        err = one_error_line(["experiment", "--config", write_config(workdir)], capsys)
+        assert err == "error: NARMA-10 diverged on 10 consecutive attempts\n"
+
     def test_unwritable_output_is_one_error_line(self, workdir, capsys):
         # a write that fails is the one failure after which a file stays:
         # results.csv was written before summary.csv could not be
@@ -143,23 +127,13 @@ class TestExperiment:
         assert "summary.csv" in captured.err
         assert sorted(os.listdir()) == ["exp.cfg", "results.csv", "summary.csv"]
 
-    def test_seed_override_changes_outputs(self, workdir, capsys):
-        config = write_config(workdir)
-        cli.main(["experiment", "--config", config])
-        first = capsys.readouterr().out
-        cli.main(["experiment", "--config", config, "--seed", "99"])
-        second = capsys.readouterr().out
-        assert first != second
-
     def test_outputs_reingestible(self, workdir):
         # every numeric column of every file the commands write loads back by
         # its header name (two trials, so no ci_halfwidth is blank)
         config = write_config(workdir)
         assert cli.main(["experiment", "--config", config]) == 0
         assert cli.main(["sweep", "--config", config, "--sizes", "5,10"]) == 0
-        assert cli.main(["generate-narma", "--n", "30", "--seed", "7", "--out", "series"]) == 0
-        rows = {"results.csv": 2, "summary.csv": 1, "trace.csv": 50, "sweep.csv": 2,
-                "series_inputs.csv": 30, "series_targets.csv": 30}
+        rows = {"results.csv": 2, "summary.csv": 1, "trace.csv": 50, "sweep.csv": 2}
         for name, count in rows.items():
             with open(name) as fh:
                 header = fh.readline().rstrip("\n").split(",")
@@ -207,17 +181,8 @@ class TestSweep:
 class TestUsage:
     def test_unknown_flag_rejected(self, workdir, capsys):
         with pytest.raises(SystemExit) as info:
-            cli.main(["generate-narma", "--n", "5", "--out", "x", "--frobnicate"])
+            cli.main(["experiment", "--config", "x", "--frobnicate"])
         assert info.value.code == 2
-
-    def test_negative_narma_seed_names_the_flag(self, workdir, capsys):
-        # the same rule, and the same line, as experiment --seed -1
-        err = one_error_line(["generate-narma", "--n", "5", "--seed", "-1", "--out", "x"],
-                             capsys)
-        assert "seed must be >= 0, got -1" in err
-        config = write_config(workdir)
-        assert one_error_line(["experiment", "--config", config, "--seed", "-1"],
-                              capsys) == err
 
     @pytest.mark.parametrize("argv", [["experiment", "--config", "bad.txt"]],
                              ids=["config"])
@@ -233,9 +198,12 @@ class TestUsage:
 
     def test_console_entry_point(self, tmp_path, subprocess_env, fixture_root):
         # --help and the README's command-line block name exactly the
-        # parser's subcommands
+        # parser's subcommands, and every flag the section names is an
+        # option of one of them
         (commands,) = [action.choices for action in cli.build_parser()._actions
                        if action.dest == "command"]
+        flags = {flag for parser in commands.values() for action in parser._actions
+                 for flag in action.option_strings}
         proc = subprocess.run([sys.executable, "-m", "reservoirq.cli", "--help"],
                               capture_output=True, text=True, cwd=tmp_path,
                               env=subprocess_env)
@@ -245,3 +213,4 @@ class TestUsage:
             section = fh.read().split("## Command line", 1)[1].split("\n## ", 1)[0]
         block = section.split("```sh\n", 1)[1].split("```", 1)[0]
         assert set(re.findall(r"^reservoirq (\S+)", block, re.M)) == set(commands)
+        assert set(re.findall(r"--[a-z][\w-]*", section)) <= flags

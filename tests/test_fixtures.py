@@ -59,6 +59,7 @@ def test_fixture_script_rewrites_the_committed_assets(tmp_path, monkeypatch):
     spec.loader.exec_module(script)
     monkeypatch.setattr(script, "FIXTURES", str(tmp_path))
     script.make_series()
-    for name in ("isp_like.csv", "ukerna_like.csv", "sine.csv"):
+    for name in ("isp_like.csv", "ukerna_like.csv", "sine.csv",
+                 "narma50_inputs.csv", "narma50_targets.csv"):
         with open(os.path.join(FIXTURES, name), "rb") as fh:
             assert (tmp_path / name).read_bytes() == fh.read(), name
